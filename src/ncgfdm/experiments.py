@@ -14,7 +14,14 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .channel import JakesFadingProcess, apply_channel, awgn, eva_profile, zf_equalize
+from .channel import (
+    ChannelProfile,
+    JakesFadingProcess,
+    apply_channel,
+    awgn,
+    eva_profile,
+    zf_equalize,
+)
 from .filterbank import build_transmit_matrix, prototype_filter
 from .params import (
     Constellation,
@@ -80,12 +87,15 @@ PRESETS = {
 
 
 def code_version() -> str:
-    try:
-        from importlib.metadata import version
+    """Installed package version, else the version of the imported source."""
+    from importlib.metadata import PackageNotFoundError, version
 
+    try:
         return version("ncgfdm")
-    except Exception:
-        return "unknown"
+    except PackageNotFoundError:
+        from . import __version__
+
+        return __version__
 
 
 def _default_metadata() -> dict:
@@ -156,7 +166,27 @@ class ExperimentConfig:
             raise ValueError("PSD experiments need at least one symbol")
         if not self.variants:
             raise ValueError("at least one waveform variant is required")
+        if self.kind == "ber" and self.channel == "eva":
+            # the block-fading channel convolves each core circularly, so
+            # every path delay must fall inside the block
+            profile = self.channel_profile()
+            tap = int(profile.tap_positions().max())
+            for spec in self.variants:
+                N = resolve_variant(self, spec).params.N
+                if N <= tap:
+                    raise ValueError(
+                        f"variant {spec!r} has block length N={N}, at or below the EVA "
+                        f"tap delay of {tap} samples ({max(profile.delays_ns):g} ns at "
+                        f"{profile.sample_interval_ns:g} ns per sample)"
+                    )
         return self
+
+    def channel_profile(self) -> ChannelProfile:
+        """EVA delay profile at the sample interval and Doppler in ``metadata``."""
+        return eva_profile(
+            sample_interval_ns=float(self.metadata.get("sample_interval_ns", 9.3)),
+            doppler_hz=float(self.metadata.get("doppler_hz", 100.0)),
+        )
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -414,10 +444,7 @@ def run_ber(cfg: ExperimentConfig) -> list:
     cache = _BuildCache()
     master = SeededRng(cfg.seed)
     variants = [resolve_variant(cfg, s) for s in cfg.variants]
-    profile = eva_profile(
-        sample_interval_ns=float(cfg.metadata.get("sample_interval_ns", 9.3)),
-        doppler_hz=float(cfg.metadata.get("doppler_hz", 100.0)),
-    )
+    profile = cfg.channel_profile()
     rows = []
     for si, snr in enumerate(cfg.snr_db):
         for var in variants:
@@ -515,7 +542,7 @@ def run_sir(cfg: ExperimentConfig) -> list:
             theory_db, smooth_power = _steady_sir_db(ops)
             emp = empirical_sir(ops, master.child(trial), cfg.n_symbols, points=c.points)
             trial += 1
-            closed = closed_form_sir(p) if beta == 0.0 else float("nan")
+            closed = closed_form_sir(p) if ops.is_unitary else float("nan")
             rows.append(
                 (float(beta), int(V), smooth_power, theory_db, 10.0 * np.log10(emp), closed)
             )

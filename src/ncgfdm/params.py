@@ -99,12 +99,16 @@ class Constellation:
     """A unit-energy constellation with a fixed bit labeling.
 
     ``points[i]`` is the point whose label is the ``bits_per_symbol``-bit
-    binary expansion of ``i`` (MSB first).
+    binary expansion of ``i`` (MSB first).  Square QAM, where the first half
+    of the label picks the in-phase level and the second half picks the
+    quadrature level from one shared level set, is decided per axis; any
+    other point set falls back to the nearest-point search over all points.
     """
 
     points: np.ndarray
     bits_per_symbol: int
     name: str = ""
+    _slicer: "_SquareQamSlicer | None" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.complex128)
@@ -117,6 +121,7 @@ class Constellation:
         energy = np.mean(np.abs(pts) ** 2)
         if abs(energy - 1.0) > 1e-12:
             raise ValueError(f"constellation mean energy is {energy}, expected 1")
+        object.__setattr__(self, "_slicer", _SquareQamSlicer.of(pts, self.bits_per_symbol))
 
     def to_csv(self) -> str:
         """Constellation table as CSV text: index, bits, real, imag."""
@@ -125,6 +130,53 @@ class Constellation:
             bits = format(i, f"0{self.bits_per_symbol}b")
             lines.append(f"{i},{bits},{pt.real:.17g},{pt.imag:.17g}")
         return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class _SquareQamSlicer:
+    """Nearest-point decision of square QAM, one PAM axis at a time.
+
+    The squared distance splits into an in-phase and a quadrature term, so
+    the nearest point pairs the nearest level on each axis.  A level's
+    position is the count of midpoint thresholds below the sample.  A sample
+    exactly on a threshold goes to the neighbour with the lower label; per
+    axis that yields the lowest point index among the tied points.
+    """
+
+    #: ascending midpoints between adjacent levels; one ulp lower where the
+    #: upper neighbour has the lower label, so that ``>`` sends a tie upward
+    thresholds: np.ndarray
+    #: label of the point at (in-phase position, quadrature position),
+    #: flattened row-major with ``side`` positions per axis
+    labels: np.ndarray
+    side: int
+
+    @classmethod
+    def of(cls, points: np.ndarray, bits: int) -> "_SquareQamSlicer | None":
+        """The slicer for ``points``, or None when they are not square QAM."""
+        if bits % 2:
+            return None
+        side = 2 ** (bits // 2)
+        grid = points.reshape(side, side)
+        levels = grid.real[:, 0]  # indexed by the label half
+        if np.any(grid.real != levels[:, None]) or np.any(grid.imag != levels[None, :]):
+            return None
+        order = np.argsort(levels)
+        ascending = levels[order]
+        if np.any(np.diff(ascending) <= 0):
+            return None
+        mid = (ascending[:-1] + ascending[1:]) / 2
+        thresholds = np.where(order[1:] < order[:-1], np.nextafter(mid, -np.inf), mid)
+        labels = (order[:, None] * side + order[None, :]).ravel()
+        return cls(thresholds=thresholds, labels=labels, side=side)
+
+    def __call__(self, flat: np.ndarray) -> np.ndarray:
+        """Labels of a contiguous 1-D complex128 array."""
+        axes = flat.view(np.float64)  # interleaved in-phase, quadrature
+        pos = np.zeros(axes.shape, dtype=np.min_scalar_type(self.labels.size - 1))
+        for t in self.thresholds:
+            pos += axes > t
+        return np.take(self.labels, pos[0::2] * self.side + pos[1::2])
 
 
 def _gray_pam_levels(bits: int) -> np.ndarray:
@@ -202,33 +254,39 @@ def map_bits(bits: np.ndarray, c: Constellation, K: int, M: int) -> np.ndarray:
     return vector_to_grid(c.points[labels], K, M)
 
 
+def _nearest_labels(flat: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Dense nearest-point search; ties resolve to the lowest point index."""
+    # np.argmin takes the first (lowest index) of equal minima
+    d2 = np.abs(flat[:, None] - points[None, :]) ** 2
+    return np.argmin(d2, axis=1)
+
+
+def decision_labels(y: np.ndarray, c: Constellation) -> np.ndarray:
+    """Indices of the nearest constellation points, in the shape of ``y``.
+
+    A sample exactly on a decision threshold resolves to the lowest point
+    index.  Square QAM is sliced per axis; other constellations compare
+    every sample with every point.
+    """
+    y = np.asarray(y, dtype=np.complex128)
+    flat = y.ravel()
+    labels = _nearest_labels(flat, c.points) if c._slicer is None else c._slicer(flat)
+    return labels.reshape(y.shape)
+
+
 def hard_decision(y: np.ndarray, c: Constellation) -> np.ndarray:
     """Nearest-point decision; ties resolve to the lowest point index.
 
     Works elementwise on scalars or arrays, returning constellation points.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    flat = y.ravel()
-    # argmin over squared distance; np.argmin takes the first (lowest index)
-    # of equal minima, which is the documented tie-break.
-    d2 = np.abs(flat[:, None] - c.points[None, :]) ** 2
-    idx = np.argmin(d2, axis=1)
-    out = c.points[idx].reshape(y.shape)
-    return out if y.shape else out[()]
-
-
-def decision_labels(y: np.ndarray, c: Constellation) -> np.ndarray:
-    """Indices of the hard-decided constellation points."""
-    y = np.asarray(y, dtype=np.complex128)
-    d2 = np.abs(y.ravel()[:, None] - c.points[None, :]) ** 2
-    return np.argmin(d2, axis=1).reshape(y.shape)
+    return np.take(c.points, decision_labels(y, c))
 
 
 def demap_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
     """Hard-decide symbols and return the recovered bit sequence."""
-    labels = decision_labels(symbols, c).ravel()
     shifts = np.arange(c.bits_per_symbol - 1, -1, -1)
-    return ((labels[:, None] >> shifts[None, :]) & 1).ravel().astype(np.uint8)
+    label_bits = ((np.arange(c.points.size)[:, None] >> shifts) & 1).astype(np.uint8)
+    return np.take(label_bits, decision_labels(symbols, c).ravel(), axis=0).ravel()
 
 
 # ---------------------------------------------------------------------------

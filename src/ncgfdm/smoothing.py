@@ -144,9 +144,6 @@ class NcOperators:
     A: np.ndarray
     A_inv: np.ndarray
     is_unitary: bool
-    B: np.ndarray           # (V+1) x N derivative-evaluation rows
-    G: np.ndarray           # N x N, DFT-domain transmit matrix F @ A
-    phi_diag: np.ndarray    # diagonal of the CP phase matrix
     P_f: np.ndarray
     P_f_inv: np.ndarray
     P_1: np.ndarray
@@ -229,7 +226,6 @@ def build_nc_operators(
     # Row v of B @ F is the DFT of row v of B; same for the phased variant.
     P_1 = np.fft.fft(B, axis=1) @ tm.A
     P_2 = np.fft.fft(B * phi_diag, axis=1) @ tm.A
-    G = np.fft.fft(tm.A, axis=0)
     # P_f entries are the boundary values f_{v+w}(-n_cp) = (1/N) sum fac^{v+w} F0
     moments = np.array([np.sum(fac**o * basis.F0) for o in range(2 * V + 1)]) / N
     P_f = moments[np.add.outer(np.arange(V + 1), np.arange(V + 1))]
@@ -246,9 +242,6 @@ def build_nc_operators(
         A=tm.A,
         A_inv=tm.A_inv,
         is_unitary=is_unitary,
-        B=B,
-        G=G,
-        phi_diag=phi_diag,
         P_f=P_f,
         P_f_inv=P_f_inv,
         P_1=P_1,

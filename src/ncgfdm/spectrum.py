@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal
 
+from .filterbank import prototype_filter
 from .params import WaveformParams
 from .smoothing import NcOperators, coefficient_stream
 
@@ -282,9 +283,7 @@ def sir_report(ops: NcOperators, n_symbols: int) -> SirReport:
     data_power, smooth_power = _LowRankPowerRecursion(ops).run(n_symbols)
     with np.errstate(divide="ignore"):
         sir_db = 10.0 * np.log10(ops.params.N / smooth_power)
-    closed = None
-    if ops.params.beta == 0.0 or ops.params.filter_kind == "dirichlet":
-        closed = closed_form_sir(ops.params)
+    closed = closed_form_sir(ops.params) if ops.is_unitary else None
     return SirReport(
         per_symbol_power=data_power,
         smooth_power=smooth_power,
@@ -303,10 +302,12 @@ def theoretical_sir(ops: NcOperators, n_symbols: int) -> np.ndarray:
 def closed_form_sir(p: WaveformParams) -> float:
     """Steady-state SIR in dB of the unitary configuration: KM/(2V+2).
 
-    Only valid at beta = 0, where the modulation matrix is unitary.
+    Only valid when the prototype is the Dirichlet pulse, where the
+    modulation matrix is unitary: at beta = 0, and at any roll-off too
+    narrow to shape a DFT bin.
     """
-    if p.beta != 0.0 and p.filter_kind != "dirichlet":
-        raise ValueError(f"closed-form SIR requires beta = 0, got beta = {p.beta}")
+    if not prototype_filter(p).is_dirichlet:
+        raise ValueError(f"closed-form SIR requires the Dirichlet pulse, got beta = {p.beta}")
     return 10.0 * np.log10(p.K * p.M / (2.0 * (p.V + 1)))
 
 

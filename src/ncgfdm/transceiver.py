@@ -168,9 +168,9 @@ def recover_iterative(
         d_hat(r) = hard_decision(y(r))
 
     starting from d_hat(0) = 0.  Noiseless streams converge exactly once the
-    hard decisions are correct.  Returns the final soft estimates, or
-    (soft, trajectory) with the per-iteration soft estimates when
-    ``return_trajectory`` is set.
+    hard decisions are correct.  Returns the last soft estimates y(n_iter),
+    undecided, or (soft, trajectory) with the per-iteration soft estimates
+    when ``return_trajectory`` is set.
     """
     cols, squeeze = _as_columns(y)
     if n_iter < 1:
@@ -179,11 +179,11 @@ def recover_iterative(
     pf_p2 = ops.P_f_inv @ ops.P_2
     d_hat = np.zeros_like(cols)
     trajectory = []
-    soft = z
-    for _ in range(n_iter):
+    for r in range(n_iter):
+        if r:
+            d_hat = hard_decision(soft, c)
         b = pf_p2 @ (z - d_hat)
         soft = z - ops.A_inv_Q @ b
         trajectory.append(soft[:, 0] if squeeze else soft.copy())
-        d_hat = hard_decision(soft, c)
     out = soft[:, 0] if squeeze else soft
     return (out, trajectory) if return_trajectory else out

@@ -9,6 +9,7 @@ from ncgfdm.experiments import (
     PRESETS,
     ExperimentConfig,
     apply_preset,
+    code_version,
     noise_variance,
     resolve_variant,
     run_ber,
@@ -44,6 +45,23 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(kind="psd", variants=()).validate()
     assert ExperimentConfig().validate().kind == "validate"
+
+
+def test_config_validation_rejects_blocks_shorter_than_eva_delay():
+    # EVA's 2510 ns tap is 270 samples at 9.3 ns; ofdm and td-nc-ofdm have N=256
+    with pytest.raises(ValueError, match=r"'ofdm' has block length N=256.*270 samples"):
+        ExperimentConfig(kind="ber", channel="eva").validate()
+    with pytest.raises(ValueError, match=r"'td-nc-ofdm:2' has block length N=256"):
+        ExperimentConfig(kind="ber", channel="eva", variants=("gfdm", "td-nc-ofdm:2")).validate()
+    ExperimentConfig(kind="ber", channel="eva", variants=("gfdm", "nc-gfdm:2")).validate()
+
+
+def test_code_version_is_known_when_run_from_source():
+    import ncgfdm
+
+    version = code_version()
+    assert version != "unknown"
+    assert version == ncgfdm.__version__
 
 
 def test_presets():
@@ -115,11 +133,14 @@ def test_run_sir_deterministic_bytes():
 
 
 def test_run_sir_contents():
-    cfg = small_cfg("sir", n_symbols=2000, beta_grid=(0.0, 0.5), v_grid=(0, 2), seed=1)
+    cfg = small_cfg("sir", n_symbols=2000, beta_grid=(0.0, 0.1, 0.5), v_grid=(0, 2), seed=1)
     rows = run_sir(cfg)[0].rows
     by_key = {(r[0], r[1]): r for r in rows}
-    # closed form present only at beta = 0
-    assert by_key[(0.0, 0)][5] == pytest.approx(10 * math.log10(16 * 7 / 2))
+    # closed form present only where A is unitary: at beta = 0, and at
+    # beta = 0.1, which at K=16, M=7 quantizes to the Dirichlet pulse
+    for beta in (0.0, 0.1):
+        for V in (0, 2):
+            assert by_key[(beta, V)][5] == pytest.approx(10 * math.log10(16 * 7 / (2 * V + 2)))
     assert math.isnan(by_key[(0.5, 2)][5])
     # SIR decreases with V, and empirical tracks theory
     assert by_key[(0.0, 2)][3] < by_key[(0.0, 0)][3]

@@ -13,6 +13,7 @@ from ncgfdm.params import (
     map_bits,
     qam_constellation,
     vector_to_grid,
+    _nearest_labels,
 )
 
 
@@ -116,6 +117,76 @@ def test_hard_decision_nearest_and_ties():
     assert decision_labels(np.array(0.0 + 0.0j), c) == 0
     # scalar input works
     assert hard_decision(c.points[2] * 1.01, c) == c.points[2]
+
+
+def _dense_labels(y, c, chunk=1 << 15):
+    """Dense nearest-point oracle, chunked to bound its n x order memory."""
+    flat = np.asarray(y, dtype=np.complex128).ravel()
+    out = [_nearest_labels(flat[i : i + chunk], c.points) for i in range(0, flat.size, chunk)]
+    return np.concatenate(out).reshape(np.shape(y))
+
+
+@pytest.mark.parametrize("order", [4, 16, 64, 256])
+def test_square_qam_slicer_matches_dense_search(order):
+    c = qam_constellation(order)
+    assert c._slicer is not None  # square QAM takes the per-axis path
+    rng = np.random.default_rng(order)
+    n = 1 << 20
+    dmin = np.min(np.abs(np.diff(np.unique(c.points.real))))
+    # noise of one spacing per axis crosses every threshold and the outer edges
+    y = c.points[rng.integers(0, order, n)] + dmin * (
+        rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    )
+    y = y.reshape(1024, -1)
+    assert np.array_equal(decision_labels(y, c), _dense_labels(y, c))
+    assert np.array_equal(decision_labels(c.points, c), np.arange(order))
+    assert np.array_equal(hard_decision(c.points, c), c.points)
+
+
+@pytest.mark.parametrize("order", [4, 16, 64, 256])
+def test_square_qam_thresholds_resolve_to_lowest_index(order):
+    c = qam_constellation(order)
+    levels = np.unique(c.points.real)
+    mids = (levels[:-1] + levels[1:]) / 2
+    # each axis value with the levels it is equidistant from
+    axis = [(v, {v}) for v in levels] + [
+        (m, {lo, hi}) for m, lo, hi in zip(mids, levels[:-1], levels[1:])
+    ]
+    for x, x_near in axis:
+        for q, q_near in axis:
+            tied = [
+                i
+                for i, pt in enumerate(c.points)
+                if pt.real in x_near and pt.imag in q_near
+            ]
+            assert decision_labels(x + 1j * q, c) == min(tied), (x, q)
+
+
+def _psk8():
+    return Constellation(
+        points=np.exp(2j * np.pi * np.arange(8) / 8), bits_per_symbol=3, name="8PSK"
+    )
+
+
+def test_decisions_keep_scalars_scalar():
+    for c in (qam_constellation(16), _psk8()):
+        point = hard_decision(complex(c.points[5]) * 1.01, c)
+        assert np.ndim(point) == 0 and point == c.points[5]
+        assert np.ndim(decision_labels(c.points[5], c)) == 0
+
+
+def test_non_square_constellations_fall_back_to_dense_search(rng):
+    psk = _psk8()
+    rotated = qam_constellation(16)
+    rotated = Constellation(points=rotated.points * np.exp(0.3j), bits_per_symbol=4)
+    assert psk._slicer is None and rotated._slicer is None
+    y = 1.5 * (rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000))
+    # 8-PSK: the nearest point is the one closest in angle
+    want = np.rint(np.angle(y) / (np.pi / 4)).astype(int) % 8
+    assert np.array_equal(decision_labels(y, psk), want)
+    assert np.array_equal(hard_decision(y, psk), psk.points[want])
+    d2 = np.abs(y[:, None] - rotated.points[None, :]) ** 2
+    assert np.array_equal(decision_labels(y, rotated), np.argmin(d2, axis=1))
 
 
 def test_seeded_rng_reproducible_and_children_independent():

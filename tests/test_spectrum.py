@@ -185,6 +185,10 @@ def test_closed_form_values():
     assert closed_form_sir(single) == pytest.approx(16.30, abs=0.01)
     diff = closed_form_sir(WaveformParams(K=256, M=7, n_cp=280, V=2)) - closed_form_sir(single)
     assert diff == pytest.approx(10 * np.log10(7), abs=1e-9)
+    # beta = 0.1 at K=16, M=7 quantizes to the Dirichlet pulse
+    assert closed_form_sir(WaveformParams(K=16, M=7, beta=0.1, V=2)) == pytest.approx(
+        10 * np.log10(16 * 7 / 6)
+    )
     with pytest.raises(ValueError):
         closed_form_sir(WaveformParams(K=8, M=4, beta=0.5, V=2))
 
@@ -192,6 +196,8 @@ def test_closed_form_values():
 def test_sir_report_attaches_closed_form_only_when_unitary():
     _, _, _, ops = built_ops(8, 4, 8, 0.5, 2)
     assert sir_report(ops, 4).closed_form_db is None
+    _, _, _, unitary = built_ops(16, 7, 16, 0.1, 2)
+    assert sir_report(unitary, 4).closed_form_db == pytest.approx(10 * np.log10(16 * 7 / 6))
     with pytest.raises(ValueError):
         sir_report(ops, 0)
     csv = sir_report(ops, 4).to_csv()
