@@ -30,8 +30,6 @@ from .filterbank import (
 from .smoothing import (
     BasisSet,
     NcOperators,
-    SmootherState,
-    basis_signal,
     boundary_mismatch,
     boundary_mismatch_dft,
     build_basis,
@@ -39,7 +37,6 @@ from .smoothing import (
     coefficient_stream,
     derivative_scales,
     smooth_stream,
-    smooth_symbol,
     synthesis_waveform,
 )
 from .channel import (
@@ -72,12 +69,10 @@ from .spectrum import (
     empirical_sir,
     mc_smooth_power,
     normalize_inband,
-    oversample_stream,
     psd_sample_stream,
     sidelobe_level,
     sir_report,
     smooth_power_curve,
-    theoretical_sir,
     welch_psd,
 )
 from .experiments import (
@@ -93,6 +88,5 @@ from .experiments import (
     run_validation,
     write_tables,
 )
-from .matio import load_matrix, save_matrix
 
 __version__ = "0.1.0"

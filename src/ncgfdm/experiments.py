@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -196,6 +196,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         d = dict(d)
         for key in ("snr_db", "variants", "beta_grid", "v_grid"):
             if key in d:
@@ -389,14 +392,14 @@ def run_psd(cfg: ExperimentConfig) -> list:
         ops = cache.operators(p) if var.smoothed else None
         rng = master.child(vi)
         acc = WelchAccumulator(cfg.window_len, cfg.overlap)
-        state = None
+        carry = None
         chunk = max(1, 2_000_000 // (p.N * cfg.oversample))
         done = 0
         while done < cfg.n_symbols:
             nb = min(chunk, cfg.n_symbols - done)
             _, D = _draw_data(rng, c, p.N, nb)
             if var.smoothed:
-                X, _, _, state = smooth_stream(ops, D, state)
+                X, _, _, carry = smooth_stream(ops, D, carry)
             else:
                 X = tm.A @ D
             acc.process(psd_sample_stream(X, p.n_cp, cfg.oversample))
@@ -463,13 +466,13 @@ def run_ber(cfg: ExperimentConfig) -> list:
             chunk = max(1, 4_000_000 // p.N)
             errors = 0
             total = 0
-            state = None
+            carry = None
             done = 0
             while done < n_blocks:
                 nb = min(chunk, n_blocks - done)
                 bits, D = _draw_data(bits_rng, c, p.N, nb)
                 if var.smoothed:
-                    X, _, _, state = smooth_stream(ops, D, state)
+                    X, _, _, carry = smooth_stream(ops, D, carry)
                 else:
                     X = tm.A @ D
                 if cfg.channel == "eva":

@@ -1,4 +1,4 @@
-"""Boundary-smoothing engine: basis signals, operator family, per-symbol loop.
+"""Boundary-smoothing engine: basis signals, operator family, smoothing recursion.
 
 The smoother cancels the value and first-V-derivative gaps between
 consecutive symbol blocks by adding a low-rank "smooth signal" built from
@@ -10,6 +10,7 @@ all diagnostics and tests honor this convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,13 +22,9 @@ from .params import WaveformParams
 __all__ = [
     "BasisSet",
     "NcOperators",
-    "SmootherState",
     "synthesis_waveform",
-    "basis_signal",
     "build_basis",
     "build_nc_operators",
-    "smoothing_coefficients",
-    "smooth_symbol",
     "smooth_stream",
     "coefficient_stream",
     "boundary_mismatch",
@@ -47,23 +44,6 @@ def synthesis_waveform(g: PrototypeFilter, p: WaveformParams) -> tuple[np.ndarra
     n = np.arange(N)
     f0 = np.where(n % K == 0, K * g.samples, 0.0)
     return f0, np.fft.fft(f0)
-
-
-def basis_signal(F0: np.ndarray, order: int, n, n_cp: int, max_order: int | None = None):
-    """Evaluate the order-v basis signal at sample index n in -n_cp..N-1.
-
-    f_v(n) = (1/N) sum_l (j 2 pi l / N)^v F0(l) exp(j 2 pi (n + n_cp) l / N).
-    Accepts scalar or array n.
-    """
-    if order < 0 or (max_order is not None and order > max_order):
-        raise ValueError(f"basis order {order} out of range [0, {max_order}]")
-    F0 = np.asarray(F0)
-    N = F0.size
-    l = np.arange(N)
-    fac = (2j * np.pi * l / N) ** order * F0
-    t = np.atleast_1d(np.asarray(n)) + n_cp
-    vals = (np.exp(2j * np.pi * np.outer(t, l) / N) @ fac) / N
-    return vals if np.ndim(n) else vals[0]
 
 
 @dataclass(frozen=True)
@@ -134,9 +114,10 @@ class NcOperators:
 
     Naming follows the construction: P_f matches derivative orders at the
     block boundary, P_1/P_2 evaluate the outgoing/incoming boundary
-    derivatives from data vectors, P_w reconstructs the smooth signal at the
-    receiver, P_tilde = A_inv @ P_w is idempotent, P_hat propagates the
-    previous block's contribution.
+    derivatives from data vectors.  The rank-(V+1) N x N operators of the
+    construction are kept only as their factors: the receiver's smooth-signal
+    reconstruction P_w = Q P_f^{-1} P_2, the idempotent
+    P_tilde = A^{-1} P_w = gain P_2, and the propagator P_hat = gain P_1.
     """
 
     params: WaveformParams
@@ -148,10 +129,7 @@ class NcOperators:
     P_f_inv: np.ndarray
     P_1: np.ndarray
     P_2: np.ndarray
-    P_w: np.ndarray
-    P_tilde: np.ndarray
-    P_hat: np.ndarray
-    # low-rank factors reused by the per-symbol fast paths
+    # low-rank factors reused by the smoothing recursion and the receiver
     A_inv_Q: np.ndarray     # N x (V+1)
     gain: np.ndarray        # N x (V+1), A_inv @ Q @ P_f_inv
     pf_cond: float
@@ -170,33 +148,45 @@ def _relative_residual(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(x - y) / ref) if ref > 0 else 0.0
 
 
+def _gram_residual(GL: np.ndarray, X: np.ndarray, Y: np.ndarray, GR: np.ndarray) -> float:
+    """Relative residual of F X G against F Y G, given GL = F^H F and GR = G G^H.
+
+    ||F Z G||_F^2 = tr(Z^H GL Z GR), so a rank-(V+1) N x N identity is
+    checked without forming any N x N product.
+    """
+
+    def norm(Z):
+        return math.sqrt(max(float(np.real(np.trace(Z.conj().T @ GL @ Z @ GR))), 0.0))
+
+    ref = max(norm(X), norm(Y))
+    return norm(X - Y) / ref if ref > 0 else 0.0
+
+
 def operator_identity_residuals(ops: NcOperators) -> dict[str, float]:
     """Relative residuals of the algebraic identities the operators satisfy.
 
     ``p1p2_gram`` (equal boundary Gram matrices) holds only when the
     modulation matrix is unitary or the CP length is a multiple of K; the
-    other identities hold for every configuration.
+    other identities hold for every configuration.  With L = gain,
+    P_tilde = L P_2 and P_w = (Q P_f^{-1}) P_2, the N x N identities reduce
+    to (V+1) x (V+1) Gram forms through T = P_2 L:
+    P_tilde^2 = L T P_2, P_w A^{-1} Q P_f^{-1} P_2 = Q P_f^{-1} T P_2 and
+    P_w A^{-1} Q P_f^{-1} = Q P_f^{-1} T.
     """
-    A_inv_Q = ops.A_inv_Q
-    res = {
+    L, P_2 = ops.gain, ops.P_2
+    QF = ops.basis.Q @ ops.P_f_inv
+    T = P_2 @ L
+    I = np.eye(ops.V + 1)
+    P2P2h = P_2 @ P_2.conj().T
+    return {
         "pf_symmetric": _relative_residual(ops.P_f, ops.P_f.T),
-        "pf_product": _relative_residual(ops.P_2 @ A_inv_Q, ops.P_f),
-        # low-rank grouping keeps this O(N^2 (V+1)) instead of O(N^3)
-        "idempotent": _relative_residual(
-            ops.gain @ ((ops.P_2 @ ops.gain) @ ops.P_2), ops.P_tilde
-        ),
-        "decode_fixed": _relative_residual(
-            ops.P_w, ops.P_w @ A_inv_Q @ ops.P_f_inv @ ops.P_2
-        ),
-        "decode_basis": _relative_residual(
-            ops.P_w @ A_inv_Q @ ops.P_f_inv, ops.basis.Q @ ops.P_f_inv
-        ),
-        "p1p2_gram": _relative_residual(
-            ops.P_1 @ ops.P_1.conj().T, ops.P_2 @ ops.P_2.conj().T
-        ),
-        "trace_rank": float(abs(np.trace(ops.P_tilde) - (ops.V + 1))),
+        "pf_product": _relative_residual(P_2 @ ops.A_inv_Q, ops.P_f),
+        "idempotent": _gram_residual(L.conj().T @ L, T, I, P2P2h),
+        "decode_fixed": _gram_residual(QF.conj().T @ QF, I, T, P2P2h),
+        "decode_basis": _gram_residual(QF.conj().T @ QF, T, I, I),
+        "p1p2_gram": _relative_residual(ops.P_1 @ ops.P_1.conj().T, P2P2h),
+        "trace_rank": float(abs(np.trace(T) - (ops.V + 1))),
     }
-    return res
 
 
 def identity_tolerance(V: int) -> float:
@@ -233,9 +223,6 @@ def build_nc_operators(
     P_f_inv = solver.inverse()
     A_inv_Q = tm.A_inv @ basis.Q
     gain = A_inv_Q @ P_f_inv
-    P_w = basis.Q @ (P_f_inv @ P_2)
-    P_tilde = gain @ P_2
-    P_hat = gain @ P_1
     ops = NcOperators(
         params=p,
         basis=basis,
@@ -246,9 +233,6 @@ def build_nc_operators(
         P_f_inv=P_f_inv,
         P_1=P_1,
         P_2=P_2,
-        P_w=P_w,
-        P_tilde=P_tilde,
-        P_hat=P_hat,
         A_inv_Q=A_inv_Q,
         gain=gain,
         pf_cond=solver.cond,
@@ -271,118 +255,55 @@ def build_nc_operators(
 
 
 # ---------------------------------------------------------------------------
-# per-symbol smoothing
-
-
-@dataclass(frozen=True)
-class SmootherState:
-    """Cross-symbol memory: previous smooth signal and effective data.
-
-    ``fresh`` marks the start of a stream; the first symbol is emitted
-    unsmoothed (w_0 = 0, d_bar_0 = d_0).
-    """
-
-    w_prev: np.ndarray
-    d_bar_prev: np.ndarray
-    fresh: bool = True
-
-    @classmethod
-    def initial(cls, N: int) -> "SmootherState":
-        z = np.zeros(N, dtype=np.complex128)
-        return cls(w_prev=z, d_bar_prev=z, fresh=True)
-
-
-def smoothing_coefficients(
-    ops: NcOperators, state: SmootherState, d: np.ndarray
-) -> np.ndarray:
-    """Basis coefficients b_i = P_f^{-1}(P_1 d_bar_{i-1} - P_2 d_i)."""
-    if state.fresh:
-        return np.zeros(ops.V + 1, dtype=np.complex128)
-    rhs = ops.P_1 @ state.d_bar_prev - ops.P_2 @ d
-    return ops.P_f_inv @ rhs
-
-
-def smooth_symbol(
-    ops: NcOperators, state: SmootherState, d: np.ndarray
-) -> tuple[np.ndarray, SmootherState]:
-    """Emit one smoothed core x_bar_i = A d_i + Q b_i and advance the state."""
-    d = np.asarray(d, dtype=np.complex128)
-    b = smoothing_coefficients(ops, state, d)
-    w = ops.basis.Q @ b
-    x_bar = ops.A @ d + w
-    d_bar = d + ops.A_inv_Q @ b
-    return x_bar, SmootherState(w_prev=w, d_bar_prev=d_bar, fresh=False)
-
-
-def smooth_stream(
-    ops: NcOperators, D: np.ndarray, state: SmootherState | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, SmootherState]:
-    """Smooth a whole stream of vectorized symbols (columns of D).
-
-    Returns (X_bar, W_equiv, D_bar, final_state) where column i of X_bar is
-    the smoothed core, W_equiv holds the data-domain smooth contributions
-    A_inv w_i, and D_bar the effective data vectors.  The heavy modulation
-    is batched; the sequential recursion touches only the low-rank factors.
-    """
-    D = np.asarray(D, dtype=np.complex128)
-    N, count = D.shape
-    if state is None:
-        state = SmootherState.initial(N)
-    X = ops.A @ D
-    X_bar = np.empty_like(X)
-    W_equiv = np.empty_like(X)
-    D_bar = np.empty_like(X)
-    P1D_bar_prev = ops.P_1 @ state.d_bar_prev
-    P2D = ops.P_2 @ D
-    d_bar_prev = state.d_bar_prev
-    fresh = state.fresh
-    w = state.w_prev
-    for i in range(count):
-        if fresh:
-            b = np.zeros(ops.V + 1, dtype=np.complex128)
-            fresh = False
-        else:
-            b = ops.P_f_inv @ (P1D_bar_prev - P2D[:, i])
-        aw = ops.A_inv_Q @ b
-        w = ops.basis.Q @ b
-        X_bar[:, i] = X[:, i] + w
-        W_equiv[:, i] = aw
-        d_bar_prev = D[:, i] + aw
-        D_bar[:, i] = d_bar_prev
-        P1D_bar_prev = ops.P_1 @ d_bar_prev
-    return X_bar, W_equiv, D_bar, SmootherState(w_prev=w, d_bar_prev=d_bar_prev, fresh=False)
+# smoothing recursion
 
 
 def coefficient_stream(
-    ops: NcOperators, D: np.ndarray, state: SmootherState | None = None
-) -> np.ndarray:
-    """Basis coefficients b_i for every column of D, without modulating.
+    ops: NcOperators, D: np.ndarray, carry: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Basis coefficients b_i = P_f^{-1}(P_1 d_bar_{i-1} - P_2 d_i) of a stream.
 
-    Uses the low-rank recursion P_1 d_bar_i = (P_1 D)_i + (P_1 A^{-1} Q) b_i,
-    so the cost is two thin rectangular products plus O(count (V+1)^2).
-    Column i holds b_i; returns a (V+1) x count array.  Only Monte-Carlo
-    power/SIR estimators need this path; the transmit chain uses
-    :func:`smooth_stream`.
+    D holds one symbol per column, (N, count), or S parallel streams,
+    (N, count, S).  ``carry`` is P_1 d_bar of the symbol before the first
+    column, or None at the start of a stream, whose first symbol is sent
+    unsmoothed (b_0 = 0).  Since d_bar_i = d_i + A^{-1} Q b_i, the recursion
+    only needs P_1 d_bar_i = (P_1 D)_i + (P_1 A^{-1} Q) b_i, so the cost is
+    two thin rectangular products plus O(count (V+1)^2).  Returns (B, carry)
+    with B of shape (V+1, count[, S]) and the carry for the next chunk.
     """
     D = np.asarray(D, dtype=np.complex128)
-    N, count = D.shape
-    if state is None:
-        state = SmootherState.initial(N)
-    P1D = ops.P_1 @ D
-    P2D = ops.P_2 @ D
+    N, count = D.shape[:2]
+    thin = (ops.V + 1,) + D.shape[1:]
+    P1D = (ops.P_1 @ D.reshape(N, -1)).reshape(thin)
+    P2D = (ops.P_2 @ D.reshape(N, -1)).reshape(thin)
     P1_gain_q = ops.P_1 @ ops.A_inv_Q
-    B = np.empty((ops.V + 1, count), dtype=np.complex128)
-    p1_dbar = ops.P_1 @ state.d_bar_prev
-    fresh = state.fresh
+    B = np.empty(thin, dtype=np.complex128)
     for i in range(count):
-        if fresh:
-            b = np.zeros(ops.V + 1, dtype=np.complex128)
-            fresh = False
+        if carry is None:
+            b = np.zeros(thin[:1] + thin[2:], dtype=np.complex128)
         else:
-            b = ops.P_f_inv @ (p1_dbar - P2D[:, i])
+            b = ops.P_f_inv @ (carry - P2D[:, i])
         B[:, i] = b
-        p1_dbar = P1D[:, i] + P1_gain_q @ b
-    return B
+        carry = P1D[:, i] + P1_gain_q @ b
+    return B, carry
+
+
+def smooth_stream(
+    ops: NcOperators, D: np.ndarray, carry: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Smooth a whole stream of vectorized symbols (columns of D).
+
+    Returns (X_bar, W_equiv, D_bar, carry): the smoothed cores
+    X_bar = A D + Q B, the data-domain smooth contributions
+    W_equiv = A^{-1} Q B, the effective data D_bar = D + W_equiv, and the
+    carry that continues the stream (see :func:`coefficient_stream`).
+    """
+    D = np.asarray(D, dtype=np.complex128)
+    B, carry = coefficient_stream(ops, D, carry)
+    X_bar = ops.A @ D
+    X_bar += ops.basis.Q @ B
+    W_equiv = ops.A_inv_Q @ B
+    return X_bar, W_equiv, D + W_equiv, carry
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +361,10 @@ def derivative_scales(x: np.ndarray, V: int) -> np.ndarray:
 
 
 def with_corrupted_p2(ops: NcOperators, scale: float = 1.01) -> NcOperators:
-    """Test hook: copy with P_2 perturbed and derived operators rebuilt.
+    """Test hook: copy with P_2 perturbed.
 
     The perturbation breaks the boundary-product identity, so the
-    idempotency of the rebuilt P_tilde fails; used to validate that the
+    idempotency of P_tilde = gain P_2 fails; used to validate that the
     validation report actually detects faults.
     """
-    bad_p2 = ops.P_2 * scale
-    P_w = ops.basis.Q @ (ops.P_f_inv @ bad_p2)
-    P_tilde = ops.gain @ bad_p2
-    return replace(ops, P_2=bad_p2, P_w=P_w, P_tilde=P_tilde)
+    return replace(ops, P_2=ops.P_2 * scale)

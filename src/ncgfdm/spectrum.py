@@ -20,7 +20,6 @@ from .smoothing import NcOperators, coefficient_stream
 
 __all__ = [
     "oversample_symbol",
-    "oversample_stream",
     "psd_sample_stream",
     "PsdEstimate",
     "WelchAccumulator",
@@ -30,7 +29,6 @@ __all__ = [
     "SirReport",
     "smooth_power_curve",
     "sir_report",
-    "theoretical_sir",
     "closed_form_sir",
     "empirical_sir",
     "mc_smooth_power",
@@ -56,19 +54,6 @@ def oversample_symbol(x: np.ndarray, oversample: int) -> np.ndarray:
     Xp = np.zeros(shape, dtype=np.complex128)
     Xp[:N] = X
     return oversample * np.fft.ifft(Xp, axis=0)
-
-
-def oversample_stream(stream: np.ndarray, factor: int) -> np.ndarray:
-    """Interpolate a whole concatenated sample stream in one DFT pass.
-
-    Exact bandlimited interpolation: a tone keeps its bin index and, after
-    rate compensation, its energy.  Factor 1 is the identity.  Note that
-    this global form is spectrum-preserving by construction; PSD runs that
-    need to expose inter-symbol boundary radiation interpolate per symbol
-    via :func:`psd_sample_stream` instead.
-    """
-    stream = np.asarray(stream, dtype=np.complex128).ravel()
-    return oversample_symbol(stream, factor)
 
 
 def psd_sample_stream(
@@ -292,13 +277,6 @@ def sir_report(ops: NcOperators, n_symbols: int) -> SirReport:
     )
 
 
-def theoretical_sir(ops: NcOperators, n_symbols: int) -> np.ndarray:
-    """Per-symbol SIR (linear); the unsmoothed first entry is inf."""
-    powers = smooth_power_curve(ops, n_symbols)
-    with np.errstate(divide="ignore"):
-        return ops.params.N / powers
-
-
 def closed_form_sir(p: WaveformParams) -> float:
     """Steady-state SIR in dB of the unitary configuration: KM/(2V+2).
 
@@ -336,7 +314,7 @@ def empirical_sir(
     else:
         pts = np.asarray(points, dtype=np.complex128)
         D = pts[rng.integers(0, pts.size, size=(N, n_symbols))]
-    B = coefficient_stream(ops, D)
+    B, _ = coefficient_stream(ops, D)
     gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
     intf = float(np.real(np.einsum("vi,vw,wi->", B[:, 1:].conj(), gram, B[:, 1:])))
     if intf <= 0:
@@ -354,16 +332,15 @@ def mc_smooth_power(
 ) -> np.ndarray:
     """Monte-Carlo mean of ||A^{-1} w_i||^2 per symbol index over streams.
 
-    Runs the low-rank coefficient recursion across all streams at once; no
-    modulation is performed.
+    Runs the low-rank coefficient recursion across all streams at once, one
+    symbol index per call; no modulation is performed.
     """
     if n_streams < 1 or n_symbols < 1:
         raise ValueError("need at least one stream and one symbol")
-    N, Vp1 = ops.params.N, ops.V + 1
+    N = ops.params.N
     gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
-    P1_gain_q = ops.P_1 @ ops.A_inv_Q
     powers = np.zeros(n_symbols)
-    p1_dbar = np.zeros((Vp1, n_streams), dtype=np.complex128)
+    carry = None
     pts = None if points is None else np.asarray(points, dtype=np.complex128)
     for i in range(n_symbols):
         if pts is None:
@@ -373,10 +350,7 @@ def mc_smooth_power(
             ) / np.sqrt(2)
         else:
             D = pts[rng.integers(0, pts.size, size=(N, n_streams))]
-        if i == 0:
-            b = np.zeros((Vp1, n_streams), dtype=np.complex128)
-        else:
-            b = ops.P_f_inv @ (p1_dbar - ops.P_2 @ D)
+        B, carry = coefficient_stream(ops, D[:, None, :], carry)
+        b = B[:, 0]
         powers[i] = float(np.real(np.einsum("vi,vw,wi->", b.conj(), gram, b))) / n_streams
-        p1_dbar = ops.P_1 @ D + P1_gain_q @ b
     return powers

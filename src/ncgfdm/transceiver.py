@@ -9,12 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .channel import ChannelRealization
 from .filterbank import TransmitMatrix
 from .params import Constellation, hard_decision
-from .smoothing import NcOperators, SmootherState, smooth_stream
+from .smoothing import NcOperators, smooth_stream
 
 __all__ = [
     "gfdm_modulate",
@@ -82,37 +80,17 @@ def unframe_stream(samples: np.ndarray, N: int, n_cp: int) -> np.ndarray:
     return framed[n_cp:, :]
 
 
-def demodulate(
-    tm: TransmitMatrix,
-    y: np.ndarray,
-    method: str = "zf",
-    channel: ChannelRealization | None = None,
-    noise_variance: float = 0.0,
-) -> np.ndarray:
-    """Recover soft data vectors from received core samples.
+def demodulate(tm: TransmitMatrix, y: np.ndarray, method: str = "zf") -> np.ndarray:
+    """Recover soft data vectors from equalized core samples.
 
-    ``mf`` and ``zf`` expect an already-equalized input; ``mmse`` works on
-    the raw (un-equalized) core and needs the channel realization and the
-    complex noise variance.  At beta = 0 the modulation matrix is unitary
-    and mf and zf coincide.
+    ``zf`` (zero forcing, d = A^{-1} y) is the only method.
     """
     cols, squeeze = _as_columns(y)
     if cols.shape[0] != tm.N:
         raise ValueError(f"received length {cols.shape[0]} != N = {tm.N}")
-    if method == "mf":
-        d = tm.A.conj().T @ cols
-    elif method == "zf":
-        d = tm.A_inv @ cols
-    elif method == "mmse":
-        if channel is None:
-            H = tm.A
-        else:
-            # circular channel in the DFT domain: HA = F^H diag(H) F A
-            H = np.fft.ifft(channel.H_diag[:, None] * np.fft.fft(tm.A, axis=0), axis=0)
-        gram = H.conj().T @ H + noise_variance * np.eye(tm.N)
-        d = scipy.linalg.solve(gram, H.conj().T @ cols, assume_a="pos")
-    else:
+    if method != "zf":
         raise ValueError(f"unknown demodulation method {method!r}")
+    d = tm.A_inv @ cols
     return d[:, 0] if squeeze else d
 
 
@@ -123,7 +101,8 @@ class TransmitResult:
     ``waveform`` is the framed sample stream; ``cores`` the smoothed symbol
     cores (columns); ``data`` the transmitted data vectors; ``data_effective``
     the effective vectors d + A^{-1} w actually carried by each core;
-    ``smooth_equivalent`` the data-domain smooth contributions A^{-1} w.
+    ``smooth_equivalent`` the data-domain smooth contributions A^{-1} w;
+    ``carry`` continues the stream (see :func:`smooth_stream`).
     """
 
     waveform: np.ndarray
@@ -131,15 +110,15 @@ class TransmitResult:
     data: np.ndarray
     data_effective: np.ndarray
     smooth_equivalent: np.ndarray
-    state: SmootherState
+    carry: np.ndarray | None
 
 
 def nc_transmit_stream(
-    ops: NcOperators, D: np.ndarray, state: SmootherState | None = None
+    ops: NcOperators, D: np.ndarray, carry: np.ndarray | None = None
 ) -> TransmitResult:
     """Smooth and frame a stream of vectorized data symbols (columns of D)."""
     cols, _ = _as_columns(D)
-    X_bar, W_equiv, D_bar, out_state = smooth_stream(ops, cols, state)
+    X_bar, W_equiv, D_bar, carry = smooth_stream(ops, cols, carry)
     waveform = frame_stream(X_bar, ops.params.n_cp)
     return TransmitResult(
         waveform=waveform,
@@ -147,7 +126,7 @@ def nc_transmit_stream(
         data=cols,
         data_effective=D_bar,
         smooth_equivalent=W_equiv,
-        state=out_state,
+        carry=carry,
     )
 
 
@@ -163,7 +142,7 @@ def recover_iterative(
     Each round estimates the smooth contribution from the current hard data
     estimate, removes it, and re-demodulates:
 
-        w(r)  = P_w (A^{-1} y - d_hat(r-1))
+        w(r)  = Q P_f^{-1} P_2 (A^{-1} y - d_hat(r-1))
         y(r)  = A^{-1} y - A^{-1} w(r)
         d_hat(r) = hard_decision(y(r))
 
@@ -184,6 +163,7 @@ def recover_iterative(
             d_hat = hard_decision(soft, c)
         b = pf_p2 @ (z - d_hat)
         soft = z - ops.A_inv_Q @ b
-        trajectory.append(soft[:, 0] if squeeze else soft.copy())
+        if return_trajectory:
+            trajectory.append(soft[:, 0] if squeeze else soft)
     out = soft[:, 0] if squeeze else soft
     return (out, trajectory) if return_trajectory else out

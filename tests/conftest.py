@@ -25,6 +25,52 @@ def built_ops(K, M, n_cp, beta, V):
     return p, g, tm, ops
 
 
+def basis_signal(F0: np.ndarray, order: int, n, n_cp: int, max_order: int | None = None):
+    """Oracle: the order-v basis signal at sample index n in -n_cp..N-1.
+
+    f_v(n) = (1/N) sum_l (j 2 pi l / N)^v F0(l) exp(j 2 pi (n + n_cp) l / N).
+    Accepts scalar or array n, including fractional indices.
+    """
+    if order < 0 or (max_order is not None and order > max_order):
+        raise ValueError(f"basis order {order} out of range [0, {max_order}]")
+    F0 = np.asarray(F0)
+    N = F0.size
+    l = np.arange(N)
+    fac = (2j * np.pi * l / N) ** order * F0
+    t = np.atleast_1d(np.asarray(n)) + n_cp
+    vals = (np.exp(2j * np.pi * np.outer(t, l) / N) @ fac) / N
+    return vals if np.ndim(n) else vals[0]
+
+
+def reference_smooth(ops, D):
+    """Oracle: the smoothing recursion one symbol at a time, on dense A.
+
+    b_i = P_f^-1 (P_1 d_bar_{i-1} - P_2 d_i), x_bar_i = A d_i + Q b_i and
+    d_bar_i = d_i + A^-1 Q b_i; the first symbol goes out unsmoothed.
+    Returns (X_bar, D_bar) with one symbol per column.
+    """
+    X_bar, D_bar = [], []
+    for i, d in enumerate(np.asarray(D, dtype=complex).T):
+        if i == 0:
+            b = np.zeros(ops.V + 1, dtype=complex)
+        else:
+            b = ops.P_f_inv @ (ops.P_1 @ D_bar[-1] - ops.P_2 @ d)
+        w = ops.Q @ b
+        X_bar.append(ops.A @ d + w)
+        D_bar.append(d + ops.A_inv @ w)
+    return np.stack(X_bar, axis=1), np.stack(D_bar, axis=1)
+
+
+def dense_p_tilde(ops):
+    """P_tilde = A^-1 Q P_f^-1 P_2 as a dense N x N matrix (small N only)."""
+    return ops.A_inv @ ops.Q @ ops.P_f_inv @ ops.P_2
+
+
+def dense_p_hat(ops):
+    """P_hat = A^-1 Q P_f^-1 P_1 as a dense N x N matrix (small N only)."""
+    return ops.A_inv @ ops.Q @ ops.P_f_inv @ ops.P_1
+
+
 @pytest.fixture(scope="session")
 def qam16():
     return qam_constellation(16)

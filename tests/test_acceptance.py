@@ -108,7 +108,7 @@ def test_criterion_4_smooth_power_recursion():
     # unitary case: steady mean against the 2(V+1) closed form
     _, _, _, ops = built_ops(256, 7, 280, 0.0, 2)
     D = c.points[SeededRng(1003).generator.integers(0, 16, size=(ops.params.N, 10_000))]
-    B = coefficient_stream(ops, D)
+    B, _ = coefficient_stream(ops, D)
     gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
     powers = np.real(np.einsum("vi,vw,wi->i", B.conj(), gram, B))
     mean = float(powers[1:].mean())

@@ -20,7 +20,6 @@ from ncgfdm.experiments import (
     run_validation,
     write_tables,
 )
-from ncgfdm.matio import load_matrix, save_matrix
 from ncgfdm.params import WaveformParams
 
 
@@ -45,6 +44,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(kind="psd", variants=()).validate()
     assert ExperimentConfig().validate().kind == "validate"
+
+
+def test_from_dict_names_unknown_keys():
+    with pytest.raises(ValueError, match=r"unknown config key\(s\): bogus, n_sym$"):
+        ExperimentConfig.from_dict({"kind": "sir", "n_sym": 3, "bogus": 1})
+    cfg = ExperimentConfig.from_dict({"kind": "sir", "v_grid": [0, 2]})
+    assert cfg.v_grid == (0, 2)
 
 
 def test_config_validation_rejects_blocks_shorter_than_eva_delay():
@@ -288,32 +294,3 @@ def test_cli_rejects_bad_override():
         main(["sir", "--set", "nonsense"])
     with pytest.raises(SystemExit):
         main(["sir", "--set", "not_a_field=3"])
-
-
-def test_matio_roundtrip(tmp_path, rng):
-    m = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    path = tmp_path / "m.ncm"
-    save_matrix(path, m)
-    assert np.array_equal(load_matrix(path), m)
-    # vectors are stored as single-row matrices
-    save_matrix(path, m[0])
-    assert np.array_equal(load_matrix(path), m[0][None, :])
-
-
-def test_matio_error_paths(tmp_path):
-    path = tmp_path / "bad.ncm"
-    path.write_bytes(b"XX")
-    with pytest.raises(ValueError):
-        load_matrix(path)
-    save_matrix(path, np.eye(3))
-    data = bytearray(path.read_bytes())
-    data[:4] = b"ZZZZ"
-    path.write_bytes(bytes(data))
-    with pytest.raises(ValueError):
-        load_matrix(path)
-    save_matrix(path, np.eye(3))
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError):
-        load_matrix(path)
-    with pytest.raises(ValueError):
-        save_matrix(path, np.zeros((2, 2, 2)))

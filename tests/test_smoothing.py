@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import built, built_ops
+from conftest import basis_signal, built, built_ops, dense_p_tilde, reference_smooth
 from ncgfdm.filterbank import shifted_filter
 from ncgfdm.params import SeededRng, qam_constellation
 from ncgfdm.smoothing import (
-    SmootherState,
-    basis_signal,
     boundary_mismatch,
     boundary_mismatch_dft,
     build_basis,
@@ -16,8 +14,6 @@ from ncgfdm.smoothing import (
     identity_tolerance,
     operator_identity_residuals,
     smooth_stream,
-    smooth_symbol,
-    smoothing_coefficients,
     synthesis_waveform,
     with_corrupted_p2,
 )
@@ -124,7 +120,7 @@ def test_trace_equals_rank_even_off_unitary():
     # idempotency forces trace = rank = V+1 at every roll-off
     for beta in (0.0, 0.3, 0.5):
         _, _, _, ops = built_ops(8, 4, 8, beta, 2)
-        assert abs(np.trace(ops.P_tilde) - (ops.V + 1)) < 1e-8
+        assert abs(np.trace(dense_p_tilde(ops)) - (ops.V + 1)) < 1e-8
 
 
 def test_build_rejects_identity_violations():
@@ -145,23 +141,24 @@ def test_pf_conditioning_reported():
 def test_first_symbol_unsmoothed():
     p, _, _, ops = built_ops(8, 4, 8, 0.3, 2)
     D = random_data(ops, 1)
-    state = SmootherState.initial(p.N)
-    b = smoothing_coefficients(ops, state, D[:, 0])
-    assert np.all(b == 0)
-    x, new_state = smooth_symbol(ops, state, D[:, 0])
-    assert np.allclose(x, ops.A @ D[:, 0])
-    assert not new_state.fresh
+    B, carry = coefficient_stream(ops, D)
+    assert np.all(B == 0)
+    X_bar, _, D_bar, _ = smooth_stream(ops, D)
+    assert np.allclose(X_bar[:, 0], ops.A @ D[:, 0])
+    want_x, want_d = reference_smooth(ops, D)
+    assert np.allclose(X_bar, want_x)
+    # the carry is P_1 d_bar of the unsmoothed symbol
+    assert np.allclose(carry, ops.P_1 @ want_d[:, 0])
 
 
 def test_smooth_symbol_matches_stream():
     p, _, _, ops = built_ops(8, 4, 8, 0.3, 2)
     D = random_data(ops, 5)
     X_bar, W_equiv, D_bar, _ = smooth_stream(ops, D)
-    state = SmootherState.initial(p.N)
+    want_x, want_d = reference_smooth(ops, D)
     for i in range(5):
-        x, state = smooth_symbol(ops, state, D[:, i])
-        assert np.allclose(x, X_bar[:, i], atol=1e-12)
-        assert np.allclose(state.d_bar_prev, D_bar[:, i], atol=1e-12)
+        assert np.allclose(want_x[:, i], X_bar[:, i], atol=1e-12)
+        assert np.allclose(want_d[:, i], D_bar[:, i], atol=1e-12)
     # effective data is data plus the data-domain smooth contribution
     assert np.allclose(D_bar, D + W_equiv, atol=1e-12)
 
@@ -169,17 +166,29 @@ def test_smooth_symbol_matches_stream():
 def test_coefficient_stream_matches_smooth_stream():
     _, _, _, ops = built_ops(16, 7, 16, 0.3, 2)
     D = random_data(ops, 8)
-    B = coefficient_stream(ops, D)
+    B, _ = coefficient_stream(ops, D)
     _, W_equiv, _, _ = smooth_stream(ops, D)
     assert np.allclose(ops.A_inv_Q @ B, W_equiv, atol=1e-11)
+
+
+def test_coefficient_stream_runs_parallel_streams():
+    # an (N, count, S) input is S independent streams, each with its own carry
+    _, _, _, ops = built_ops(16, 7, 16, 0.3, 2)
+    D = np.stack([random_data(ops, 5, seed=s) for s in range(3)], axis=2)
+    B, carry = coefficient_stream(ops, D[:, :2])
+    B2, carry = coefficient_stream(ops, D[:, 2:], carry)
+    for s in range(3):
+        want, want_carry = coefficient_stream(ops, D[:, :, s])
+        assert np.allclose(np.concatenate([B, B2], axis=1)[:, :, s], want, atol=1e-12)
+        assert np.allclose(carry[:, s], want_carry, atol=1e-12)
 
 
 def test_stream_state_carries_across_chunks():
     p, _, _, ops = built_ops(8, 4, 8, 0.3, 2)
     D = random_data(ops, 6)
     X_all, _, _, _ = smooth_stream(ops, D)
-    X1, _, _, state = smooth_stream(ops, D[:, :3])
-    X2, _, _, _ = smooth_stream(ops, D[:, 3:], state)
+    X1, _, _, carry = smooth_stream(ops, D[:, :3])
+    X2, _, _, _ = smooth_stream(ops, D[:, 3:], carry)
     assert np.allclose(np.concatenate([X1, X2], axis=1), X_all, atol=1e-12)
 
 
@@ -224,7 +233,7 @@ def test_zero_cp_trivial_mismatch():
 def test_smooth_power_beta_zero_monte_carlo():
     _, _, _, ops = built_ops(16, 7, 16, 0.0, 2)
     D = random_data(ops, 4000, seed=7)
-    B = coefficient_stream(ops, D)
+    B, _ = coefficient_stream(ops, D)
     gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
     powers = np.real(np.einsum("vi,vw,wi->i", B.conj(), gram, B))
     mean = powers[1:].mean()
@@ -236,7 +245,7 @@ def test_effective_data_stays_uncorrelated_at_beta_zero():
     p, _, _, ops = built_ops(8, 4, 8, 0.0, 2)
     n_sym = 30_000
     D = random_data(ops, n_sym, seed=3)
-    B = coefficient_stream(ops, D)
+    B, _ = coefficient_stream(ops, D)
     D_bar = D + ops.A_inv_Q @ B
     cov = (D_bar @ D_bar.conj().T) / n_sym
     dev = np.linalg.norm(cov - np.eye(p.N)) / np.sqrt(p.N)
