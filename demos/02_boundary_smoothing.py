@@ -30,8 +30,9 @@ c = qam_constellation(16)
 rng = SeededRng(7).generator
 D = c.points[rng.integers(0, 16, size=(p.N, 5))]
 
-X_plain = tm.A @ D
-X_smooth, W_equiv, _, _ = smooth_stream(ops, D)
+X_plain = tm.modulate(D)
+X_smooth, B, _ = smooth_stream(ops, D)
+W_equiv = ops.A_inv_Q @ B  # the correction as seen in the data domain
 
 print(f"config: K={p.K} M={p.M} n_cp={p.n_cp} beta={p.beta} V={p.V}")
 print("relative boundary gap (value and first 2 derivatives), per transition:")

@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
-    fields = {}
+    values = {}
     for item in overrides:
         key, sep, raw = item.partition("=")
         if not sep:
@@ -68,11 +68,12 @@ def _apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
             value = raw
         if isinstance(value, list):
             value = tuple(value)
-        fields[key] = value
+        values[key] = value
     try:
-        return replace(cfg, **fields)
-    except TypeError as exc:
-        raise SystemExit(f"unknown config key in overrides: {exc}")
+        ExperimentConfig.check_keys(values)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    return replace(cfg, **values)
 
 
 def load_config(args) -> ExperimentConfig:

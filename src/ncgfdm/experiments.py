@@ -195,10 +195,15 @@ class ExperimentConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    def check_keys(cls, keys) -> None:
+        """Raise a ValueError naming every key that is not a config field."""
+        unknown = sorted(set(keys) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ExperimentConfig":
+        cls.check_keys(d)
         d = dict(d)
         for key in ("snr_db", "variants", "beta_grid", "v_grid"):
             if key in d:
@@ -399,9 +404,9 @@ def run_psd(cfg: ExperimentConfig) -> list:
             nb = min(chunk, cfg.n_symbols - done)
             _, D = _draw_data(rng, c, p.N, nb)
             if var.smoothed:
-                X, _, _, carry = smooth_stream(ops, D, carry)
+                X, _, carry = smooth_stream(ops, D, carry)
             else:
-                X = tm.A @ D
+                X = tm.modulate(D)
             acc.process(psd_sample_stream(X, p.n_cp, cfg.oversample))
             done += nb
         est = normalize_inband(acc.result(), 1.0 / cfg.oversample)
@@ -472,9 +477,9 @@ def run_ber(cfg: ExperimentConfig) -> list:
                 nb = min(chunk, n_blocks - done)
                 bits, D = _draw_data(bits_rng, c, p.N, nb)
                 if var.smoothed:
-                    X, _, _, carry = smooth_stream(ops, D, carry)
+                    X, _, carry = smooth_stream(ops, D, carry)
                 else:
-                    X = tm.A @ D
+                    X = tm.modulate(D)
                 if cfg.channel == "eva":
                     Y = np.empty_like(X)
                     for j in range(nb):

@@ -114,16 +114,19 @@ class NcOperators:
 
     Naming follows the construction: P_f matches derivative orders at the
     block boundary, P_1/P_2 evaluate the outgoing/incoming boundary
-    derivatives from data vectors.  The rank-(V+1) N x N operators of the
-    construction are kept only as their factors: the receiver's smooth-signal
-    reconstruction P_w = Q P_f^{-1} P_2, the idempotent
-    P_tilde = A^{-1} P_w = gain P_2, and the propagator P_hat = gain P_1.
+    derivatives from data vectors.  ``tm`` is the transmit matrix the set
+    was built from; ``A`` and ``A_inv`` are its dense arrays.  The
+    rank-(V+1) N x N operators of the construction are kept only as their
+    factors: the receiver's smooth-signal reconstruction
+    P_w = Q P_f^{-1} P_2, the idempotent P_tilde = A^{-1} P_w = gain P_2,
+    and the propagator P_hat = gain P_1.
     """
 
     params: WaveformParams
     basis: BasisSet
-    A: np.ndarray
-    A_inv: np.ndarray
+    tm: TransmitMatrix      # modulates through its polyphase factor
+    A: np.ndarray           # tm.A: operator build, validation, test oracles
+    A_inv: np.ndarray       # tm.A_inv: the demodulator
     is_unitary: bool
     P_f: np.ndarray
     P_f_inv: np.ndarray
@@ -226,6 +229,7 @@ def build_nc_operators(
     ops = NcOperators(
         params=p,
         basis=basis,
+        tm=tm,
         A=tm.A,
         A_inv=tm.A_inv,
         is_unitary=is_unitary,
@@ -290,20 +294,23 @@ def coefficient_stream(
 
 def smooth_stream(
     ops: NcOperators, D: np.ndarray, carry: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smooth a whole stream of vectorized symbols (columns of D).
 
-    Returns (X_bar, W_equiv, D_bar, carry): the smoothed cores
-    X_bar = A D + Q B, the data-domain smooth contributions
-    W_equiv = A^{-1} Q B, the effective data D_bar = D + W_equiv, and the
-    carry that continues the stream (see :func:`coefficient_stream`).
+    Returns (X_bar, B, carry): the smoothed cores X_bar = A D + Q B, with
+    A D applied through the Gabor structure, the basis coefficients B
+    (V+1, count), and the carry that continues the stream (see
+    :func:`coefficient_stream`).  The data-domain smooth contributions are
+    A^{-1} Q B = ``ops.A_inv_Q @ B``.
     """
     D = np.asarray(D, dtype=np.complex128)
     B, carry = coefficient_stream(ops, D, carry)
-    X_bar = ops.A @ D
-    X_bar += ops.basis.Q @ B
-    W_equiv = ops.A_inv_Q @ B
-    return X_bar, W_equiv, D + W_equiv, carry
+    X_bar = ops.tm.modulate(D)
+    # modulate stores one symbol per row (X_bar.T is contiguous); add Q B
+    # in that layout, where a column-wise add would stride through memory
+    rows = X_bar.T
+    rows += B.T @ ops.basis.Q.T
+    return X_bar, B, carry
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Spectral and power analysis: Welch PSD, oversampling, SIR and power curves.
 
-The PSD path is streaming-friendly: a :class:`WelchAccumulator` consumes
-sample chunks of any length and averages Hann-windowed periodograms, so
-long waveforms never need to be held in memory at once.  Power and SIR
-estimators run entirely on the low-rank smoothing factors; no N x N product
-is formed per symbol.
+The PSD path is streaming-friendly and FFT-domain throughout: symbols are
+oversampled one row at a time by DFT zero-padding, and a
+:class:`WelchAccumulator` consumes sample chunks of any length and averages
+Hann-windowed periodograms, transforming its segments in fixed-size
+batches, so long waveforms never need to be held in memory at once.  Power
+and SIR estimators run entirely on the low-rank smoothing factors; no N x N
+product is formed per symbol.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .filterbank import prototype_filter
 from .params import WaveformParams
 from .smoothing import NcOperators, coefficient_stream
 
 __all__ = [
-    "oversample_symbol",
     "psd_sample_stream",
     "PsdEstimate",
     "WelchAccumulator",
@@ -35,51 +37,51 @@ __all__ = [
 ]
 
 
-def oversample_symbol(x: np.ndarray, oversample: int) -> np.ndarray:
-    """Bandlimited interpolation by zero-padding the DFT above the top bin.
-
-    The waveform's occupied band lives on bins 0..N-1 (positive-frequency
-    exponentials), so padding is one-sided: the original N bins stay in
-    place and extra empty bins are appended.  Amplitude is rescaled so the
-    original samples are interpolated exactly.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    if oversample < 1:
-        raise ValueError("oversample factor must be >= 1")
-    if oversample == 1:
-        return x.copy()
-    N = x.shape[0]
-    X = np.fft.fft(x, axis=0)
-    shape = (oversample * N,) + x.shape[1:]
-    Xp = np.zeros(shape, dtype=np.complex128)
-    Xp[:N] = X
-    return oversample * np.fft.ifft(Xp, axis=0)
-
-
 def psd_sample_stream(
     cores: np.ndarray, n_cp: int, oversample: int, recenter: bool = True
 ) -> np.ndarray:
     """Serialize symbol cores into an oversampled CP-framed stream.
 
-    Each core column is interpolated separately, then CP-extended by
-    ``n_cp * oversample`` samples (the CP is a circular extension, so
-    per-symbol interpolation and framing commute).  Interpolating per
-    symbol, not globally, is what makes boundary discontinuities visible as
-    out-of-band radiation.  With ``recenter`` the occupied band, which sits
-    at the bottom ``1/oversample`` of the widened spectrum, is shifted to be
-    symmetric around DC.
+    Each core column is interpolated separately by zero-padding its DFT
+    above the top bin (the occupied band lives on bins 0..N-1, so padding
+    is one-sided) and rescaled so the original samples are interpolated
+    exactly.  It is then CP-extended by ``n_cp * oversample`` samples (the
+    CP is a circular extension, so per-symbol interpolation and framing
+    commute).  Interpolating per symbol, not globally, is what makes
+    boundary discontinuities visible as out-of-band radiation.  With
+    ``recenter`` the occupied band, which sits at the bottom
+    ``1/oversample`` of the widened spectrum, is shifted to be symmetric
+    around DC by exp(-j pi n / oversample), with n restarting at 0 on each
+    call.
     """
-    cores = np.asarray(cores, dtype=np.complex128)
-    if cores.ndim == 1:
-        cores = cores[:, None]
-    up = oversample_symbol(cores, oversample)
-    cp = n_cp * oversample
-    framed = np.concatenate([up[up.shape[0] - cp :, :], up], axis=0)
-    stream = framed.reshape(-1, order="F")
+    if oversample < 1:
+        raise ValueError("oversample factor must be >= 1")
+    rows = np.asarray(cores, dtype=np.complex128).T  # one symbol per row
+    if rows.ndim == 1:
+        rows = rows[None, :]
+    N = rows.shape[1]
+    L, cp = N * oversample, n_cp * oversample
+    if oversample > 1:
+        rows = np.fft.ifft(np.fft.fft(rows, axis=1), n=L, axis=1)
+    # The recentring phase at n = j*(L + cp) + t, for row j and position t
+    # in the framed symbol, is (-1)^(j*(N + n_cp)) exp(-j pi t / oversample):
+    # a period-2*oversample vector in t, with the sign of odd rows flipped
+    # when N + n_cp is odd.  The interpolation gain is folded in.
+    signs = (1.0,)
     if recenter and oversample > 1:
-        n = np.arange(stream.size)
-        stream = stream * np.exp(-1j * np.pi * n / oversample)
-    return stream
+        period = np.exp(-1j * np.pi * np.arange(2 * oversample) / oversample)
+        phase = oversample * np.resize(period, cp + L)
+        if (N + n_cp) % 2:
+            signs = (1.0, -1.0)
+    else:
+        phase = np.full(cp + L, float(oversample))
+    framed = np.empty((rows.shape[0], cp + L), dtype=np.complex128)
+    step = len(signs)
+    for j, sign in enumerate(signs):
+        ph = sign * phase
+        np.multiply(rows[j::step, L - cp :], ph[:cp], out=framed[j::step, :cp])
+        np.multiply(rows[j::step], ph[cp:], out=framed[j::step, cp:])
+    return framed.ravel()
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,11 @@ class PsdEstimate:
         for f, v in zip(self.freqs, db):
             lines.append(f"{f:.17g},{v:.17g}")
         return "\n".join(lines) + "\n"
+
+
+#: segments transformed per batch in :meth:`WelchAccumulator.process`; bounds
+#: its working memory to two arrays of this many windows
+_WELCH_BLOCK = 64
 
 
 class WelchAccumulator:
@@ -125,15 +132,17 @@ class WelchAccumulator:
         self._tail = np.zeros(0, dtype=np.complex128)
 
     def process(self, chunk: np.ndarray) -> None:
+        """Add every whole segment of the held tail plus ``chunk``; keep the rest."""
         chunk = np.asarray(chunk, dtype=np.complex128).ravel()
         buf = np.concatenate([self._tail, chunk])
-        pos = 0
-        while pos + self.window_len <= buf.size:
-            seg = buf[pos : pos + self.window_len] * self.window
-            self._acc += np.abs(np.fft.fft(seg)) ** 2
-            self._count += 1
-            pos += self.step
-        self._tail = buf[pos:]
+        count = max(0, (buf.size - self.window_len) // self.step + 1)
+        if count:
+            segments = sliding_window_view(buf, self.window_len)[:: self.step]
+            for start in range(0, count, _WELCH_BLOCK):
+                spec = np.fft.fft(segments[start : start + _WELCH_BLOCK] * self.window, axis=1)
+                self._acc += np.sum(spec.real**2 + spec.imag**2, axis=0)
+        self._count += count
+        self._tail = buf[count * self.step :].copy()
 
     def result(self) -> PsdEstimate:
         if self._count == 0:

@@ -37,12 +37,8 @@ def _as_columns(d: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def gfdm_modulate(tm: TransmitMatrix, d: np.ndarray) -> np.ndarray:
-    """Core samples of one or more symbols: x = A d."""
-    cols, squeeze = _as_columns(d)
-    if cols.shape[0] != tm.N:
-        raise ValueError(f"data length {cols.shape[0]} != N = {tm.N}")
-    x = tm.A @ cols
-    return x[:, 0] if squeeze else x
+    """Core samples of one or more symbols: x = A d, through the Gabor structure."""
+    return tm.modulate(d)
 
 
 def add_cyclic_prefix(x: np.ndarray, n_cp: int) -> np.ndarray:
@@ -118,13 +114,13 @@ def nc_transmit_stream(
 ) -> TransmitResult:
     """Smooth and frame a stream of vectorized data symbols (columns of D)."""
     cols, _ = _as_columns(D)
-    X_bar, W_equiv, D_bar, carry = smooth_stream(ops, cols, carry)
-    waveform = frame_stream(X_bar, ops.params.n_cp)
+    X_bar, B, carry = smooth_stream(ops, cols, carry)
+    W_equiv = ops.A_inv_Q @ B
     return TransmitResult(
-        waveform=waveform,
+        waveform=frame_stream(X_bar, ops.params.n_cp),
         cores=X_bar,
         data=cols,
-        data_effective=D_bar,
+        data_effective=cols + W_equiv,
         smooth_equivalent=W_equiv,
         carry=carry,
     )
@@ -156,7 +152,7 @@ def recover_iterative(
         raise ValueError("at least one recovery iteration is required")
     z = ops.A_inv @ cols  # A^{-1} y, reused every round
     pf_p2 = ops.P_f_inv @ ops.P_2
-    d_hat = np.zeros_like(cols)
+    d_hat = np.zeros_like(z)
     trajectory = []
     for r in range(n_iter):
         if r:

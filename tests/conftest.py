@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from ncgfdm.filterbank import build_transmit_matrix, prototype_filter
 from ncgfdm.params import WaveformParams, qam_constellation
@@ -59,6 +60,67 @@ def reference_smooth(ops, D):
         X_bar.append(ops.A @ d + w)
         D_bar.append(d + ops.A_inv @ w)
     return np.stack(X_bar, axis=1), np.stack(D_bar, axis=1)
+
+
+def oversample_symbol(x: np.ndarray, oversample: int) -> np.ndarray:
+    """Oracle: bandlimited interpolation of each column by DFT zero-padding.
+
+    The occupied band lives on bins 0..N-1, so padding is one-sided: the
+    original N bins stay in place and empty bins are appended.  Amplitude is
+    rescaled so the original samples are interpolated exactly.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    if oversample < 1:
+        raise ValueError("oversample factor must be >= 1")
+    if oversample == 1:
+        return x.copy()
+    N = x.shape[0]
+    X = np.fft.fft(x, axis=0)
+    shape = (oversample * N,) + x.shape[1:]
+    Xp = np.zeros(shape, dtype=np.complex128)
+    Xp[:N] = X
+    return oversample * np.fft.ifft(Xp, axis=0)
+
+
+def reference_psd_sample_stream(cores, n_cp, oversample, recenter=True):
+    """Oracle: the oversampled CP-framed stream, one column at a time.
+
+    Zero-pads each core column, CP-frames the columns, serializes them in
+    column order and multiplies the whole stream by exp(-j pi n / oversample)
+    with n counted from 0.
+    """
+    cores = np.asarray(cores, dtype=np.complex128)
+    if cores.ndim == 1:
+        cores = cores[:, None]
+    up = oversample_symbol(cores, oversample)
+    cp = n_cp * oversample
+    framed = np.concatenate([up[up.shape[0] - cp :, :], up], axis=0)
+    stream = framed.reshape(-1, order="F")
+    if recenter and oversample > 1:
+        n = np.arange(stream.size)
+        stream = stream * np.exp(-1j * np.pi * n / oversample)
+    return stream
+
+
+def reference_welch(chunks, window_len, overlap):
+    """Oracle: Welch sums one segment at a time over a chunked stream.
+
+    Returns (sum of |FFT|^2 over segments, segment count, leftover tail).
+    """
+    window = scipy.signal.get_window("hann", window_len)
+    step = window_len - overlap
+    acc = np.zeros(window_len)
+    count = 0
+    tail = np.zeros(0, dtype=np.complex128)
+    for chunk in chunks:
+        buf = np.concatenate([tail, np.asarray(chunk, dtype=np.complex128)])
+        pos = 0
+        while pos + window_len <= buf.size:
+            acc += np.abs(np.fft.fft(buf[pos : pos + window_len] * window)) ** 2
+            count += 1
+            pos += step
+        tail = buf[pos:]
+    return acc, count, tail
 
 
 def dense_p_tilde(ops):

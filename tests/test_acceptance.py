@@ -61,7 +61,7 @@ def test_criterion_2_n_continuity():
         gen = SeededRng(1001).generator
         for _ in range(100):
             D = c.points[gen.integers(0, 16, size=(p.N, 3))]
-            X, _, _, _ = smooth_stream(ops, D)
+            X, _, _ = smooth_stream(ops, D)
             for i in (1, 2):
                 gaps = boundary_mismatch_dft(X[:, i - 1], X[:, i], V, n_cp)
                 scales = np.maximum(

@@ -294,3 +294,10 @@ def test_cli_rejects_bad_override():
         main(["sir", "--set", "nonsense"])
     with pytest.raises(SystemExit):
         main(["sir", "--set", "not_a_field=3"])
+
+
+def test_cli_names_unknown_override_keys():
+    # the same message as ExperimentConfig.from_dict, naming every unknown key
+    argv = ["sir", "--set", "n_sym=3", "--set", "K=16", "--set", "bogus=1"]
+    with pytest.raises(SystemExit, match=r"^unknown config key\(s\): bogus, n_sym$"):
+        main(argv)

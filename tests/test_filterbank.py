@@ -134,6 +134,37 @@ def test_subcarrier_zero_is_superposition_of_shifts(rng):
     assert np.allclose(tm.A @ d, want)
 
 
+def _relative_error(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("K", [4, 16])
+@pytest.mark.parametrize("M", [1, 2, 4, 7])
+@pytest.mark.parametrize("beta", [0.0, 0.1, 0.5])
+def test_structured_modulation_matches_dense_product(rng, K, M, beta):
+    p, _, tm = built(K, M, beta=beta)
+    d = rng.standard_normal(p.N) + 1j * rng.standard_normal(p.N)
+    x = tm.modulate(d)
+    assert x.shape == (p.N,)
+    assert _relative_error(x, tm.A @ d) <= 1e-12
+    # symbol-major (Fortran-ordered) columns, as the experiment runners draw them
+    D = np.asfortranarray(rng.standard_normal((p.N, 5)) + 1j * rng.standard_normal((p.N, 5)))
+    X = tm.modulate(D)
+    assert X.shape == (p.N, 5)
+    assert _relative_error(X, tm.A @ D) <= 1e-12
+    with pytest.raises(ValueError):
+        tm.modulate(np.zeros(p.N + 1))
+    with pytest.raises(ValueError):
+        tm.modulate(np.zeros((p.N, 2, 2)))
+
+
+def test_structured_modulation_matches_dense_product_at_paper_size(rng):
+    p, g, tm = built(256, 7, beta=0.5)
+    assert not g.is_dirichlet
+    D = rng.standard_normal((p.N, 40)) + 1j * rng.standard_normal((p.N, 40))
+    assert _relative_error(tm.modulate(D), tm.A @ D) <= 1e-12
+
+
 def test_block_structure_at_beta_zero():
     """At beta = 0 the matrix factors as IDFT x (per-subsymbol phase ramps
     applied to a block-constant spreading matrix), up to a fixed time

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import built_ops, dense_p_hat, dense_p_tilde
+from conftest import (
+    built_ops,
+    dense_p_hat,
+    dense_p_tilde,
+    oversample_symbol,
+    reference_psd_sample_stream,
+    reference_welch,
+)
 from ncgfdm.params import SeededRng, qam_constellation
 from ncgfdm.smoothing import smooth_stream
 from ncgfdm.spectrum import (
@@ -11,7 +18,6 @@ from ncgfdm.spectrum import (
     empirical_sir,
     mc_smooth_power,
     normalize_inband,
-    oversample_symbol,
     psd_sample_stream,
     sidelobe_level,
     sir_report,
@@ -22,25 +28,25 @@ from ncgfdm.spectrum import (
 
 def test_oversample_symbol_interpolates_original_samples(rng):
     x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    up = oversample_symbol(x, 4)
+    up = psd_sample_stream(x, 0, 4, recenter=False)
     assert up.size == 128
     assert np.allclose(up[::4], x, atol=1e-12)
-    assert np.array_equal(oversample_symbol(x, 1), x)
+    assert np.array_equal(psd_sample_stream(x, 0, 1, recenter=False), x)
     with pytest.raises(ValueError):
-        oversample_symbol(x, 0)
+        psd_sample_stream(x, 0, 0)
 
 
 def test_oversample_stream_tone_and_energy(rng):
     n, ov = 64, 4
     k = 5
     tone = np.exp(2j * np.pi * k * np.arange(n) / n)
-    up = oversample_symbol(tone, ov)
+    up = psd_sample_stream(tone, 0, ov, recenter=False)
     spec = np.fft.fft(up)
     # the tone stays on bin k of the widened grid
     assert np.argmax(np.abs(spec)) == k
     # Parseval with the rate compensation: energy scales by the factor
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    upx = oversample_symbol(x, ov)
+    upx = psd_sample_stream(x, 0, ov, recenter=False)
     assert np.sum(np.abs(upx) ** 2) == pytest.approx(ov * np.sum(np.abs(x) ** 2))
 
 
@@ -57,6 +63,46 @@ def test_psd_sample_stream_layout(rng):
     # recentering is a pure phase ramp, power-preserving
     rec = psd_sample_stream(cores, n_cp, ov)
     assert np.allclose(np.abs(rec), np.abs(stream))
+
+
+@pytest.mark.parametrize(
+    "N,n_cp,count",
+    [(12, 3, 5), (12, 0, 4), (16, 4, 3), (1, 0, 7)],  # N + n_cp = 15 is odd
+)
+@pytest.mark.parametrize("ov", [1, 2, 3, 4])
+@pytest.mark.parametrize("recenter", [True, False])
+def test_psd_sample_stream_matches_column_reference(rng, N, n_cp, count, ov, recenter):
+    cores = rng.standard_normal((N, count)) + 1j * rng.standard_normal((N, count))
+    want = reference_psd_sample_stream(cores, n_cp, ov, recenter)
+    got = psd_sample_stream(cores, n_cp, ov, recenter)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # a single core given as a vector frames like a one-column matrix
+    one = psd_sample_stream(cores[:, 0], n_cp, ov, recenter)
+    assert np.array_equal(one, got[: (N + n_cp) * ov])
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        [5000],  # one chunk holding more segments than one FFT batch
+        [0, 7, 3, 5000, 0, 1, 40, 2],  # empty chunks and chunks shorter than a window
+        [13, 13, 2100, 3, 11, 2900],  # splits inside a segment and inside a step
+    ],
+)
+def test_batched_welch_matches_segment_loop(sizes):
+    gen = np.random.default_rng(sum(sizes) + len(sizes))
+    x = gen.standard_normal(sum(sizes)) + 1j * gen.standard_normal(sum(sizes))
+    chunks = np.split(x, np.cumsum(sizes)[:-1])
+    window_len, overlap = 16, 6
+    acc = WelchAccumulator(window_len, overlap=overlap)
+    for chunk in chunks:
+        acc.process(chunk)
+    want_acc, want_count, want_tail = reference_welch(chunks, window_len, overlap)
+    assert acc._count == want_count
+    assert acc._tail.size == want_tail.size
+    assert np.array_equal(acc._tail, want_tail)
+    assert np.max(np.abs(acc._acc - want_acc)) <= 1e-12 * np.max(want_acc)
 
 
 def test_welch_tone_peak(rng):
@@ -248,7 +294,7 @@ def test_smoothing_suppresses_boundary_radiation():
     c = qam_constellation(16)
     gen = SeededRng(6).generator
     D = c.points[gen.integers(0, 16, size=(p.N, 400))]
-    X_smooth, _, _, _ = smooth_stream(ops, D)
+    X_smooth, _, _ = smooth_stream(ops, D)
     X_plain = ops.A @ D
     ov, band = 4, 0.25
     est_s = welch_psd(psd_sample_stream(X_smooth, p.n_cp, ov), 512)
