@@ -23,7 +23,7 @@ for beta in (0.0, 0.1, 0.5):
     unitary = np.linalg.norm(tm.A.conj().T @ tm.A - np.eye(p.N)) / np.sqrt(p.N)
     print(
         f"beta={beta:3.1f}: {occupied:2d} occupied DFT bins, "
-        f"dirichlet={g.is_dirichlet}, unitarity residual {unitary:.2e}"
+        f"dirichlet={g.is_dirichlet}, cond(A) {tm.cond:.4f}, unitarity residual {unitary:.2e}"
     )
 
 # every column is the prototype, circularly shifted in time and

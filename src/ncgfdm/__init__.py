@@ -1,9 +1,10 @@
 """N-continuous GFDM: waveform simulation library and experiment runner.
 
-The package builds matrix-based GFDM transceivers, adds the boundary
-smoothing that keeps the transmitted signal and its first V derivatives
-continuous across symbols, and provides the receiver-side iterative
-recovery plus spectral, SIR, power, and BER analyses.
+The package builds GFDM transceivers on the Gabor structure of the
+modulation matrix, adds the boundary smoothing that keeps the transmitted
+signal and its first V derivatives continuous across symbols, and provides
+the receiver-side iterative recovery plus spectral, SIR, power, and BER
+analyses.
 """
 
 from .params import (
@@ -16,7 +17,6 @@ from .params import (
     hard_decision,
     map_bits,
     qam_constellation,
-    validate_params,
     vector_to_grid,
 )
 from .filterbank import (

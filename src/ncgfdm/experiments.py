@@ -398,7 +398,9 @@ def run_psd(cfg: ExperimentConfig) -> list:
         rng = master.child(vi)
         acc = WelchAccumulator(cfg.window_len, cfg.overlap)
         carry = None
-        chunk = max(1, 2_000_000 // (p.N * cfg.oversample))
+        # psd_sample_stream restarts exp(-j pi n / oversample) at n = 0 on each
+        # call; an even chunk keeps it continuous when N + n_cp is odd
+        chunk = 2 * max(1, 1_000_000 // (p.N * cfg.oversample))
         done = 0
         while done < cfg.n_symbols:
             nb = min(chunk, cfg.n_symbols - done)
@@ -494,7 +496,7 @@ def run_ber(cfg: ExperimentConfig) -> list:
                 if var.smoothed:
                     soft = recover_iterative(ops, Y, c, cfg.recovery_iterations)
                 else:
-                    soft = tm.A_inv @ Y
+                    soft = tm.demodulate(Y)
                 rx = _bits_of(soft, c)
                 errors += int(np.count_nonzero(rx != bits))
                 total += bits.size
@@ -670,10 +672,9 @@ def run_validation(cfg: ExperimentConfig | None = None, inject_fault: bool = Fal
                 if beta == 0.0:
                     key = (K, M)
                     if key not in unitary_cache:
-                        AhA = ops.A.conj().T @ ops.A
-                        unitary_cache[key] = float(
-                            np.linalg.norm(AhA - np.eye(N)) / np.sqrt(N)
-                        )
+                        # ||A^H A - I||_F / sqrt(N), from the singular values sqrt(K)|Zg|
+                        unit = K * np.abs(ops.tm.polyphase) ** 2 - 1.0
+                        unitary_cache[key] = float(np.linalg.norm(unit) / np.sqrt(N))
                     u = unitary_cache[key]
                     rows.append((K, M, beta, V, "unitarity", u, 1e-9, u <= 1e-9))
                     t = res["trace_rank"] / (V + 1)

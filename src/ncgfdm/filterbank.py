@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .params import DIRICHLET, RAISED_COSINE, WaveformParams
 
@@ -25,15 +24,15 @@ __all__ = [
     "SingularMatrixError",
 ]
 
-#: condition estimate above which a dense inverse is refused
+#: condition number above which a matrix is treated as singular
 COND_LIMIT = 1e12
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
-    """Raised when a matrix is numerically singular; carries the estimate."""
+    """Raised when a matrix is numerically singular; carries its condition number."""
 
     def __init__(self, what: str, cond: float):
-        super().__init__(f"{what} is numerically singular (condition estimate {cond:.3e})")
+        super().__init__(f"{what} is numerically singular (condition {cond:.3e})")
         self.cond = cond
 
 
@@ -72,41 +71,75 @@ class PrototypeFilter:
 
 @dataclass(frozen=True)
 class TransmitMatrix:
-    """The N x N modulation matrix, its inverse, and the pulse's polyphase factor.
+    """The N x N modulation matrix A, held as the pulse's polyphase factor.
 
-    Column ``m*K + k`` is the subcarrier-k, subsymbol-m shifted filter.  At
-    beta = 0 the matrix is unitary and the inverse is the conjugate
-    transpose.  ``polyphase`` is fft_M(g.reshape(M, K)) along the subsymbol
-    axis, the M x K factor through which :meth:`modulate` applies A.
+    Column ``m*K + k`` of A is the subcarrier-k, subsymbol-m shifted filter.
+    A is a Gabor synthesis operator, A = IFFT_M diag(Zg) FFT_M FFT_K, with
+    the M-point transforms per residue r = n mod K, the K-point one per
+    subsymbol and Zg = ``polyphase`` = fft_M(g.reshape(M, K)).  FFT_K / sqrt(K)
+    is unitary and the unitary DFT diagonalizes IFFT_M diag(Zg) FFT_M, so the
+    singular values of A are sqrt(K)|Zg|.  These N numbers give A, A^{-1},
+    A^H and cond(A) in O(N log N) per symbol; no N x N array is stored.
     """
 
-    A: np.ndarray
-    A_inv: np.ndarray
+    g: np.ndarray
     K: int
     M: int
     polyphase: np.ndarray
 
     @property
     def N(self) -> int:
-        return self.A.shape[0]
+        return self.g.size
+
+    @property
+    def cond(self) -> float:
+        """Exact 2-norm condition number of A, max|Zg| / min|Zg| (inf if singular)."""
+        mag = np.abs(self.polyphase)
+        return np.inf if mag.min() == 0 else float(mag.max() / mag.min())
+
+    @property
+    def A(self) -> np.ndarray:
+        """Dense A assembled from the shifted filters on every access: an oracle."""
+        n, K = np.arange(self.N), self.K
+        phases = np.exp(-2j * np.pi * np.outer(n, np.arange(K)) / K)  # N x K
+        return np.hstack([np.roll(self.g, m * K)[:, None] * phases for m in range(self.M)])
+
+    def _rows(self, D: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """One symbol per row as (count, M, K), and the shape to return."""
+        D = np.asarray(D, dtype=np.complex128)
+        if D.ndim not in (1, 2) or D.shape[0] != self.N:
+            raise ValueError(f"data shape {D.shape} is not (N,) or (N, count), N = {self.N}")
+        return D.T.reshape(-1, self.M, self.K), D.shape
 
     def modulate(self, D: np.ndarray) -> np.ndarray:
         """A D for one symbol (N,) or one symbol per column (N, count).
 
-        A is a Gabor synthesis operator.  With D[m*K + k] = d_m[k] and
-        n = q*K + r, x[q*K + r] = sum_m g[((q - m) mod M)*K + r] s_m[r],
-        where s_m = fft_K(d_m): a K-point FFT per subsymbol, then one
-        M-point circular convolution in the subsymbol index per residue r,
-        applied through ``polyphase``.  O(N log N) per symbol, against N^2
-        for the dense product; A is never read.
+        With D[m*K + k] = d_m[k] and n = q*K + r,
+        x[q*K + r] = sum_m g[((q - m) mod M)*K + r] s_m[r], where
+        s_m = fft_K(d_m): a K-point FFT per subsymbol, then one M-point
+        circular convolution in the subsymbol index per residue r, applied
+        through ``polyphase``.
         """
-        D = np.asarray(D, dtype=np.complex128)
-        if D.ndim not in (1, 2) or D.shape[0] != self.N:
-            raise ValueError(f"data shape {D.shape} is not (N,) or (N, count), N = {self.N}")
-        rows = D.T.reshape(-1, self.M, self.K)  # one symbol per row
+        rows, shape = self._rows(D)
         S = np.fft.fft(np.fft.fft(rows, axis=2), axis=1)
         S *= self.polyphase
-        return np.fft.ifft(S, axis=1).reshape(-1, self.N).T.reshape(D.shape)
+        return np.fft.ifft(S, axis=1).reshape(-1, self.N).T.reshape(shape)
+
+    def _analyse(self, Y: np.ndarray, factor: np.ndarray) -> np.ndarray:
+        """IFFT_K IFFT_M diag(factor) FFT_M applied to each symbol of Y."""
+        rows, shape = self._rows(Y)
+        S = np.fft.fft(rows, axis=1)
+        S *= factor
+        out = np.fft.ifft(np.fft.ifft(S, axis=1), axis=2)
+        return out.reshape(-1, self.N).T.reshape(shape)
+
+    def demodulate(self, Y: np.ndarray) -> np.ndarray:
+        """Zero-forcing A^{-1} Y, same shapes as :meth:`modulate`."""
+        return self._analyse(Y, 1.0 / self.polyphase)
+
+    def adjoint(self, Y: np.ndarray) -> np.ndarray:
+        """Gabor analysis A^H Y; FFT_K^H = K IFFT_K gives the factor K conj(Zg)."""
+        return self._analyse(Y, self.K * self.polyphase.conj())
 
 
 def _rc_frequency_response(N: int, M: int, beta: float) -> np.ndarray:
@@ -156,36 +189,14 @@ def shifted_filter(g: PrototypeFilter, k: int, m: int, K: int, M: int) -> np.nda
     return np.roll(g.samples, m * K) * np.exp(-2j * np.pi * k * n / K)
 
 
-def estimate_condition(a: np.ndarray) -> tuple[float, tuple]:
-    """1-norm condition estimate from an LU factorization; returns (cond, lu)."""
-    lu, piv = scipy.linalg.lu_factor(a)
-    anorm = np.linalg.norm(a, 1)
-    rcond, _ = scipy.linalg.lapack.zgecon(lu, anorm)
-    cond = np.inf if rcond == 0 else 1.0 / rcond
-    return cond, (lu, piv)
-
-
 def build_transmit_matrix(g: PrototypeFilter, p: WaveformParams) -> TransmitMatrix:
-    """Assemble the modulation matrix, invert it, and keep the polyphase factor.
+    """The modulation matrix of pulse ``g`` as its polyphase factor Zg.
 
-    The inverse comes from a pivoted dense solve; when the pulse is a
-    Dirichlet (beta = 0) the matrix is unitary and the conjugate transpose
-    is used directly.
+    Raises :class:`SingularMatrixError` when cond(A) exceeds ``COND_LIMIT``.
     """
     p.validate()
-    K, M, N = p.K, p.M, p.N
-    n = np.arange(N)
-    phases = np.exp(-2j * np.pi * np.outer(n, np.arange(K)) / K)  # N x K
-    A = np.empty((N, N), dtype=np.complex128)
-    for m in range(M):
-        shifted = np.roll(g.samples, m * K)
-        A[:, m * K : (m + 1) * K] = shifted[:, None] * phases
-    if g.is_dirichlet:
-        A_inv = A.conj().T
-    else:
-        cond, (lu, piv) = estimate_condition(A)
-        if cond > COND_LIMIT:
-            raise SingularMatrixError("transmit matrix", cond)
-        A_inv = scipy.linalg.lu_solve((lu, piv), np.eye(N, dtype=np.complex128))
-    polyphase = np.fft.fft(g.samples.reshape(M, K), axis=0)
-    return TransmitMatrix(A=A, A_inv=A_inv, K=K, M=M, polyphase=polyphase)
+    polyphase = np.fft.fft(g.samples.reshape(p.M, p.K), axis=0)
+    tm = TransmitMatrix(g=g.samples, K=p.K, M=p.M, polyphase=polyphase)
+    if tm.cond > COND_LIMIT:
+        raise SingularMatrixError("transmit matrix", tm.cond)
+    return tm

@@ -18,7 +18,6 @@ __all__ = [
     "Constellation",
     "qam_constellation",
     "SeededRng",
-    "validate_params",
     "grid_to_vector",
     "vector_to_grid",
     "map_bits",
@@ -83,11 +82,6 @@ class WaveformParams:
         if self.oversample < 1:
             raise DimensionError(f"oversample factor must be >= 1, got {self.oversample}")
         return self
-
-
-def validate_params(p: WaveformParams) -> WaveformParams:
-    """Return ``p`` unchanged if every dimensional invariant holds."""
-    return p.validate()
 
 
 # ---------------------------------------------------------------------------

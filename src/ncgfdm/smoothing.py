@@ -115,23 +115,22 @@ class NcOperators:
     Naming follows the construction: P_f matches derivative orders at the
     block boundary, P_1/P_2 evaluate the outgoing/incoming boundary
     derivatives from data vectors.  ``tm`` is the transmit matrix the set
-    was built from; ``A`` and ``A_inv`` are its dense arrays.  The
-    rank-(V+1) N x N operators of the construction are kept only as their
-    factors: the receiver's smooth-signal reconstruction
-    P_w = Q P_f^{-1} P_2, the idempotent P_tilde = A^{-1} P_w = gain P_2,
-    and the propagator P_hat = gain P_1.
+    was built from; it applies A, A^{-1} and A^H through its polyphase
+    factor, so the set holds no N x N array.  The rank-(V+1) N x N
+    operators of the construction are kept only as their factors: the
+    receiver's smooth-signal reconstruction P_w = Q P_f^{-1} P_2, the
+    idempotent P_tilde = A^{-1} P_w = gain P_2, and the propagator
+    P_hat = gain P_1.
     """
 
     params: WaveformParams
     basis: BasisSet
-    tm: TransmitMatrix      # modulates through its polyphase factor
-    A: np.ndarray           # tm.A: operator build, validation, test oracles
-    A_inv: np.ndarray       # tm.A_inv: the demodulator
+    tm: TransmitMatrix      # modulates and demodulates through its polyphase factor
     is_unitary: bool
     P_f: np.ndarray
     P_f_inv: np.ndarray
-    P_1: np.ndarray
-    P_2: np.ndarray
+    P_1: np.ndarray         # (V+1) x N
+    P_2: np.ndarray         # (V+1) x N
     # low-rank factors reused by the smoothing recursion and the receiver
     A_inv_Q: np.ndarray     # N x (V+1)
     gain: np.ndarray        # N x (V+1), A_inv @ Q @ P_f_inv
@@ -217,21 +216,20 @@ def build_nc_operators(
     B = np.vstack([fac**v for v in range(V + 1)]) / N
     phi_diag = np.exp(-2j * np.pi * n_cp * l / N)
     # Row v of B @ F is the DFT of row v of B; same for the phased variant.
-    P_1 = np.fft.fft(B, axis=1) @ tm.A
-    P_2 = np.fft.fft(B * phi_diag, axis=1) @ tm.A
+    # Each P = F_B A is taken as (A^H F_B^H)^H, a Gabor analysis of V+1 rows.
+    P_1 = tm.adjoint(np.fft.fft(B, axis=1).conj().T).conj().T
+    P_2 = tm.adjoint(np.fft.fft(B * phi_diag, axis=1).conj().T).conj().T
     # P_f entries are the boundary values f_{v+w}(-n_cp) = (1/N) sum fac^{v+w} F0
     moments = np.array([np.sum(fac**o * basis.F0) for o in range(2 * V + 1)]) / N
     P_f = moments[np.add.outer(np.arange(V + 1), np.arange(V + 1))]
     solver = _EquilibratedSolve(P_f)
     P_f_inv = solver.inverse()
-    A_inv_Q = tm.A_inv @ basis.Q
+    A_inv_Q = tm.demodulate(basis.Q)
     gain = A_inv_Q @ P_f_inv
     ops = NcOperators(
         params=p,
         basis=basis,
         tm=tm,
-        A=tm.A,
-        A_inv=tm.A_inv,
         is_unitary=is_unitary,
         P_f=P_f,
         P_f_inv=P_f_inv,

@@ -76,18 +76,9 @@ def unframe_stream(samples: np.ndarray, N: int, n_cp: int) -> np.ndarray:
     return framed[n_cp:, :]
 
 
-def demodulate(tm: TransmitMatrix, y: np.ndarray, method: str = "zf") -> np.ndarray:
-    """Recover soft data vectors from equalized core samples.
-
-    ``zf`` (zero forcing, d = A^{-1} y) is the only method.
-    """
-    cols, squeeze = _as_columns(y)
-    if cols.shape[0] != tm.N:
-        raise ValueError(f"received length {cols.shape[0]} != N = {tm.N}")
-    if method != "zf":
-        raise ValueError(f"unknown demodulation method {method!r}")
-    d = tm.A_inv @ cols
-    return d[:, 0] if squeeze else d
+def demodulate(tm: TransmitMatrix, y: np.ndarray) -> np.ndarray:
+    """Zero-forcing soft data vectors d = A^{-1} y from equalized core samples."""
+    return tm.demodulate(y)
 
 
 @dataclass(frozen=True)
@@ -150,7 +141,7 @@ def recover_iterative(
     cols, squeeze = _as_columns(y)
     if n_iter < 1:
         raise ValueError("at least one recovery iteration is required")
-    z = ops.A_inv @ cols  # A^{-1} y, reused every round
+    z = ops.tm.demodulate(cols)  # A^{-1} y, reused every round
     pf_p2 = ops.P_f_inv @ ops.P_2
     d_hat = np.zeros_like(z)
     trajectory = []

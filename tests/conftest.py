@@ -50,6 +50,8 @@ def reference_smooth(ops, D):
     d_bar_i = d_i + A^-1 Q b_i; the first symbol goes out unsmoothed.
     Returns (X_bar, D_bar) with one symbol per column.
     """
+    A = ops.tm.A
+    A_inv = np.linalg.inv(A)
     X_bar, D_bar = [], []
     for i, d in enumerate(np.asarray(D, dtype=complex).T):
         if i == 0:
@@ -57,8 +59,8 @@ def reference_smooth(ops, D):
         else:
             b = ops.P_f_inv @ (ops.P_1 @ D_bar[-1] - ops.P_2 @ d)
         w = ops.Q @ b
-        X_bar.append(ops.A @ d + w)
-        D_bar.append(d + ops.A_inv @ w)
+        X_bar.append(A @ d + w)
+        D_bar.append(d + A_inv @ w)
     return np.stack(X_bar, axis=1), np.stack(D_bar, axis=1)
 
 
@@ -125,12 +127,12 @@ def reference_welch(chunks, window_len, overlap):
 
 def dense_p_tilde(ops):
     """P_tilde = A^-1 Q P_f^-1 P_2 as a dense N x N matrix (small N only)."""
-    return ops.A_inv @ ops.Q @ ops.P_f_inv @ ops.P_2
+    return np.linalg.inv(ops.tm.A) @ ops.Q @ ops.P_f_inv @ ops.P_2
 
 
 def dense_p_hat(ops):
     """P_hat = A^-1 Q P_f^-1 P_1 as a dense N x N matrix (small N only)."""
-    return ops.A_inv @ ops.Q @ ops.P_f_inv @ ops.P_1
+    return np.linalg.inv(ops.tm.A) @ ops.Q @ ops.P_f_inv @ ops.P_1
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_psd_sample_stream
+from ncgfdm import experiments
 from ncgfdm.cli import main
 from ncgfdm.experiments import (
     PRESETS,
@@ -21,6 +23,7 @@ from ncgfdm.experiments import (
     write_tables,
 )
 from ncgfdm.params import WaveformParams
+from ncgfdm.spectrum import normalize_inband, welch_psd
 
 
 SMALL = dict(K=16, M=7, n_cp=16, beta=0.1, V=2)
@@ -189,6 +192,32 @@ def test_run_psd_output(tmp_path):
     text = (tmp_path / "psd_ofdm.csv").read_text()
     assert text.startswith("# experiment: psd")
     assert f"# config_hash: {cfg.config_hash()}" in text
+
+
+def test_run_psd_chunks_match_one_stream(monkeypatch):
+    # N + n_cp odd: chunk boundaries must not flip the recentring phase
+    cores = []
+    original = experiments.psd_sample_stream
+
+    def record(X, n_cp, oversample):
+        cores.append(X.copy())
+        return original(X, n_cp, oversample)
+
+    monkeypatch.setattr(experiments, "psd_sample_stream", record)
+    cfg = ExperimentConfig(
+        kind="psd", K=256, M=7, n_cp=279, beta=0.1, V=2, oversample=4,
+        window_len=1792, overlap=448, variants=("nc-gfdm:2",), n_symbols=837, seed=5,
+    )
+    (table,) = run_psd(cfg)
+    assert len(cores) >= 3
+    stream = reference_psd_sample_stream(np.hstack(cores), cfg.n_cp, cfg.oversample)
+    want = normalize_inband(welch_psd(stream, cfg.window_len, cfg.overlap), 1 / cfg.oversample)
+    got = np.array(table.rows)
+    assert table.provenance["segments"] == want.segments
+    assert np.array_equal(got[:, 0], want.freqs)
+    # linear PSD relative to the 0 dB in-band mean; a phase flip at each chunk
+    # boundary moves some bins by ~1e-3
+    assert np.max(np.abs(10 ** (got[:, 1] / 10) - want.psd)) <= 1e-10
 
 
 def test_run_ber_noiseless_channel_none():

@@ -132,6 +132,19 @@ def test_build_rejects_identity_violations():
     assert res["idempotent"] > 1e-6
 
 
+def test_paper_size_operator_set_holds_no_dense_matrix():
+    # one N x N complex array at N = 1792 alone is 49 MiB
+    _, g, _, ops = built_ops(256, 7, 280, 0.5, 2)
+    assert not g.is_dirichlet
+    nbytes = sum(
+        value.nbytes
+        for obj in (ops, ops.basis, ops.tm)
+        for value in vars(obj).values()
+        if isinstance(value, np.ndarray)
+    )
+    assert nbytes < 2**20
+
+
 def test_pf_conditioning_reported():
     _, _, _, ops = built_ops(8, 4, 8, 0.1, 6)
     assert np.isfinite(ops.pf_cond)
@@ -144,7 +157,7 @@ def test_first_symbol_unsmoothed():
     B, carry = coefficient_stream(ops, D)
     assert np.all(B == 0)
     X_bar, _, _ = smooth_stream(ops, D)
-    assert np.allclose(X_bar[:, 0], ops.A @ D[:, 0])
+    assert np.allclose(X_bar[:, 0], ops.tm.A @ D[:, 0])
     want_x, want_d = reference_smooth(ops, D)
     assert np.allclose(X_bar, want_x)
     # the carry is P_1 d_bar of the unsmoothed symbol
@@ -170,7 +183,7 @@ def test_coefficient_stream_matches_smooth_stream():
     X_bar, B_smooth, _ = smooth_stream(ops, D)
     assert np.array_equal(B_smooth, B)
     # the structured modulation inside smooth_stream against the dense A
-    assert np.allclose(X_bar, ops.A @ D + ops.Q @ B, atol=1e-11)
+    assert np.allclose(X_bar, ops.tm.A @ D + ops.Q @ B, atol=1e-11)
 
 
 def test_coefficient_stream_runs_parallel_streams():
@@ -219,7 +232,7 @@ def test_n_continuity_via_dft_oracle(K, M, n_cp, beta, V):
 def test_unsmoothed_stream_has_boundary_gaps():
     p, _, _, ops = built_ops(16, 7, 16, 0.5, 3)
     D = random_data(ops, 3)
-    X = ops.A @ D
+    X = ops.tm.A @ D
     gaps = boundary_mismatch_dft(X[:, 0], X[:, 1], ops.V, p.n_cp)
     scales = derivative_scales(X[:, 0], ops.V)
     assert np.max(np.abs(gaps) / scales) > 1e-3

@@ -295,7 +295,7 @@ def test_smoothing_suppresses_boundary_radiation():
     gen = SeededRng(6).generator
     D = c.points[gen.integers(0, 16, size=(p.N, 400))]
     X_smooth, _, _ = smooth_stream(ops, D)
-    X_plain = ops.A @ D
+    X_plain = ops.tm.A @ D
     ov, band = 4, 0.25
     est_s = welch_psd(psd_sample_stream(X_smooth, p.n_cp, ov), 512)
     est_p = welch_psd(psd_sample_stream(X_plain, p.n_cp, ov), 512)
