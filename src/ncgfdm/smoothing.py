@@ -129,11 +129,11 @@ class NcOperators:
     is_unitary: bool
     P_f: np.ndarray
     P_f_inv: np.ndarray
-    P_1: np.ndarray         # (V+1) x N
-    P_2: np.ndarray         # (V+1) x N
+    P_1: np.ndarray
+    P_2: np.ndarray
     # low-rank factors reused by the smoothing recursion and the receiver
     A_inv_Q: np.ndarray     # N x (V+1)
-    gain: np.ndarray        # N x (V+1), A_inv @ Q @ P_f_inv
+    gain: np.ndarray        # N x (V+1), A_inv_Q @ P_f_inv
     pf_cond: float
 
     @property
