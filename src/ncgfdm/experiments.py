@@ -25,6 +25,7 @@ from .channel import (
 from .filterbank import build_transmit_matrix, prototype_filter
 from .params import (
     Constellation,
+    DimensionError,
     SeededRng,
     WaveformParams,
     qam_constellation,
@@ -166,6 +167,14 @@ class ExperimentConfig:
             raise ValueError("PSD experiments need at least one symbol")
         if not self.variants:
             raise ValueError("at least one waveform variant is required")
+        if self.kind == "sir":
+            self._validate_sir_grid()
+        if self.kind == "power":
+            for name in ("n_streams", "n_indices"):
+                if getattr(self, name) < 1:
+                    raise ValueError(
+                        f"power experiments need {name} >= 1, got {getattr(self, name)}"
+                    )
         if self.kind == "ber" and self.channel == "eva":
             # the block-fading channel convolves each core circularly, so
             # every path delay must fall inside the block
@@ -180,6 +189,25 @@ class ExperimentConfig:
                         f"{profile.sample_interval_ns:g} ns per sample)"
                     )
         return self
+
+    def _validate_sir_grid(self) -> None:
+        if self.n_symbols < 2:
+            raise ValueError(f"SIR experiments need n_symbols >= 2, got {self.n_symbols}")
+        for name in ("beta_grid", "v_grid"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"SIR experiments need a non-empty {name}, got ()")
+        N = self.K * self.M
+        for V in self.v_grid:
+            if 2 * V + 1 > N:
+                raise ValueError(
+                    f"v_grid entry V={V} does not fit the block: 2V+1 = {2 * V + 1} > "
+                    f"N = K*M = {N}"
+                )
+        for beta in self.beta_grid:
+            try:
+                self.waveform(beta=beta)
+            except DimensionError as exc:
+                raise ValueError(f"beta_grid entry {beta}: {exc}") from exc
 
     def channel_profile(self) -> ChannelProfile:
         """EVA delay profile at the sample interval and Doppler in ``metadata``."""
@@ -536,8 +564,8 @@ def _steady_sir_db(ops: NcOperators, max_symbols: int = 200) -> tuple[float, flo
 def run_sir(cfg: ExperimentConfig) -> list:
     """Theoretical and empirical SIR over the (beta, V) grid."""
     cfg.validate()
-    if cfg.kind not in ("sir", "power"):
-        raise ValueError("config kind must be 'sir' or 'power'")
+    if cfg.kind != "sir":
+        raise ValueError("config kind must be 'sir'")
     c = qam_constellation(cfg.qam_order)
     cache = _BuildCache()
     master = SeededRng(cfg.seed)
@@ -545,8 +573,6 @@ def run_sir(cfg: ExperimentConfig) -> list:
     trial = 0
     for beta in cfg.beta_grid:
         for V in cfg.v_grid:
-            if 2 * V + 1 > cfg.K * cfg.M:
-                continue
             p = cfg.waveform(beta=beta, V=V)
             ops = cache.operators(replace(p, oversample=1))
             theory_db, smooth_power = _steady_sir_db(ops)

@@ -26,6 +26,7 @@ __all__ = [
     "build_basis",
     "build_nc_operators",
     "smooth_stream",
+    "coefficient_scan",
     "coefficient_stream",
     "boundary_mismatch",
     "boundary_mismatch_dft",
@@ -260,34 +261,108 @@ def build_nc_operators(
 # smoothing recursion
 
 
+#: symbols per block of :func:`coefficient_scan`; one block-Toeplitz product
+#: of this many (V+1) x (V+1) blocks solves every block of a stream at once
+_SCAN_BLOCK = 64
+
+
+def _scan_factors(S: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block-Toeplitz matrix [S^(j-m)]_{j>=m} and the stacked S^1..S^L."""
+    V1 = S.shape[0]
+    powers = [np.eye(V1, dtype=np.complex128)]
+    for _ in range(L):
+        powers.append(S @ powers[-1])
+    powers = np.stack(powers)
+    T = np.zeros((L, V1, L, V1), dtype=np.complex128)
+    for j in range(L):
+        T[j, :, : j + 1] = powers[j::-1].transpose(1, 0, 2)
+    return T.reshape(L * V1, L * V1), powers[1:].reshape(L * V1, V1)
+
+
+def _scan(T: np.ndarray, lift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve b_i = S b_{i-1} + v_i from b_{-1} = 0; rhs is v, (V+1, count, cols).
+
+    Inside a block of L symbols, b_{kL+j} = sum_{m<=j} S^{j-m} v_{kL+m}
+    + S^{j+1} b_{kL-1}: the first term is one product with T for all blocks,
+    the second a short loop over blocks with ``lift`` (see _scan_factors).
+    """
+    V1, count, cols = rhs.shape
+    L = lift.shape[0] // V1
+    n_blocks = -(-count // L)
+    padded = np.zeros((V1, n_blocks * L, cols), dtype=np.complex128)
+    padded[:, :count] = rhs
+    # (V+1, blocks, L, cols) -> rows (L, V+1), columns (blocks, cols)
+    cols_by_block = padded.reshape(V1, n_blocks, L, cols).transpose(2, 0, 1, 3)
+    out = (T @ cols_by_block.reshape(L * V1, -1)).reshape(L, V1, n_blocks, cols)
+    for k in range(1, n_blocks):
+        out[:, :, k] += (lift @ out[L - 1, :, k - 1]).reshape(L, V1, cols)
+    return out.transpose(1, 2, 0, 3).reshape(V1, n_blocks * L, cols)[:, :count]
+
+
+def coefficient_scan(
+    ops: NcOperators,
+    P1D: np.ndarray,
+    P2D: np.ndarray,
+    carry: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Basis coefficients of a stream from its thin products P_1 D and P_2 D.
+
+    The recursion is b_i = P_f^{-1}(c_{i-1} - (P_2 D)_i) with the carry
+    c_i = P_1 d_bar_i = (P_1 D)_i + G b_i, G = P_1 A^{-1} Q, since
+    d_bar_i = d_i + A^{-1} Q b_i.  ``carry`` is c_{-1}, or None at the start
+    of a stream, whose first symbol is sent unsmoothed (b_0 = 0).  P1D and
+    P2D are (V+1, count) for one stream or (V+1, count, S) for S parallel
+    streams; returns B of the same shape and the carry for the next chunk.
+
+    Written as b_i = S b_{i-1} + v_i with S = P_f^{-1} G, the recursion is a
+    linear scan, solved in blocks of ``_SCAN_BLOCK`` symbols (Blelloch 1990).
+    The scan adds S b_{i-1} and v_i after P_f^{-1} has amplified each, which
+    costs digits when P_f is ill conditioned, so the solve is followed by
+    exactly one round of iterative refinement (Higham 2002, ch. 12): the
+    residual of each step is formed as the step itself forms it, difference
+    first, and its own scan is added to B.  Starting from B = 0, the first
+    residual is v itself, so solve and refinement are the same round.
+    """
+    P1D = np.asarray(P1D, dtype=np.complex128)
+    P2D = np.asarray(P2D, dtype=np.complex128)
+    thin = P1D.shape
+    V1, count = thin[:2]
+    P1D = P1D.reshape(V1, count, -1)
+    P2D = P2D.reshape(V1, count, -1)
+    G = ops.P_1 @ ops.A_inv_Q
+    S = ops.P_f_inv @ G
+    T, lift = _scan_factors(S, max(1, min(_SCAN_BLOCK, count)))
+    B = np.zeros_like(P2D)
+    for _ in range(2):
+        prev = np.empty_like(P2D)
+        prev[:, 1:] = P1D[:, :-1] + np.tensordot(G, B[:, :-1], axes=1)
+        if carry is None:
+            prev[:, :1] = P2D[:, :1]  # b_0 = 0: no residual at the head
+        else:
+            prev[:, 0] = np.reshape(carry, (V1, -1))
+        B += _scan(T, lift, np.tensordot(ops.P_f_inv, prev - P2D, axes=1) - B)
+    if not count:
+        return B.reshape(thin), carry
+    out = P1D[:, -1] + G @ B[:, -1]
+    return B.reshape(thin), out.reshape(thin[:1] + thin[2:])
+
+
 def coefficient_stream(
     ops: NcOperators, D: np.ndarray, carry: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Basis coefficients b_i = P_f^{-1}(P_1 d_bar_{i-1} - P_2 d_i) of a stream.
 
     D holds one symbol per column, (N, count), or S parallel streams,
-    (N, count, S).  ``carry`` is P_1 d_bar of the symbol before the first
-    column, or None at the start of a stream, whose first symbol is sent
-    unsmoothed (b_0 = 0).  Since d_bar_i = d_i + A^{-1} Q b_i, the recursion
-    only needs P_1 d_bar_i = (P_1 D)_i + (P_1 A^{-1} Q) b_i, so the cost is
-    two thin rectangular products plus O(count (V+1)^2).  Returns (B, carry)
-    with B of shape (V+1, count[, S]) and the carry for the next chunk.
+    (N, count, S).  Forms the two thin products P_1 D and P_2 D and runs
+    :func:`coefficient_scan` on them; see there for ``carry`` and the
+    recursion.  Returns (B, carry) with B of shape (V+1, count[, S]).
     """
     D = np.asarray(D, dtype=np.complex128)
-    N, count = D.shape[:2]
+    N = D.shape[0]
     thin = (ops.V + 1,) + D.shape[1:]
     P1D = (ops.P_1 @ D.reshape(N, -1)).reshape(thin)
     P2D = (ops.P_2 @ D.reshape(N, -1)).reshape(thin)
-    P1_gain_q = ops.P_1 @ ops.A_inv_Q
-    B = np.empty(thin, dtype=np.complex128)
-    for i in range(count):
-        if carry is None:
-            b = np.zeros(thin[:1] + thin[2:], dtype=np.complex128)
-        else:
-            b = ops.P_f_inv @ (carry - P2D[:, i])
-        B[:, i] = b
-        carry = P1D[:, i] + P1_gain_q @ b
-    return B, carry
+    return coefficient_scan(ops, P1D, P2D, carry)
 
 
 def smooth_stream(

@@ -6,7 +6,9 @@ oversampled one row at a time by DFT zero-padding, and a
 Hann-windowed periodograms, transforming its segments in fixed-size
 batches, so long waveforms never need to be held in memory at once.  Power
 and SIR estimators run entirely on the low-rank smoothing factors; no N x N
-product is formed per symbol.
+product is formed per symbol, and the Monte-Carlo estimators reduce their
+data draws to thin products row block by row block, so their memory does
+not grow with N times the number of symbols or streams.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .filterbank import prototype_filter
 from .params import WaveformParams
-from .smoothing import NcOperators, coefficient_stream
+from .smoothing import NcOperators, coefficient_scan
+from .smoothing import coefficient_stream  # noqa: F401  (timed here by perfbench/trace.py)
 
 __all__ = [
     "psd_sample_stream",
@@ -108,6 +111,16 @@ class PsdEstimate:
 _WELCH_BLOCK = 64
 
 
+def _stacked_rows(first: np.ndarray, second: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of ``first`` stacked on ``second``; copies only across the join."""
+    n = len(first)
+    if stop <= n:
+        return first[start:stop]
+    if start >= n:
+        return second[start - n : stop - n]
+    return np.concatenate([first[start:], second[: stop - n]])
+
+
 class WelchAccumulator:
     """Streaming Welch PSD: feed chunks, read the average at the end.
 
@@ -132,17 +145,33 @@ class WelchAccumulator:
         self._tail = np.zeros(0, dtype=np.complex128)
 
     def process(self, chunk: np.ndarray) -> None:
-        """Add every whole segment of the held tail plus ``chunk``; keep the rest."""
+        """Add every whole segment of the held tail plus ``chunk``; keep the rest.
+
+        Only the tail and the first ``window_len - 1`` samples of the chunk
+        are joined; the segments that start inside the chunk are views into
+        it, so the chunk itself is never copied.
+        """
         chunk = np.asarray(chunk, dtype=np.complex128).ravel()
-        buf = np.concatenate([self._tail, chunk])
-        count = max(0, (buf.size - self.window_len) // self.step + 1)
+        held, W, step = self._tail.size, self.window_len, self.step
+        count = max(0, (held + chunk.size - W) // step + 1)
         if count:
-            segments = sliding_window_view(buf, self.window_len)[:: self.step]
+            n_head = min(count, -(-held // step))  # segments starting in the tail
+            head = body = np.empty((0, W), dtype=np.complex128)
+            if n_head:
+                joined = np.concatenate([self._tail, chunk[: W - 1]])
+                head = sliding_window_view(joined, W)[::step][:n_head]
+            if count > n_head:
+                body = sliding_window_view(chunk, W)[n_head * step - held :: step]
             for start in range(0, count, _WELCH_BLOCK):
-                spec = np.fft.fft(segments[start : start + _WELCH_BLOCK] * self.window, axis=1)
+                batch = _stacked_rows(head, body, start, min(start + _WELCH_BLOCK, count))
+                spec = np.fft.fft(batch * self.window, axis=1)
                 self._acc += np.sum(spec.real**2 + spec.imag**2, axis=0)
         self._count += count
-        self._tail = buf[count * self.step :].copy()
+        used = count * step - held  # samples of the chunk no later segment needs
+        if used >= 0:
+            self._tail = chunk[used:].copy()
+        else:
+            self._tail = np.concatenate([self._tail[count * step :], chunk])
 
     def result(self) -> PsdEstimate:
         if self._count == 0:
@@ -298,37 +327,66 @@ def closed_form_sir(p: WaveformParams) -> float:
     return 10.0 * np.log10(p.K * p.M / (2.0 * (p.V + 1)))
 
 
+#: label rows drawn per block by :func:`empirical_sir` and
+#: :func:`mc_smooth_power`; bounds their working memory to a few
+#: (rows, columns) arrays, so no (N, columns) array is formed
+_DRAW_BLOCK = 64
+
+
+def _draw_products(
+    ops: NcOperators, rng: np.random.Generator, pts: np.ndarray, cols: int, count: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Thin products P_1 D and P_2 D of an (N, cols) draw of constellation points.
+
+    The labels are drawn ``_DRAW_BLOCK`` rows at a time.  ``integers`` fills
+    in C order from the generator's own state, so consecutive row blocks are
+    consecutive pieces of one (N, cols) draw.  Each block adds
+    [P_1; P_2][:, rows] @ pts[labels] in one stacked product.  With
+    ``count``, also returns how often each point occurs in columns 1..,
+    the symbols after the unsmoothed head; else None.
+    """
+    N, V1 = ops.params.N, ops.V + 1
+    stacked = np.vstack([ops.P_1, ops.P_2])
+    acc = np.zeros((2 * V1, cols), dtype=np.complex128)
+    counts = np.zeros(pts.size, dtype=np.int64) if count else None
+    for start in range(0, N, _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, N)
+        labels = rng.integers(0, pts.size, size=(stop - start, cols))
+        acc += stacked[:, start:stop] @ pts[labels]
+        if count:
+            counts += np.bincount(labels.ravel(), minlength=pts.size)
+            counts -= np.bincount(labels[:, 0], minlength=pts.size)
+    return acc[:V1], acc[V1:], counts
+
+
 def empirical_sir(
     ops: NcOperators,
     rng: np.random.Generator,
     n_symbols: int,
-    points: np.ndarray | None = None,
+    points: np.ndarray,
 ) -> float:
     """Monte-Carlo SIR (linear) over a smoothed stream, skipping the head.
 
     Measured where it matters: at the demodulator output, where the soft
     estimate is d + A^{-1} w, so signal and interference are the data
     vectors and the data-domain smooth contributions.  Data vectors draw
-    i.i.d. from ``points`` (a unit-energy constellation) or from the
-    circular complex Gaussian when omitted.  Raises when the stream carries
-    no boundary discontinuity to smooth (zero interference).
+    i.i.d. from ``points``, a unit-energy constellation.  No (N, n_symbols)
+    array is formed: the draw is reduced to its thin products P_1 D and
+    P_2 D row block by row block, the recursion runs on them
+    (:func:`coefficient_scan`), and the signal energy comes from label
+    counts.  Raises when the stream carries no boundary discontinuity to
+    smooth (zero interference).
     """
     if n_symbols < 2:
         raise ValueError("need at least two symbols to observe smoothing")
-    N = ops.params.N
-    if points is None:
-        D = (
-            rng.standard_normal((N, n_symbols)) + 1j * rng.standard_normal((N, n_symbols))
-        ) / np.sqrt(2)
-    else:
-        pts = np.asarray(points, dtype=np.complex128)
-        D = pts[rng.integers(0, pts.size, size=(N, n_symbols))]
-    B, _ = coefficient_stream(ops, D)
+    pts = np.asarray(points, dtype=np.complex128)
+    P1D, P2D, counts = _draw_products(ops, rng, pts, n_symbols, count=True)
+    B, _ = coefficient_scan(ops, P1D, P2D)
     gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
     intf = float(np.real(np.einsum("vi,vw,wi->", B[:, 1:].conj(), gram, B[:, 1:])))
     if intf <= 0:
         raise ZeroDivisionError("stream produced no smoothing interference")
-    sig = float(np.sum(np.abs(D[:, 1:]) ** 2))
+    sig = float(counts @ np.abs(pts) ** 2)
     return sig / intf
 
 
@@ -337,29 +395,26 @@ def mc_smooth_power(
     rng: np.random.Generator,
     n_streams: int,
     n_symbols: int,
-    points: np.ndarray | None = None,
+    points: np.ndarray,
 ) -> np.ndarray:
     """Monte-Carlo mean of ||A^{-1} w_i||^2 per symbol index over streams.
 
-    Runs the low-rank coefficient recursion across all streams at once, one
-    symbol index per call; no modulation is performed.
+    Data draw i.i.d. from ``points``, a unit-energy constellation.  Each
+    symbol index draws its (N, n_streams) data in row blocks, reduced to
+    the thin products P_1 D and P_2 D, and advances the coefficient
+    recursion of all streams at once (:func:`coefficient_scan`), carrying
+    across indices; no modulation is performed and no (N, n_streams) array
+    is formed.
     """
     if n_streams < 1 or n_symbols < 1:
         raise ValueError("need at least one stream and one symbol")
-    N = ops.params.N
+    pts = np.asarray(points, dtype=np.complex128)
     gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
     powers = np.zeros(n_symbols)
     carry = None
-    pts = None if points is None else np.asarray(points, dtype=np.complex128)
     for i in range(n_symbols):
-        if pts is None:
-            D = (
-                rng.standard_normal((N, n_streams))
-                + 1j * rng.standard_normal((N, n_streams))
-            ) / np.sqrt(2)
-        else:
-            D = pts[rng.integers(0, pts.size, size=(N, n_streams))]
-        B, carry = coefficient_stream(ops, D[:, None, :], carry)
+        P1D, P2D, _ = _draw_products(ops, rng, pts, n_streams)
+        B, carry = coefficient_scan(ops, P1D[:, None], P2D[:, None], carry)
         b = B[:, 0]
         powers[i] = float(np.real(np.einsum("vi,vw,wi->", b.conj(), gram, b))) / n_streams
     return powers

@@ -64,6 +64,27 @@ def reference_smooth(ops, D):
     return np.stack(X_bar, axis=1), np.stack(D_bar, axis=1)
 
 
+def reference_empirical_sir(ops, rng, n_symbols, points):
+    """Oracle: Monte-Carlo SIR over the whole (N, n_symbols) draw held at once.
+
+    Draws every label in one call, gathers all of D, runs the smoothing
+    recursion one symbol at a time on the thin products P_1 D and P_2 D,
+    and sums |D|^2 over the columns after the unsmoothed head.
+    """
+    pts = np.asarray(points, dtype=np.complex128)
+    D = pts[rng.integers(0, pts.size, size=(ops.params.N, n_symbols))]
+    P1D, P2D = ops.P_1 @ D, ops.P_2 @ D
+    G = ops.P_1 @ ops.A_inv_Q
+    B = np.zeros((ops.V + 1, n_symbols), dtype=complex)
+    carry = P1D[:, 0]
+    for i in range(1, n_symbols):
+        B[:, i] = ops.P_f_inv @ (carry - P2D[:, i])
+        carry = P1D[:, i] + G @ B[:, i]
+    gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
+    intf = float(np.real(np.einsum("vi,vw,wi->", B[:, 1:].conj(), gram, B[:, 1:])))
+    return float(np.sum(np.abs(D[:, 1:]) ** 2)) / intf
+
+
 def oversample_symbol(x: np.ndarray, oversample: int) -> np.ndarray:
     """Oracle: bandlimited interpolation of each column by DFT zero-padding.
 

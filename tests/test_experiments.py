@@ -49,6 +49,29 @@ def test_config_validation():
     assert ExperimentConfig().validate().kind == "validate"
 
 
+@pytest.mark.parametrize(
+    "kind,overrides,message",
+    [
+        ("sir", dict(n_symbols=1), r"n_symbols >= 2, got 1"),
+        ("power", dict(n_streams=0), r"n_streams >= 1, got 0"),
+        ("power", dict(n_indices=0), r"n_indices >= 1, got 0"),
+        ("sir", dict(beta_grid=()), r"non-empty beta_grid"),
+        ("sir", dict(v_grid=()), r"non-empty v_grid"),
+        ("sir", dict(v_grid=(2, 56)), r"v_grid entry V=56 .* 113 > N = K\*M = 112"),
+        ("sir", dict(beta_grid=(0.1, 1.5)), r"beta_grid entry 1.5: .*got 1.5"),
+    ],
+    ids=["n_symbols", "n_streams", "n_indices", "empty-beta_grid", "empty-v_grid",
+         "v_grid-too-large", "beta_grid-out-of-range"],
+)
+def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
+    kind, overrides, message
+):
+    # each of these passed validate() before, then failed or dropped grid
+    # cells only once the operators were built
+    with pytest.raises(ValueError, match=message):
+        small_cfg(kind, **overrides).validate()
+
+
 def test_from_dict_names_unknown_keys():
     with pytest.raises(ValueError, match=r"unknown config key\(s\): bogus, n_sym$"):
         ExperimentConfig.from_dict({"kind": "sir", "n_sym": 3, "bogus": 1})

@@ -198,6 +198,33 @@ def test_coefficient_stream_runs_parallel_streams():
         assert np.allclose(carry[:, s], want_carry, atol=1e-12)
 
 
+@pytest.mark.parametrize("K,M,n_cp,beta", [(8, 4, 8, 0.1), (16, 7, 16, 0.5)])
+def test_coefficient_stream_matches_reference_at_v6(K, M, n_cp, beta):
+    # pf_cond is about 2.5e8 at V=6; the symbol-by-symbol loop reaches
+    # 5-7e-9 here and a blocked scan without its refinement round 4e-7
+    # to 1.9e-6, so the bound separates the two
+    _, _, _, ops = built_ops(K, M, n_cp, beta, 6)
+    D = random_data(ops, 300, seed=11)
+    want_x, _ = reference_smooth(ops, D)
+    B, _ = coefficient_stream(ops, D)
+    assert np.max(np.abs(ops.tm.modulate(D) + ops.Q @ B - want_x)) <= 5e-8
+    B1, carry = coefficient_stream(ops, D[:, :100])
+    B2, _ = coefficient_stream(ops, D[:, 100:], carry)
+    X_split = ops.tm.modulate(D) + ops.Q @ np.concatenate([B1, B2], axis=1)
+    assert np.max(np.abs(X_split - want_x)) <= 5e-8
+
+
+def test_coefficient_stream_parallel_streams_over_several_blocks():
+    # 150 symbols span three scan blocks, the last one partial
+    _, _, _, ops = built_ops(16, 7, 16, 0.5, 3)
+    D = np.stack([random_data(ops, 150, seed=s) for s in range(3)], axis=2)
+    B, carry = coefficient_stream(ops, D)
+    for s in range(3):
+        want_x, want_d = reference_smooth(ops, D[:, :, s])
+        assert np.allclose(ops.tm.modulate(D[:, :, s]) + ops.Q @ B[:, :, s], want_x, atol=1e-11)
+        assert np.allclose(carry[:, s], ops.P_1 @ want_d[:, -1], atol=1e-11)
+
+
 def test_stream_state_carries_across_chunks():
     p, _, _, ops = built_ops(8, 4, 8, 0.3, 2)
     D = random_data(ops, 6)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,12 @@ from conftest import (
     dense_p_hat,
     dense_p_tilde,
     oversample_symbol,
+    reference_empirical_sir,
     reference_psd_sample_stream,
     reference_welch,
 )
 from ncgfdm.params import SeededRng, qam_constellation
-from ncgfdm.smoothing import smooth_stream
+from ncgfdm.smoothing import coefficient_stream, smooth_stream
 from ncgfdm.spectrum import (
     PsdEstimate,
     WelchAccumulator,
@@ -24,6 +27,15 @@ from ncgfdm.spectrum import (
     smooth_power_curve,
     welch_psd,
 )
+
+
+def _traced_peak(fn, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_oversample_symbol_interpolates_original_samples(rng):
@@ -103,6 +115,14 @@ def test_batched_welch_matches_segment_loop(sizes):
     assert acc._tail.size == want_tail.size
     assert np.array_equal(acc._tail, want_tail)
     assert np.max(np.abs(acc._acc - want_acc)) <= 1e-12 * np.max(want_acc)
+
+
+def test_welch_process_does_not_copy_the_chunk():
+    gen = np.random.default_rng(12)
+    x = gen.standard_normal(2**20) + 1j * gen.standard_normal(2**20)
+    acc = WelchAccumulator(512, overlap=128)
+    acc.process(x[:1000])  # leave a tail to join
+    assert _traced_peak(acc.process, x) < x.nbytes // 2
 
 
 def test_welch_tone_peak(rng):
@@ -252,16 +272,48 @@ def test_sir_report_attaches_closed_form_only_when_unitary():
 
 def test_empirical_sir_tracks_theory():
     _, _, _, ops = built_ops(16, 7, 16, 0.0, 2)
-    gen = SeededRng(21).generator
-    got = empirical_sir(ops, gen, 5000)
     want = 16 * 7 / (2 * (ops.V + 1))
-    assert got == pytest.approx(want, rel=0.05)
-    # constellation-driven draw agrees too
     pts = qam_constellation(16).points
     got_qam = empirical_sir(ops, SeededRng(22).generator, 5000, points=pts)
     assert got_qam == pytest.approx(want, rel=0.05)
     with pytest.raises(ValueError):
-        empirical_sir(ops, gen, 1)
+        empirical_sir(ops, SeededRng(21).generator, 1, points=pts)
+
+
+@pytest.mark.parametrize("V,rel", [(2, 1e-12), (6, 1e-8)])
+def test_empirical_sir_matches_whole_array_reference(V, rel):
+    # N = 112 is not a multiple of the 64-row draw block, so the last block
+    # is partial; the same seed must give the same labels as one whole draw.
+    # At V=6 (pf_cond 2.5e8) the summation order of the products alone moves
+    # the SIR by up to 6.5e-9 relative over 30 seeds, so 1e-8 is the bound
+    _, _, _, ops = built_ops(16, 7, 16, 0.5, V)
+    pts = qam_constellation(16).points
+    got = empirical_sir(ops, SeededRng(31).generator, 700, points=pts)
+    want = reference_empirical_sir(ops, SeededRng(31).generator, 700, pts)
+    assert got == pytest.approx(want, rel=rel)
+
+
+def test_mc_smooth_power_matches_whole_array_draw():
+    _, _, _, ops = built_ops(16, 7, 16, 0.5, 2)
+    pts = qam_constellation(16).points
+    got = mc_smooth_power(ops, SeededRng(8).generator, 150, 4, points=pts)
+    gen = SeededRng(8).generator
+    D = np.stack([pts[gen.integers(0, 16, size=(ops.params.N, 150))] for _ in range(4)], axis=1)
+    B, _ = coefficient_stream(ops, D)
+    gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
+    want = np.real(np.einsum("vis,vw,wis->i", B.conj(), gram, B)) / 150
+    assert want[1] > 0
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_monte_carlo_memory_does_not_scale_with_the_draw():
+    # at paper N a whole (N, 4000) draw is 16 bytes a point and its int64
+    # labels 8 more; the row-blocked draw must stay under an eighth of that
+    _, _, _, ops = built_ops(256, 7, 280, 0.5, 2)
+    pts = qam_constellation(16).points
+    bound = ops.params.N * 4000 * 16 // 8
+    assert _traced_peak(empirical_sir, ops, SeededRng(5).generator, 4000, points=pts) < bound
+    assert _traced_peak(mc_smooth_power, ops, SeededRng(5).generator, 4000, 1, points=pts) < bound
 
 
 def test_empirical_sir_rejects_degenerate_stream():
@@ -281,11 +333,12 @@ def test_empirical_sir_rejects_degenerate_stream():
 def test_mc_smooth_power_matches_curve():
     _, _, _, ops = built_ops(16, 7, 16, 0.1, 2)
     theory = smooth_power_curve(ops, 10)
-    mc = mc_smooth_power(ops, SeededRng(4).generator, n_streams=3000, n_symbols=10)
+    pts = qam_constellation(16).points
+    mc = mc_smooth_power(ops, SeededRng(4).generator, n_streams=3000, n_symbols=10, points=pts)
     assert mc[0] == 0.0
     assert np.allclose(mc[1:], theory[1:], rtol=0.05)
     with pytest.raises(ValueError):
-        mc_smooth_power(ops, SeededRng(0).generator, 0, 5)
+        mc_smooth_power(ops, SeededRng(0).generator, 0, 5, points=pts)
 
 
 def test_smoothing_suppresses_boundary_radiation():
