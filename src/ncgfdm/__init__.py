@@ -47,7 +47,6 @@ from .channel import (
     apply_channel,
     awgn,
     eva_profile,
-    eva_realization,
     zf_equalize,
 )
 from .transceiver import (

@@ -1,9 +1,17 @@
-"""Channel models: AWGN, multipath Rayleigh block fading, ZF equalization.
+"""Channel models: AWGN, multipath Rayleigh block fading on the CP-framed
+stream, ZF equalization.
 
-Fading is block-constant within a symbol so the post-CP channel acts as a
-circular convolution; gains evolve across symbols with a Jakes Doppler
-spectrum synthesized by a sum of sinusoids (Clarke's model), one independent
-set of arrival angles and phases per path.
+The fading channel is a tapped-delay line over the CP-framed stream: output
+sample n is sum_l h_l(block of n) s[n - d_l], with the path gains held for
+the whole block (block fading).  After CP removal, paths within the CP act
+on each core as a circular convolution; a path delayed past the CP reaches
+into the previous block, which is inter-symbol interference.  Gains evolve
+across symbols with a Jakes Doppler spectrum synthesized by a sum of
+sinusoids (Clarke's model), one independent set of arrival angles and phases
+per path.
+
+Blocks are held one per row, (count, N): the layout in which the Gabor
+modulator returns them in memory.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ __all__ = [
     "EVA_POWERS_DB",
     "eva_profile",
     "JakesFadingProcess",
-    "eva_realization",
     "awgn",
     "apply_channel",
     "zf_equalize",
@@ -32,13 +39,15 @@ EVA_POWERS_DB = (0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9)
 
 
 class DeepFadeError(ArithmeticError):
-    """ZF equalization hit a near-zero channel bin; carries the bin index."""
+    """ZF equalization hit a near-zero channel bin; carries the bin and symbol index."""
 
-    def __init__(self, bin_index: int, magnitude: float):
+    def __init__(self, bin_index: int, magnitude: float, symbol_index: int | None = None):
+        at = "" if symbol_index is None else f" of symbol {symbol_index}"
         super().__init__(
-            f"channel bin {bin_index} magnitude {magnitude:.3e} too small for ZF"
+            f"channel bin {bin_index}{at} magnitude {magnitude:.3e} too small for ZF"
         )
         self.bin_index = bin_index
+        self.symbol_index = symbol_index
 
 
 @dataclass(frozen=True)
@@ -73,15 +82,33 @@ def eva_profile(sample_interval_ns: float = 9.3, doppler_hz: float = 100.0) -> C
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One block-fading realization: sparse impulse response and its DFT."""
+    """Block-fading realizations: sparse impulse responses and their DFTs.
 
-    taps: np.ndarray
+    ``delays`` (P,) are the tap positions in samples, shared by every block;
+    ``gains`` is (P,) for one block or (count, P) with one block per row,
+    and ``H_diag`` is the N-point DFT of the response, (N,) or (count, N).
+    ``symbols`` holds the symbol index of each block, or is None when the
+    taps did not come from a fading process.
+    """
+
+    delays: np.ndarray
+    gains: np.ndarray
     H_diag: np.ndarray
+    symbols: np.ndarray | None = None
 
     @classmethod
-    def from_taps(cls, taps: np.ndarray) -> "ChannelRealization":
+    def from_taps(cls, taps: np.ndarray, symbols=None) -> "ChannelRealization":
+        """From dense taps, (N,) or one block per row (count, N)."""
         taps = np.asarray(taps, dtype=np.complex128)
-        return cls(taps=taps, H_diag=np.fft.fft(taps))
+        delays = np.flatnonzero(np.any(np.atleast_2d(taps), axis=0))
+        return cls(delays, taps[..., delays], np.fft.fft(taps, axis=-1), symbols)
+
+    @property
+    def taps(self) -> np.ndarray:
+        """The dense impulse response, assembled on each access."""
+        taps = np.zeros(self.gains.shape[:-1] + self.H_diag.shape[-1:], dtype=np.complex128)
+        taps[..., self.delays] = self.gains
+        return taps
 
 
 @dataclass
@@ -108,75 +135,123 @@ class JakesFadingProcess:
         self._angles = self.rng.uniform(0.0, 2 * np.pi, size=(n_paths, self.n_sinusoids))
         self._phases = self.rng.uniform(0.0, 2 * np.pi, size=(n_paths, self.n_sinusoids))
 
-    def gains(self, symbol_index: int) -> np.ndarray:
-        """Unit-mean-power complex gain per path at the given symbol."""
-        t = symbol_index * self.symbol_duration_s
+    def gains(self, symbol_index) -> np.ndarray:
+        """Unit-mean-power complex gain per path: (paths,) at one symbol index,
+        (count, paths) for an array of them, each row equal to its own call."""
+        t = np.asarray(symbol_index)[..., None, None] * self.symbol_duration_s
         arg = (
             2 * np.pi * self.profile.doppler_hz * t * np.cos(self._angles)
             + self._phases
         )
-        return np.exp(1j * arg).sum(axis=1) / np.sqrt(self.n_sinusoids)
+        # the sum over sinusoids runs along the contiguous last axis, as in a
+        # per-index call, so batched gains are bitwise equal to per-index ones
+        return np.exp(1j * arg).sum(axis=-1) / np.sqrt(self.n_sinusoids)
 
-    def realization(self, symbol_index: int) -> ChannelRealization:
+    def realization(self, symbol_index) -> ChannelRealization:
+        """Taps of the block at one symbol index, or one block per row for an array."""
         positions = self.profile.tap_positions()
         if positions.max(initial=0) >= self.block_len:
             raise ValueError(
                 f"path delay {positions.max()} samples exceeds block length {self.block_len}"
             )
         amps = np.sqrt(self.profile.linear_powers()) * self.gains(symbol_index)
-        taps = np.zeros(self.block_len, dtype=np.complex128)
-        np.add.at(taps, positions, amps)
-        return ChannelRealization.from_taps(taps)
+        taps = np.zeros(amps.shape[:-1] + (self.block_len,), dtype=np.complex128)
+        np.add.at(taps.T, positions, amps.T)
+        return ChannelRealization.from_taps(taps, symbols=np.asarray(symbol_index))
 
 
-def eva_realization(
-    profile: ChannelProfile,
-    symbol_index: int,
-    rng: np.random.Generator,
-    block_len: int,
-    symbol_duration_s: float | None = None,
-) -> ChannelRealization:
-    """One-shot realization; draws a fresh fading process from ``rng``.
+def awgn(
+    x: np.ndarray, sigma2: float, rng: np.random.Generator, per_row: bool = False
+) -> np.ndarray:
+    """Add circular complex Gaussian noise of total variance sigma2.
 
-    For gains correlated across symbols, create one
-    :class:`JakesFadingProcess` per stream and query it per symbol instead.
+    The draw is all real parts, then all imaginary parts, in the C order of
+    x; with ``per_row`` it is real then imaginary parts row by row, the
+    order of one call per row.
     """
-    if symbol_duration_s is None:
-        symbol_duration_s = block_len * profile.sample_interval_ns * 1e-9
-    proc = JakesFadingProcess(profile, block_len, symbol_duration_s, rng)
-    return proc.realization(symbol_index)
-
-
-def awgn(x: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    """Add circular complex Gaussian noise of total variance sigma2."""
     if sigma2 < 0:
         raise ValueError("noise variance must be non-negative")
+    x = np.asarray(x, dtype=np.complex128)
     if sigma2 == 0:
-        return np.asarray(x, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
-    noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
-    return x + np.sqrt(sigma2 / 2) * noise
+        return x
+    if per_row:
+        z = rng.standard_normal(x.shape[:-1] + (2, x.shape[-1]))
+        noise = z[..., 0, :] + 1j * z[..., 1, :]
+    else:
+        noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+    # in place, and bitwise equal to x + sqrt(sigma2 / 2) * noise
+    noise *= np.sqrt(sigma2 / 2)
+    noise += x
+    return noise
 
 
-def apply_channel(h: ChannelRealization, x: np.ndarray) -> np.ndarray:
-    """Circular convolution with the realization, via the DFT diagonal."""
+def _check_length(h: ChannelRealization, x: np.ndarray) -> None:
+    if x.shape[-1] != h.H_diag.shape[-1]:
+        raise ValueError(
+            f"length mismatch: signal {x.shape[-1]}, channel {h.H_diag.shape[-1]}"
+        )
+
+
+def apply_channel(
+    h: ChannelRealization,
+    x: np.ndarray,
+    n_cp: int | None = None,
+    tail: np.ndarray | None = None,
+) -> np.ndarray:
+    """Received cores of CP-framed blocks after the tapped-delay line.
+
+    ``x`` holds the cores, (N,) or one block per row (count, N), and ``h``
+    one realization for all of them or one per row.  Block i is sent as
+    [x_i[N - n_cp:], x_i], the blocks back to back, and the cores are
+    returned after CP removal.  Paths within the CP give each core's
+    circular convolution, computed through the DFT; ``n_cp`` None takes
+    every path to be within it.  A path d > n_cp adds, over the first
+    d - n_cp samples of a core, the previous block's last samples minus
+    the core's own wrapped ones.  ``tail`` ends the framed stream sent
+    before x[0] and holds at least its last max-delay samples (the previous
+    core will do); None means zeros, the start of a stream.
+    """
     x = np.asarray(x, dtype=np.complex128)
-    if x.shape[0] != h.H_diag.size:
-        raise ValueError(f"length mismatch: signal {x.shape[0]}, channel {h.H_diag.size}")
-    spec = np.fft.fft(x, axis=0)
-    spec *= h.H_diag if x.ndim == 1 else h.H_diag[:, None]
-    return np.fft.ifft(spec, axis=0)
+    _check_length(h, x)
+    spec = np.fft.fft(x, axis=-1)
+    spec *= h.H_diag
+    y = np.fft.ifft(spec, axis=-1)
+    if n_cp is None:
+        return y
+    N = x.shape[-1]
+    xr, yr, gains = np.atleast_2d(x), np.atleast_2d(y), np.atleast_2d(h.gains)
+    reach = h.delays.max(initial=n_cp) - n_cp
+    if tail is not None and np.shape(tail)[-1] < reach:
+        raise ValueError(
+            f"tail of {np.shape(tail)[-1]} samples is shorter than the "
+            f"{reach} samples that reach past the CP"
+        )
+    for path in np.flatnonzero(h.delays > n_cp):
+        d = h.delays[path]
+        e = d - n_cp
+        isi = -xr[:, N - d : N - n_cp]
+        isi[1:] += xr[:-1, N - e :]
+        if tail is not None:
+            isi[0] += tail[-e:]
+        yr[:, :e] += gains[:, path, None] * isi
+    return y
 
 
 def zf_equalize(h: ChannelRealization, y: np.ndarray, min_gain: float = 1e-12) -> np.ndarray:
-    """DFT-domain division by the channel response (zero forcing)."""
+    """DFT-domain division by the channel response (zero forcing), per block.
+
+    Raises :class:`DeepFadeError` naming the first block, in row order,
+    whose response has a bin at or below ``min_gain``.
+    """
     y = np.asarray(y, dtype=np.complex128)
-    if y.shape[0] != h.H_diag.size:
-        raise ValueError(f"length mismatch: signal {y.shape[0]}, channel {h.H_diag.size}")
-    mags = np.abs(h.H_diag)
-    worst = int(np.argmin(mags))
-    if mags[worst] <= min_gain:
-        raise DeepFadeError(worst, float(mags[worst]))
-    spec = np.fft.fft(y, axis=0)
-    spec /= h.H_diag if y.ndim == 1 else h.H_diag[:, None]
-    return np.fft.ifft(spec, axis=0)
+    _check_length(h, y)
+    faded = np.flatnonzero(np.atleast_1d(np.abs(h.H_diag).min(axis=-1)) <= min_gain)
+    if faded.size:
+        row = faded[0]
+        mags = np.abs(np.atleast_2d(h.H_diag)[row])
+        worst = int(np.argmin(mags))
+        symbol = None if h.symbols is None else int(np.atleast_1d(h.symbols)[row])
+        raise DeepFadeError(worst, float(mags[worst]), symbol)
+    spec = np.fft.fft(y, axis=-1)
+    spec /= h.H_diag
+    return np.fft.ifft(spec, axis=-1)

@@ -7,10 +7,13 @@ provenance block (config hash, seed, code version) plus a JSON sidecar.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import subprocess
 from dataclasses import asdict, dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -87,16 +90,40 @@ PRESETS = {
 }
 
 
+def git_describe(path) -> str | None:
+    """``git describe --always --dirty`` of the checkout holding ``path``, or
+    None when git or the checkout is missing."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=path,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() or None
+
+
+@functools.cache
 def code_version() -> str:
-    """Installed package version, else the version of the imported source."""
+    """Installed package version, else the version of the imported source,
+    then ``+<git describe>`` when the source is a git checkout.
+
+    Computed once per process, so tables do not each start a subprocess.
+    """
     from importlib.metadata import PackageNotFoundError, version
 
     try:
-        return version("ncgfdm")
+        base = version("ncgfdm")
     except PackageNotFoundError:
         from . import __version__
 
-        return __version__
+        base = __version__
+    commit = git_describe(Path(__file__).parent)
+    return base if commit is None else f"{base}+{commit}"
 
 
 def _default_metadata() -> dict:
@@ -176,8 +203,10 @@ class ExperimentConfig:
                         f"power experiments need {name} >= 1, got {getattr(self, name)}"
                     )
         if self.kind == "ber" and self.channel == "eva":
-            # the block-fading channel convolves each core circularly, so
-            # every path delay must fall inside the block
+            # a block's response is held as N taps, and a path past the CP
+            # reaches back one block only, so every path delay must fall
+            # inside the block; a CP shorter than the delay spread is
+            # simulated as inter-symbol interference
             profile = self.channel_profile()
             tap = int(profile.tap_positions().max())
             for spec in self.variants:
@@ -493,7 +522,7 @@ def run_ber(cfg: ExperimentConfig) -> list:
             bits_rng = master.child(3 * si + 0)
             chan_rng = master.child(3 * si + 1)
             noise_rng = master.child(3 * si + 2)
-            fading = None
+            fading = tail = None
             if cfg.channel == "eva":
                 duration = (p.N + p.n_cp) * profile.sample_interval_ns * 1e-9
                 fading = JakesFadingProcess(profile, p.N, duration, chan_rng)
@@ -511,12 +540,13 @@ def run_ber(cfg: ExperimentConfig) -> list:
                 else:
                     X = tm.modulate(D)
                 if cfg.channel == "eva":
-                    Y = np.empty_like(X)
-                    for j in range(nb):
-                        h = fading.realization(done + j)
-                        y = apply_channel(h, X[:, j])
-                        y = awgn(y, sigma2, noise_rng)
-                        Y[:, j] = zf_equalize(h, y)
+                    # one block per row: X.T is contiguous (TransmitMatrix.modulate)
+                    h = fading.realization(np.arange(done, done + nb))
+                    R = apply_channel(h, X.T, p.n_cp, tail)
+                    tail = X[:, -1].copy()
+                    R = awgn(R, sigma2, noise_rng, per_row=True)
+                    Y = zf_equalize(h, R).T
+                    del h, R  # not held through the recovery, which sets peak memory
                 elif cfg.channel == "awgn":
                     Y = awgn(X, sigma2, noise_rng)
                 else:

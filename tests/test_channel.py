@@ -10,7 +10,6 @@ from ncgfdm.channel import (
     apply_channel,
     awgn,
     eva_profile,
-    eva_realization,
     zf_equalize,
 )
 
@@ -50,11 +49,11 @@ def test_apply_channel_matches_direct_circular_convolution(rng):
         [sum(taps[l] * x[(n - l) % N] for l in range(N)) for n in range(N)]
     )
     assert np.allclose(apply_channel(h, x), want, atol=1e-12)
-    # column-wise application agrees with per-column calls
-    X = rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3))
+    # row-wise application agrees with per-row calls
+    X = rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N))
     got = apply_channel(h, X)
     for j in range(3):
-        assert np.allclose(got[:, j], apply_channel(h, X[:, j]))
+        assert np.allclose(got[j], apply_channel(h, X[j]))
 
 
 def test_apply_channel_length_mismatch():
@@ -115,7 +114,7 @@ def test_jakes_gains_unit_mean_power():
 
 def test_realization_energy_and_sparsity():
     prof = eva_profile()
-    h = eva_realization(prof, 0, np.random.default_rng(3), block_len=512)
+    h = JakesFadingProcess(prof, 512, 1e-4, np.random.default_rng(3)).realization(0)
     nz = np.flatnonzero(h.taps)
     assert list(nz) == [0, 3, 16, 33, 40, 76, 117, 186, 270]
     assert np.allclose(h.H_diag, np.fft.fft(h.taps))
@@ -124,7 +123,7 @@ def test_realization_energy_and_sparsity():
 def test_realization_rejects_short_block():
     prof = eva_profile()
     with pytest.raises(ValueError):
-        eva_realization(prof, 0, np.random.default_rng(0), block_len=128)
+        JakesFadingProcess(prof, 128, 1e-4, np.random.default_rng(0)).realization(0)
 
 
 def test_cyclic_prefix_absorbs_delay_spread(rng):
@@ -144,7 +143,7 @@ def test_cyclic_prefix_absorbs_delay_spread(rng):
 def test_zf_equalize_inverts_channel(rng):
     N = 64
     prof = eva_profile()
-    h = eva_realization(prof, 0, np.random.default_rng(9), block_len=512)
+    h = JakesFadingProcess(prof, 512, 1e-4, np.random.default_rng(9)).realization(0)
     x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
     y = apply_channel(h, x)
     assert np.allclose(zf_equalize(h, y), x, atol=1e-9)
@@ -160,3 +159,82 @@ def test_zf_deep_fade_detection():
     with pytest.raises(DeepFadeError) as info:
         zf_equalize(h, np.ones(16, dtype=complex))
     assert info.value.bin_index == 0
+    # batched: every block is checked and the first faded one is named
+    rows = np.zeros((3, 16), dtype=complex)
+    rows[:, 0] = 1.0
+    rows[1, 1], rows[2, 2] = -1.0, 0.5
+    h = ChannelRealization.from_taps(rows, symbols=np.array([40, 41, 42]))
+    with pytest.raises(DeepFadeError, match="bin 0 of symbol 41") as info:
+        zf_equalize(h, np.ones((3, 16), dtype=complex))
+    assert (info.value.bin_index, info.value.symbol_index) == (0, 41)
+
+
+def test_awgn_per_row_draws_match_per_row_calls():
+    x = np.arange(12.0).reshape(3, 4) * (1 + 1j)
+    got = awgn(x, 0.5, np.random.default_rng(4), per_row=True)
+    gen = np.random.default_rng(4)
+    want = np.array([awgn(row, 0.5, gen) for row in x])
+    assert np.array_equal(got, want)
+
+
+def test_batched_gains_and_realizations_equal_per_index_calls():
+    proc = JakesFadingProcess(eva_profile(), 512, 2.2e-5, np.random.default_rng(6))
+    idx = np.array([0, 1, 7, 279, 280, 5000])
+    gains = proc.gains(idx)
+    h = proc.realization(idx)
+    assert gains.shape == (idx.size, 9) and h.taps.shape == (idx.size, 512)
+    for j, i in enumerate(idx):
+        one = proc.realization(int(i))
+        assert np.array_equal(gains[j], proc.gains(int(i)))
+        assert np.array_equal(h.taps[j], one.taps)
+        assert np.array_equal(h.H_diag[j], one.H_diag)
+    assert list(h.symbols) == list(idx)
+
+
+def framed_convolution(taps, cores, n_cp):
+    """Oracle: the tapped-delay line run sample by sample over the framed
+    stream [core_0[-n_cp:], core_0, core_1[-n_cp:], core_1, ...] with zeros
+    before it, each output sample weighted by its own block's taps, and the
+    CP of every block dropped afterwards."""
+    count, N = cores.shape
+    L = N + n_cp
+    stream = np.concatenate([np.concatenate([c[N - n_cp :], c]) for c in cores])
+    out = np.empty((count, N), dtype=complex)
+    for i in range(count):
+        delays = np.flatnonzero(taps[i])
+        for r in range(N):
+            n = i * L + n_cp + r
+            out[i, r] = sum(taps[i, d] * stream[n - d] for d in delays if n >= d)
+    return out
+
+
+@pytest.mark.parametrize("n_cp", [280, 100, 0])
+def test_framed_channel_matches_direct_convolution(n_cp):
+    """EVA's last path is 270 samples: inside the CP at 280, past it at 100 and 0."""
+    N, count, split = 512, 5, 2
+    proc = JakesFadingProcess(eva_profile(), N, 1e-4, np.random.default_rng(8))
+    h = proc.realization(np.arange(count))
+    gen = np.random.default_rng(n_cp)
+    X = gen.standard_normal((count, N)) + 1j * gen.standard_normal((count, N))
+    want = framed_convolution(h.taps, X, n_cp)
+    framed = apply_channel(h, X, n_cp)
+    assert np.allclose(framed, want, rtol=0, atol=1e-12)
+    # a stream split in two chunks continues from the carried tail, of which
+    # only the samples that reach past the CP are needed
+    first = ChannelRealization.from_taps(h.taps[:split])
+    second = ChannelRealization.from_taps(h.taps[split:])
+    tail = X[split - 1, N - 270 + n_cp :] if n_cp < 270 else None
+    got = np.vstack(
+        [apply_channel(first, X[:split], n_cp), apply_channel(second, X[split:], n_cp, tail)]
+    )
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    # it equals the per-block circular product exactly when the CP covers
+    # the delay spread; otherwise the ISI shows
+    circular = np.array([apply_channel(proc.realization(i), X[i]) for i in range(count)])
+    assert np.allclose(framed, circular, rtol=0, atol=1e-12) == (n_cp >= 270)
+
+
+def test_framed_channel_rejects_a_short_tail():
+    h = JakesFadingProcess(eva_profile(), 512, 1e-4, np.random.default_rng(1)).realization(0)
+    with pytest.raises(ValueError, match="tail of 100 samples"):
+        apply_channel(h, np.ones(512), 100, np.zeros(100))

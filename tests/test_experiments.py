@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ncgfdm.experiments import (
     ExperimentConfig,
     apply_preset,
     code_version,
+    git_describe,
     noise_variance,
     resolve_variant,
     run_ber,
@@ -86,14 +88,60 @@ def test_config_validation_rejects_blocks_shorter_than_eva_delay():
     with pytest.raises(ValueError, match=r"'td-nc-ofdm:2' has block length N=256"):
         ExperimentConfig(kind="ber", channel="eva", variants=("gfdm", "td-nc-ofdm:2")).validate()
     ExperimentConfig(kind="ber", channel="eva", variants=("gfdm", "nc-gfdm:2")).validate()
+    # a CP shorter than the delay spread is simulated as inter-symbol interference
+    ExperimentConfig(kind="ber", channel="eva", n_cp=100, variants=("gfdm",)).validate()
 
 
-def test_code_version_is_known_when_run_from_source():
+def test_eva_cp_shorter_than_delay_spread_raises_ber():
+    """Cutting the CP from 280 to 100 samples spends less energy on it, so
+    without ISI the BER would fall; EVA's 270-sample delay spread must raise it."""
+    cfg = ExperimentConfig(
+        kind="ber",
+        K=256,
+        M=7,
+        beta=0.5,
+        V=2,
+        channel="eva",
+        snr_db=(20.0,),
+        n_bits=200_000,
+        variants=("gfdm",),
+        seed=1008,
+    )
+    ber = {n_cp: run_ber(replace(cfg, n_cp=n_cp))[0].rows[0][2] for n_cp in (280, 100)}
+    assert ber[100] > ber[280]
+
+
+def test_code_version_is_known_when_run_from_source(tmp_path, monkeypatch):
+    import subprocess
+    from pathlib import Path
+
     import ncgfdm
 
     version = code_version()
     assert version != "unknown"
-    assert version == ncgfdm.__version__
+    commit = git_describe(Path(ncgfdm.__file__).parent)
+    assert version == (ncgfdm.__version__ if commit is None else f"{ncgfdm.__version__}+{commit}")
+    assert code_version() is version  # computed once per process
+    # a checkout appends its commit
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path)]
+    subprocess.run(git + ["init", "-q"], check=True)
+    (tmp_path / "f").write_text("x")
+    subprocess.run(git + ["add", "f"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "m"], check=True)
+    head = subprocess.run(
+        git + ["rev-parse", "--short", "HEAD"], capture_output=True, text=True, check=True
+    ).stdout.strip()
+    assert git_describe(tmp_path) == head
+    (tmp_path / "f").write_text("y")
+    assert git_describe(tmp_path) == f"{head}-dirty"
+    # outside a checkout, or without git, the version is the package's alone
+    outside = tmp_path / "plain"
+    outside.mkdir()
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    assert git_describe(outside) is None
+    monkeypatch.setenv("PATH", "")
+    assert git_describe(tmp_path) is None
+    assert code_version.__wrapped__() == ncgfdm.__version__
 
 
 def test_presets():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import built, built_ops, dense_p_tilde
-from ncgfdm.channel import eva_profile, eva_realization, zf_equalize
+from ncgfdm.channel import JakesFadingProcess, eva_profile, zf_equalize
 from ncgfdm.params import SeededRng, decision_labels, qam_constellation, vector_to_grid
 from ncgfdm.transceiver import (
     TransmitResult,
@@ -169,7 +169,7 @@ def test_full_chain_over_fading_channel(qam16):
     D = random_symbols(qam16, p.N, 3, seed=9)
     res = nc_transmit_stream(ops, D)
     framed = res.waveform.reshape(p.N + p.n_cp, -1, order="F")
-    h = eva_realization(eva_profile(), 0, np.random.default_rng(7), block_len=p.N)
+    h = JakesFadingProcess(eva_profile(), p.N, 1e-4, np.random.default_rng(7)).realization(0)
     cores = np.empty((p.N, 3), dtype=complex)
     for i in range(3):
         rx = np.convolve(framed[:, i], np.trim_zeros(h.taps, "b"))[: p.N + p.n_cp]
