@@ -19,7 +19,7 @@ from ncgfdm import (
     mc_smooth_power,
     prototype_filter,
     qam_constellation,
-    smooth_power_curve,
+    sir_report,
 )
 
 
@@ -35,7 +35,7 @@ c = qam_constellation(16)
 print("steady smooth power and SIR at beta = 0:")
 for V in (0, 2, 4, 6):
     p, ops = operators(0.0, V)
-    curve = smooth_power_curve(ops, 40)
+    curve = sir_report(ops, 40).smooth_power
     emp = empirical_sir(ops, SeededRng(V).generator, 5000, points=c.points)
     print(
         f"  V={V}: power {curve[-1]:.4f} (closed form {2 * (V + 1)}), "
@@ -45,7 +45,7 @@ for V in (0, 2, 4, 6):
 
 print("\nrecursion vs Monte-Carlo per symbol index (beta = 0.5, V = 2):")
 p, ops = operators(0.5, 2)
-theory = smooth_power_curve(ops, 8)
+theory = sir_report(ops, 8).smooth_power
 mc = mc_smooth_power(ops, SeededRng(99).generator, 3000, 8, points=c.points)
 for i in range(8):
     print(f"  index {i}: theory {theory[i]:.4f}  monte-carlo {mc[i]:.4f}")

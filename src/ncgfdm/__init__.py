@@ -13,11 +13,8 @@ from .params import (
     SeededRng,
     WaveformParams,
     demap_symbols,
-    grid_to_vector,
     hard_decision,
-    map_bits,
     qam_constellation,
-    vector_to_grid,
 )
 from .filterbank import (
     PrototypeFilter,
@@ -49,17 +46,7 @@ from .channel import (
     eva_profile,
     zf_equalize,
 )
-from .transceiver import (
-    TransmitResult,
-    add_cyclic_prefix,
-    demodulate,
-    frame_stream,
-    gfdm_modulate,
-    nc_transmit_stream,
-    recover_iterative,
-    strip_cyclic_prefix,
-    unframe_stream,
-)
+from .transceiver import recover_iterative
 from .spectrum import (
     PsdEstimate,
     SirReport,
@@ -71,7 +58,6 @@ from .spectrum import (
     psd_sample_stream,
     sidelobe_level,
     sir_report,
-    smooth_power_curve,
     welch_psd,
 )
 from .experiments import (

@@ -37,6 +37,9 @@ __all__ = [
 EVA_DELAYS_NS = (0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510.0)
 EVA_POWERS_DB = (0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9)
 
+#: channel bin magnitude at or below which zero forcing counts as a deep fade
+ZF_MIN_GAIN = 1e-12
+
 
 class DeepFadeError(ArithmeticError):
     """ZF equalization hit a near-zero channel bin; carries the bin and symbol index."""
@@ -237,15 +240,15 @@ def apply_channel(
     return y
 
 
-def zf_equalize(h: ChannelRealization, y: np.ndarray, min_gain: float = 1e-12) -> np.ndarray:
+def zf_equalize(h: ChannelRealization, y: np.ndarray) -> np.ndarray:
     """DFT-domain division by the channel response (zero forcing), per block.
 
     Raises :class:`DeepFadeError` naming the first block, in row order,
-    whose response has a bin at or below ``min_gain``.
+    whose response has a bin at or below ``ZF_MIN_GAIN``.
     """
     y = np.asarray(y, dtype=np.complex128)
     _check_length(h, y)
-    faded = np.flatnonzero(np.atleast_1d(np.abs(h.H_diag).min(axis=-1)) <= min_gain)
+    faded = np.flatnonzero(np.atleast_1d(np.abs(h.H_diag).min(axis=-1)) <= ZF_MIN_GAIN)
     if faded.size:
         row = faded[0]
         mags = np.abs(np.atleast_2d(h.H_diag)[row])

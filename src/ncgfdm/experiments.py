@@ -44,7 +44,6 @@ from .smoothing import (
 )
 from .spectrum import (
     WelchAccumulator,
-    closed_form_sir,
     empirical_sir,
     mc_smooth_power,
     normalize_inband,
@@ -66,6 +65,7 @@ __all__ = [
     "run_power",
     "run_validation",
     "run_experiment",
+    "write_tables",
 ]
 
 EXPERIMENT_KINDS = ("psd", "ber", "sir", "power", "validate")
@@ -188,12 +188,21 @@ class ExperimentConfig:
         self.waveform()
         if self.channel not in ("awgn", "eva", "none"):
             raise ValueError(f"unknown channel {self.channel!r}")
+        q = self.qam_order
+        if not (isinstance(q, int) and q >= 4 and q & (q - 1) == 0 and q.bit_length() % 2):
+            raise ValueError(f"qam_order must be a power of four (square QAM), got {q!r}")
         if self.kind == "ber" and len(self.snr_db) == 0:
             raise ValueError("BER experiments need a non-empty SNR grid")
+        if self.kind == "ber" and self.recovery_iterations < 1:
+            raise ValueError(
+                f"BER experiments need recovery_iterations >= 1, got {self.recovery_iterations}"
+            )
         if self.kind == "psd" and self.n_symbols < 1:
             raise ValueError("PSD experiments need at least one symbol")
         if not self.variants:
             raise ValueError("at least one waveform variant is required")
+        if self.kind == "psd":
+            self._validate_welch()
         if self.kind == "sir":
             self._validate_sir_grid()
         if self.kind == "power":
@@ -218,6 +227,23 @@ class ExperimentConfig:
                         f"{profile.sample_interval_ns:g} ns per sample)"
                     )
         return self
+
+    def _validate_welch(self) -> None:
+        if self.window_len < 8:
+            raise ValueError(f"PSD experiments need window_len >= 8, got {self.window_len}")
+        if not 0 <= self.overlap < self.window_len:
+            raise ValueError(
+                f"overlap must lie in [0, window_len = {self.window_len}), got {self.overlap}"
+            )
+        for spec in self.variants:
+            p = resolve_variant(self, spec).params
+            samples = self.n_symbols * (p.N + p.n_cp) * self.oversample
+            if samples < self.window_len:
+                raise ValueError(
+                    f"variant {spec!r} streams n_symbols * (N + n_cp) * oversample = "
+                    f"{self.n_symbols} * {p.N + p.n_cp} * {self.oversample} = {samples} "
+                    f"samples, fewer than one Welch segment of window_len = {self.window_len}"
+                )
 
     def _validate_sir_grid(self) -> None:
         if self.n_symbols < 2:
@@ -393,29 +419,15 @@ def resolve_variant(cfg: ExperimentConfig, spec: str) -> Variant:
     return Variant(name=spec, label=label, params=p.validate(), smoothed=smoothed)
 
 
-class _BuildCache:
-    """Caches filters, transmit matrices and operator sets across variants."""
+def _transmit(p: WaveformParams):
+    """(prototype, transmit matrix) of one waveform."""
+    g = prototype_filter(p)
+    return g, build_transmit_matrix(g, p)
 
-    def __init__(self):
-        self._tm = {}
-        self._ops = {}
 
-    def transmit(self, p: WaveformParams):
-        key = (p.K, p.M, p.beta, p.filter_kind)
-        if key not in self._tm:
-            g = prototype_filter(p)
-            self._tm[key] = (g, build_transmit_matrix(g, p))
-        return self._tm[key]
-
-    def operators(self, p: WaveformParams, check: bool = True) -> NcOperators:
-        key = (p.K, p.M, p.n_cp, p.beta, p.V, p.filter_kind)
-        if key not in self._ops:
-            g, tm = self.transmit(p)
-            basis = build_basis(g, p)
-            self._ops[key] = build_nc_operators(
-                tm, basis, p, is_unitary=g.is_dirichlet, check=check
-            )
-        return self._ops[key]
+def _operators(g, tm, p: WaveformParams, check: bool = True) -> NcOperators:
+    """The operator set of one waveform on its prototype and transmit matrix."""
+    return build_nc_operators(tm, build_basis(g, p), p, is_unitary=g.is_dirichlet, check=check)
 
 
 def _draw_data(rng: np.random.Generator, c: Constellation, N: int, count: int):
@@ -444,14 +456,13 @@ def run_psd(cfg: ExperimentConfig) -> list:
     if cfg.kind != "psd":
         raise ValueError("config kind must be 'psd'")
     c = qam_constellation(cfg.qam_order)
-    cache = _BuildCache()
     master = SeededRng(cfg.seed)
     tables = []
     for vi, spec in enumerate(cfg.variants):
         var = resolve_variant(cfg, spec)
         p = var.params
-        g, tm = cache.transmit(p)
-        ops = cache.operators(p) if var.smoothed else None
+        g, tm = _transmit(p)
+        ops = _operators(g, tm, p) if var.smoothed else None
         rng = master.child(vi)
         acc = WelchAccumulator(cfg.window_len, cfg.overlap)
         carry = None
@@ -508,16 +519,17 @@ def run_ber(cfg: ExperimentConfig) -> list:
     if cfg.kind != "ber":
         raise ValueError("config kind must be 'ber'")
     c = qam_constellation(cfg.qam_order)
-    cache = _BuildCache()
     master = SeededRng(cfg.seed)
-    variants = [resolve_variant(cfg, s) for s in cfg.variants]
+    builds = []
+    for spec in cfg.variants:
+        var = resolve_variant(cfg, spec)
+        g, tm = _transmit(var.params)
+        builds.append((var, tm, _operators(g, tm, var.params) if var.smoothed else None))
     profile = cfg.channel_profile()
     rows = []
     for si, snr in enumerate(cfg.snr_db):
-        for var in variants:
+        for var, tm, ops in builds:
             p = var.params
-            g, tm = cache.transmit(p)
-            ops = cache.operators(p) if var.smoothed else None
             sigma2 = 0.0 if cfg.channel == "none" else noise_variance(snr, p, c.bits_per_symbol)
             bits_rng = master.child(3 * si + 0)
             chan_rng = master.child(3 * si + 1)
@@ -577,18 +589,26 @@ def run_ber(cfg: ExperimentConfig) -> list:
     ]
 
 
-def _steady_sir_db(ops: NcOperators, max_symbols: int = 200) -> tuple[float, float]:
-    """(sir_db, smooth_power) at the converged plateau (within 0.01 dB)."""
-    n = 8
+#: symbol counts after which :func:`_steady_sir_db` reads the SIR plateau
+_PLATEAU_READS = (8, 16, 32, 64, 128)
+
+
+def _steady_sir_db(ops: NcOperators) -> tuple[float, float, float]:
+    """(sir_db, smooth_power, closed_form_db) at the converged plateau.
+
+    One power recursion over 128 symbols, read after 8, 16, ..., 128 of
+    them: the first read within 0.01 dB of the one before is the plateau,
+    else the last.  ``closed_form_db`` is nan unless A is unitary.
+    """
+    rep = sir_report(ops, _PLATEAU_READS[-1])
     prev = None
-    while n <= max_symbols:
-        rep = sir_report(ops, n)
-        cur = rep.sir_db[-1]
+    for n in _PLATEAU_READS:
+        cur = rep.sir_db[n - 1]
         if prev is not None and abs(cur - prev) < 0.01:
-            return float(cur), float(rep.smooth_power[-1])
+            break
         prev = cur
-        n *= 2
-    return float(cur), float(rep.smooth_power[-1])
+    closed = float("nan") if rep.closed_form_db is None else rep.closed_form_db
+    return float(cur), float(rep.smooth_power[n - 1]), closed
 
 
 def run_sir(cfg: ExperimentConfig) -> list:
@@ -597,18 +617,16 @@ def run_sir(cfg: ExperimentConfig) -> list:
     if cfg.kind != "sir":
         raise ValueError("config kind must be 'sir'")
     c = qam_constellation(cfg.qam_order)
-    cache = _BuildCache()
     master = SeededRng(cfg.seed)
     rows = []
     trial = 0
     for beta in cfg.beta_grid:
+        g, tm = _transmit(replace(cfg.waveform(beta=beta), oversample=1))
         for V in cfg.v_grid:
-            p = cfg.waveform(beta=beta, V=V)
-            ops = cache.operators(replace(p, oversample=1))
-            theory_db, smooth_power = _steady_sir_db(ops)
+            ops = _operators(g, tm, replace(cfg.waveform(beta=beta, V=V), oversample=1))
+            theory_db, smooth_power, closed = _steady_sir_db(ops)
             emp = empirical_sir(ops, master.child(trial), cfg.n_symbols, points=c.points)
             trial += 1
-            closed = closed_form_sir(p) if ops.is_unitary else float("nan")
             rows.append(
                 (float(beta), int(V), smooth_power, theory_db, 10.0 * np.log10(emp), closed)
             )
@@ -636,9 +654,8 @@ def run_power(cfg: ExperimentConfig) -> list:
     if cfg.kind != "power":
         raise ValueError("config kind must be 'power'")
     c = qam_constellation(cfg.qam_order)
-    cache = _BuildCache()
-    p = cfg.waveform()
-    ops = cache.operators(replace(p, oversample=1))
+    p = replace(cfg.waveform(), oversample=1)
+    ops = _operators(*_transmit(p), p)
     rep = sir_report(ops, cfg.n_indices)
     mc = mc_smooth_power(
         ops, SeededRng(cfg.seed).child(0), cfg.n_streams, cfg.n_indices, points=c.points
@@ -708,16 +725,15 @@ def run_validation(cfg: ExperimentConfig | None = None, inject_fault: bool = Fal
     deliberately corrupts one operator set to prove the report catches it.
     """
     rows = []
-    cache = _BuildCache()
-    unitary_cache = {}
     for K, M in VALIDATION_DIMS:
         N = K * M
         for beta in VALIDATION_BETAS:
+            g, tm = _transmit(WaveformParams(K=K, M=M, n_cp=K, beta=beta))
             for V in VALIDATION_ORDERS:
                 if 2 * V + 1 > N:
                     continue
                 p = WaveformParams(K=K, M=M, n_cp=K, beta=beta, V=V)
-                ops = cache.operators(p, check=False)
+                ops = _operators(g, tm, p, check=False)
                 if inject_fault:
                     ops = with_corrupted_p2(ops)
                 tol = identity_tolerance(V)
@@ -726,12 +742,8 @@ def run_validation(cfg: ExperimentConfig | None = None, inject_fault: bool = Fal
                     r = res[name]
                     rows.append((K, M, beta, V, name, r, tol, r <= tol))
                 if beta == 0.0:
-                    key = (K, M)
-                    if key not in unitary_cache:
-                        # ||A^H A - I||_F / sqrt(N), from the singular values sqrt(K)|Zg|
-                        unit = K * np.abs(ops.tm.polyphase) ** 2 - 1.0
-                        unitary_cache[key] = float(np.linalg.norm(unit) / np.sqrt(N))
-                    u = unitary_cache[key]
+                    # ||A^H A - I||_F / sqrt(N), from the singular values sqrt(K)|Zg|
+                    u = float(np.linalg.norm(K * np.abs(tm.polyphase) ** 2 - 1.0) / np.sqrt(N))
                     rows.append((K, M, beta, V, "unitarity", u, 1e-9, u <= 1e-9))
                     t = res["trace_rank"] / (V + 1)
                     rows.append((K, M, beta, V, "trace_rank", t, 1e-6, t <= 1e-6))

@@ -59,15 +59,6 @@ class PrototypeFilter:
         """N-point DFT of the pulse."""
         return np.fft.fft(self.samples)
 
-    def to_csv(self) -> str:
-        """Filter dump: sample index, g real/imag, |DFT| magnitude."""
-        mag = np.abs(self.spectrum())
-        lines = ["n,g_real,g_imag,dft_magnitude"]
-        for n in range(self.N):
-            g = self.samples[n]
-            lines.append(f"{n},{g.real:.17g},{g.imag:.17g},{mag[n]:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class TransmitMatrix:

@@ -1,9 +1,9 @@
-"""Waveform parameters, constellations, symbol grids and seeded randomness.
+"""Waveform parameters, constellations, hard decisions and seeded randomness.
 
 Everything downstream (filter bank, smoothing operators, transceiver) is
-dimensioned by a validated :class:`WaveformParams`.  The vectorization order
-of a K x M symbol grid is fixed here once and for all: subcarrier-major
-within each subsymbol, so vector slot ``m*K + k`` holds grid entry ``(k, m)``.
+dimensioned by a validated :class:`WaveformParams`.  Data vectors are
+subcarrier-major within each subsymbol: vector slot ``m*K + k`` carries
+subcarrier ``k`` of subsymbol ``m`` (see :class:`ncgfdm.filterbank.TransmitMatrix`).
 """
 
 from __future__ import annotations
@@ -13,23 +13,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "FilterKind",
+    "DimensionError",
     "WaveformParams",
     "Constellation",
     "qam_constellation",
     "SeededRng",
-    "grid_to_vector",
-    "vector_to_grid",
-    "map_bits",
     "hard_decision",
     "demap_symbols",
 ]
 
 RAISED_COSINE = "rc"
 DIRICHLET = "dirichlet"
-
-#: accepted prototype filter kinds
-FilterKind = (RAISED_COSINE, DIRICHLET)
 
 
 class DimensionError(ValueError):
@@ -77,7 +71,7 @@ class WaveformParams:
             )
         if not 0 <= self.n_cp < self.N:
             raise DimensionError(f"CP length must satisfy 0 <= n_cp < N, got {self.n_cp}")
-        if self.filter_kind not in FilterKind:
+        if self.filter_kind not in (RAISED_COSINE, DIRICHLET):
             raise DimensionError(f"unknown filter kind {self.filter_kind!r}")
         if self.oversample < 1:
             raise DimensionError(f"oversample factor must be >= 1, got {self.oversample}")
@@ -116,14 +110,6 @@ class Constellation:
         if abs(energy - 1.0) > 1e-12:
             raise ValueError(f"constellation mean energy is {energy}, expected 1")
         object.__setattr__(self, "_slicer", _SquareQamSlicer.of(pts, self.bits_per_symbol))
-
-    def to_csv(self) -> str:
-        """Constellation table as CSV text: index, bits, real, imag."""
-        lines = ["index,bits,real,imag"]
-        for i, pt in enumerate(self.points):
-            bits = format(i, f"0{self.bits_per_symbol}b")
-            lines.append(f"{i},{bits},{pt.real:.17g},{pt.imag:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -213,39 +199,7 @@ def qam_constellation(order: int) -> Constellation:
 
 
 # ---------------------------------------------------------------------------
-# symbol grids
-
-
-def grid_to_vector(grid: np.ndarray) -> np.ndarray:
-    """Vectorize a K x M grid in subcarrier-major order (slot m*K + k)."""
-    grid = np.asarray(grid)
-    if grid.ndim != 2:
-        raise ValueError("grid must be a K x M matrix")
-    return grid.reshape(-1, order="F")
-
-
-def vector_to_grid(vec: np.ndarray, K: int, M: int) -> np.ndarray:
-    """Inverse of :func:`grid_to_vector`."""
-    vec = np.asarray(vec)
-    if vec.size != K * M:
-        raise ValueError(f"vector length {vec.size} != K*M = {K * M}")
-    return vec.reshape(K, M, order="F")
-
-
-def map_bits(bits: np.ndarray, c: Constellation, K: int, M: int) -> np.ndarray:
-    """Map a bit sequence onto a K x M grid of constellation points.
-
-    Bits fill the grid in vectorization order, ``bits_per_symbol`` bits per
-    point, MSB first.
-    """
-    bits = np.asarray(bits).ravel()
-    need = K * M * c.bits_per_symbol
-    if bits.size != need:
-        raise ValueError(f"expected {need} bits, got {bits.size}")
-    groups = bits.reshape(K * M, c.bits_per_symbol)
-    weights = 1 << np.arange(c.bits_per_symbol - 1, -1, -1)
-    labels = groups @ weights
-    return vector_to_grid(c.points[labels], K, M)
+# hard decisions
 
 
 def _nearest_labels(flat: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -309,6 +263,3 @@ class SeededRng:
         return np.random.default_rng(
             np.random.SeedSequence(self.seed, spawn_key=(index,))
         )
-
-    def bits(self, count: int) -> np.ndarray:
-        return self._gen.integers(0, 2, size=count, dtype=np.uint8)

@@ -49,64 +49,50 @@ def synthesis_waveform(g: PrototypeFilter, p: WaveformParams) -> tuple[np.ndarra
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Basis signals restricted to the symbol core and the CP-extended range.
+    """The basis signals of orders 0..V on the symbol core, and their spectrum.
 
-    Q holds orders 0..V on n = 0..N-1; Q_ext holds orders 0..2V on
-    n = -n_cp..N-1 (the extended family enters the boundary-matching
-    matrix).
+    ``Q`` (N x (V+1)) holds f_v(n) for n = 0..N-1, where f_v is the order-v
+    spectral derivative of the synthesis waveform, read from the CP start
+    (sample n of the core is periodic index n + n_cp).  ``F0`` is the N-point
+    DFT of the synthesis waveform; the boundary matrix P_f takes its entries,
+    orders up to 2V, from the moments of F0.
     """
 
     Q: np.ndarray
-    Q_ext: np.ndarray
     F0: np.ndarray
-    f0: np.ndarray
-    V: int
-    n_cp: int
 
 
 def build_basis(g: PrototypeFilter, p: WaveformParams) -> BasisSet:
-    """Evaluate every basis order by inverse DFT of the derivative spectrum."""
+    """Evaluate basis orders 0..V by inverse DFT of the derivative spectrum."""
     p.validate()
     N, V, n_cp = p.N, p.V, p.n_cp
-    f0, F0 = synthesis_waveform(g, p)
+    _, F0 = synthesis_waveform(g, p)
     fac = 2j * np.pi * np.arange(N) / N
     # f_v on the periodic grid; sample index n maps to (n + n_cp) mod N
-    cols = [np.fft.ifft(fac**v * F0) for v in range(2 * V + 1)]
     core_idx = (np.arange(N) + n_cp) % N
-    ext_idx = np.arange(N + n_cp) % N  # n = -n_cp..N-1 shifted by n_cp
-    Q = np.stack([c[core_idx] for c in cols[: V + 1]], axis=1)
-    Q_ext = np.stack([c[ext_idx] for c in cols], axis=1)
-    return BasisSet(Q=Q, Q_ext=Q_ext, F0=F0, f0=f0, V=V, n_cp=n_cp)
+    Q = np.stack([np.fft.ifft(fac**v * F0)[core_idx] for v in range(V + 1)], axis=1)
+    return BasisSet(Q=Q, F0=F0)
 
 
-class _EquilibratedSolve:
-    """Pivoted solve of the boundary matrix with diagonal equilibration.
+def _equilibrated_inverse(P_f: np.ndarray) -> tuple[np.ndarray, float]:
+    """(P_f^{-1}, cond) by a pivoted LU with diagonal equilibration.
 
     Derivative orders up to 2V make the raw entries span many decades; the
     symmetric scaling by the diagonal keeps high orders usable in double
-    precision.
+    precision.  ``cond`` is the LAPACK 1-norm estimate of the scaled matrix;
+    above ``COND_LIMIT`` the matrix counts as singular.
     """
-
-    def __init__(self, P_f: np.ndarray, what: str = "boundary matrix"):
-        d = np.abs(np.diag(P_f)).astype(float)
-        d[d == 0] = 1.0
-        self.scale = 1.0 / np.sqrt(d)
-        scaled = P_f * np.outer(self.scale, self.scale)
-        lu, piv = scipy.linalg.lu_factor(scaled)
-        rcond, _ = scipy.linalg.lapack.zgecon(lu, np.linalg.norm(scaled, 1))
-        cond = np.inf if rcond == 0 else 1.0 / rcond
-        if cond > COND_LIMIT:
-            raise SingularMatrixError(what, cond)
-        self.cond = cond
-        self._lu = (lu, piv)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        scaled_rhs = rhs * (self.scale[:, None] if rhs.ndim == 2 else self.scale)
-        out = scipy.linalg.lu_solve(self._lu, scaled_rhs)
-        return out * (self.scale[:, None] if rhs.ndim == 2 else self.scale)
-
-    def inverse(self) -> np.ndarray:
-        return self.solve(np.eye(self.scale.size, dtype=np.complex128))
+    d = np.abs(np.diag(P_f)).astype(float)
+    d[d == 0] = 1.0
+    scale = 1.0 / np.sqrt(d)
+    scaled = P_f * np.outer(scale, scale)
+    lu, piv = scipy.linalg.lu_factor(scaled)
+    rcond, _ = scipy.linalg.lapack.zgecon(lu, np.linalg.norm(scaled, 1))
+    cond = np.inf if rcond == 0 else 1.0 / rcond
+    if cond > COND_LIMIT:
+        raise SingularMatrixError("boundary matrix", cond)
+    eye = np.eye(scale.size, dtype=np.complex128)
+    return scipy.linalg.lu_solve((lu, piv), eye * scale[:, None]) * scale[:, None], cond
 
 
 @dataclass(frozen=True)
@@ -223,8 +209,7 @@ def build_nc_operators(
     # P_f entries are the boundary values f_{v+w}(-n_cp) = (1/N) sum fac^{v+w} F0
     moments = np.array([np.sum(fac**o * basis.F0) for o in range(2 * V + 1)]) / N
     P_f = moments[np.add.outer(np.arange(V + 1), np.arange(V + 1))]
-    solver = _EquilibratedSolve(P_f)
-    P_f_inv = solver.inverse()
+    P_f_inv, pf_cond = _equilibrated_inverse(P_f)
     A_inv_Q = tm.demodulate(basis.Q)
     gain = A_inv_Q @ P_f_inv
     ops = NcOperators(
@@ -238,7 +223,7 @@ def build_nc_operators(
         P_2=P_2,
         A_inv_Q=A_inv_Q,
         gain=gain,
-        pf_cond=solver.cond,
+        pf_cond=pf_cond,
     )
     if check:
         tol = identity_tolerance(V)
@@ -440,11 +425,11 @@ def derivative_scales(x: np.ndarray, V: int) -> np.ndarray:
     return scales
 
 
-def with_corrupted_p2(ops: NcOperators, scale: float = 1.01) -> NcOperators:
-    """Test hook: copy with P_2 perturbed.
+def with_corrupted_p2(ops: NcOperators) -> NcOperators:
+    """Test hook: copy with P_2 scaled by 1.01.
 
     The perturbation breaks the boundary-product identity, so the
     idempotency of P_tilde = gain P_2 fails; used to validate that the
     validation report actually detects faults.
     """
-    return replace(ops, P_2=ops.P_2 * scale)
+    return replace(ops, P_2=ops.P_2 * 1.01)

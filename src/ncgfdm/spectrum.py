@@ -32,7 +32,6 @@ __all__ = [
     "normalize_inband",
     "sidelobe_level",
     "SirReport",
-    "smooth_power_curve",
     "sir_report",
     "closed_form_sir",
     "empirical_sir",
@@ -55,7 +54,9 @@ def psd_sample_stream(
     ``recenter`` the occupied band, which sits at the bottom
     ``1/oversample`` of the widened spectrum, is shifted to be symmetric
     around DC by exp(-j pi n / oversample), with n restarting at 0 on each
-    call.
+    call.  At oversample 1 the result is the plain CP-framed stream, each
+    symbol's last ``n_cp`` samples then its core; ``n_cp`` must lie in
+    [0, N).
     """
     if oversample < 1:
         raise ValueError("oversample factor must be >= 1")
@@ -63,6 +64,8 @@ def psd_sample_stream(
     if rows.ndim == 1:
         rows = rows[None, :]
     N = rows.shape[1]
+    if not 0 <= n_cp < N:
+        raise ValueError(f"CP length {n_cp} out of range for block of {N}")
     L, cp = N * oversample, n_cp * oversample
     if oversample > 1:
         rows = np.fft.ifft(np.fft.fft(rows, axis=1), n=L, axis=1)
@@ -98,13 +101,6 @@ class PsdEstimate:
     def db(self, floor: float = 1e-300) -> np.ndarray:
         return 10.0 * np.log10(np.maximum(self.psd, floor))
 
-    def to_csv(self) -> str:
-        lines = ["frequency,psd_db"]
-        db = self.db()
-        for f, v in zip(self.freqs, db):
-            lines.append(f"{f:.17g},{v:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 #: segments transformed per batch in :meth:`WelchAccumulator.process`; bounds
 #: its working memory to two arrays of this many windows
@@ -124,12 +120,12 @@ def _stacked_rows(first: np.ndarray, second: np.ndarray, start: int, stop: int) 
 class WelchAccumulator:
     """Streaming Welch PSD: feed chunks, read the average at the end.
 
-    Hann window by default; segments advance by ``window_len - overlap``.
+    Hann-windowed segments advance by ``window_len - overlap``.
     Output frequencies are normalized to the sample rate of the chunks and
     fftshifted to [-1/2, 1/2).
     """
 
-    def __init__(self, window_len: int, overlap: int | None = None, window: str = "hann"):
+    def __init__(self, window_len: int, overlap: int | None = None):
         if window_len < 8:
             raise ValueError("segment length too short")
         if overlap is None:
@@ -138,7 +134,7 @@ class WelchAccumulator:
             raise ValueError("overlap must lie in [0, window_len)")
         self.window_len = window_len
         self.step = window_len - overlap
-        self.window = scipy.signal.get_window(window, window_len)
+        self.window = scipy.signal.get_window("hann", window_len)
         self._wnorm = np.sum(self.window**2)
         self._acc = np.zeros(window_len)
         self._count = 0
@@ -181,14 +177,9 @@ class WelchAccumulator:
         return PsdEstimate(freqs=freqs, psd=psd, segments=self._count)
 
 
-def welch_psd(
-    samples: np.ndarray,
-    window_len: int,
-    overlap: int | None = None,
-    window: str = "hann",
-) -> PsdEstimate:
+def welch_psd(samples: np.ndarray, window_len: int, overlap: int | None = None) -> PsdEstimate:
     """One-shot Welch estimate of an in-memory sample stream."""
-    acc = WelchAccumulator(window_len, overlap=overlap, window=window)
+    acc = WelchAccumulator(window_len, overlap=overlap)
     acc.process(samples)
     return acc.result()
 
@@ -227,21 +218,17 @@ class SirReport:
     """Per-symbol-index power and SIR sequences, plus the closed form.
 
     ``per_symbol_power`` is the expected effective-data energy trace,
-    ``smooth_power`` the expected data-domain smooth-signal energy, and
-    ``sir_db`` their ratio against the signal power N.  ``closed_form_db``
-    is present only for the unitary (beta = 0) configuration.
+    ``smooth_power`` the expected data-domain smooth-signal energy
+    E{||A^{-1} w_i||^2} for i.i.d. unit data (zero at index 0, which is
+    sent unsmoothed), and ``sir_db`` their ratio against the signal power
+    N.  ``closed_form_db`` is present only when A is unitary (the
+    Dirichlet pulse).
     """
 
     per_symbol_power: np.ndarray
     smooth_power: np.ndarray
     sir_db: np.ndarray
     closed_form_db: float | None = None
-
-    def to_csv(self) -> str:
-        lines = ["index,power,sir_db"]
-        for i, (p, s) in enumerate(zip(self.smooth_power, self.sir_db)):
-            lines.append(f"{i},{p:.17g},{s:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 class _LowRankPowerRecursion:
@@ -269,10 +256,10 @@ class _LowRankPowerRecursion:
             + self.RL @ self.TTh @ self.RL.conj().T
         )
         self.S0 = RRh
+        # trace(P_tilde P_tilde^H): the smooth power's fixed part and a
+        # trace(E_i) piece, with trace(P_tilde)
         self.smooth_fixed = float(np.real(np.trace(self.TTh @ self.LhL)))
-        # trace(E_i) pieces: trace(P_tilde) and trace(P_tilde P_tilde^H)
         self.tr_pt = complex(np.trace(self.TL))
-        self.tr_ptpt = float(np.real(np.trace(self.TTh @ self.LhL)))
 
     def run(self, n_symbols: int) -> tuple[np.ndarray, np.ndarray]:
         """(per_symbol_power, smooth_power) for indices 0..n_symbols-1."""
@@ -283,20 +270,9 @@ class _LowRankPowerRecursion:
         for i in range(1, n_symbols):
             tr_hat = float(np.real(np.trace(S @ self.LhL)))
             smooth_power[i] = tr_hat + self.smooth_fixed
-            data_power[i] = self.N - 2 * self.tr_pt.real + self.tr_ptpt + tr_hat
+            data_power[i] = self.N - 2 * self.tr_pt.real + self.smooth_fixed + tr_hat
             S = self.base_S + self.RL @ S @ self.RL.conj().T
         return data_power, smooth_power
-
-
-def smooth_power_curve(ops: NcOperators, n_symbols: int) -> np.ndarray:
-    """Expected smooth-signal power per symbol index for i.i.d. unit data.
-
-    Entry i is E{||A^{-1} w_i||^2}; the first symbol is emitted unsmoothed,
-    so entry 0 is zero.
-    """
-    if n_symbols < 1:
-        raise ValueError("need at least one symbol")
-    return _LowRankPowerRecursion(ops).run(n_symbols)[1]
 
 
 def sir_report(ops: NcOperators, n_symbols: int) -> SirReport:

@@ -32,9 +32,9 @@ from ncgfdm.spectrum import (
     empirical_sir,
     mc_smooth_power,
     sidelobe_level,
-    smooth_power_curve,
+    sir_report,
 )
-from ncgfdm.transceiver import nc_transmit_stream, recover_iterative
+from ncgfdm.transceiver import recover_iterative
 
 
 def report(n, ok, detail):
@@ -121,7 +121,7 @@ def test_criterion_4_smooth_power_recursion():
     worst = {}
     for beta in (0.1, 0.5):
         _, _, _, ops_rc = built_ops(256, 7, 280, beta, 2)
-        theory = smooth_power_curve(ops_rc, 21)
+        theory = sir_report(ops_rc, 21).smooth_power
         mc = mc_smooth_power(ops_rc, SeededRng(1004).generator, 2_000, 21, points=c.points)
         rel = np.abs(mc[1:] - theory[1:]) / theory[1:]
         ok &= bool(np.all(rel <= 0.03))
@@ -143,8 +143,8 @@ def test_criterion_5_noiseless_recovery():
     for beta, V in [(0.1, 0), (0.1, 2), (0.1, 4), (0.5, 0), (0.5, 2), (0.5, 4)]:
         _, _, _, ops = built_ops(256, 7, 280, beta, V)
         D = c.points[SeededRng(1005 + V).generator.integers(0, 16, size=(ops.params.N, 1000))]
-        res = nc_transmit_stream(ops, D)
-        soft = recover_iterative(ops, res.cores, c, n_iter=8)
+        X, _, _ = smooth_stream(ops, D)
+        soft = recover_iterative(ops, X, c, n_iter=8)
         tx = demap_symbols(D.reshape(-1, order="F"), c)
         rx = demap_symbols(soft.reshape(-1, order="F"), c)
         total_errors += int(np.count_nonzero(tx != rx))

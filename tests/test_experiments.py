@@ -74,6 +74,36 @@ def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
         small_cfg(kind, **overrides).validate()
 
 
+@pytest.mark.parametrize(
+    "kind,overrides,message",
+    [
+        ("ber", dict(recovery_iterations=0), r"recovery_iterations >= 1, got 0"),
+        ("psd", dict(window_len=4), r"window_len >= 8, got 4"),
+        ("psd", dict(overlap=-1), r"overlap must lie in \[0, window_len = 1792\), got -1"),
+        ("psd", dict(overlap=1792), r"overlap must lie in \[0, window_len = 1792\), got 1792"),
+        # ofdm: 3 symbols of N + n_cp = 16 + 2 samples at oversample 4
+        ("psd", dict(n_symbols=3), r"'ofdm' streams .* = 216 samples, .*window_len = 1792"),
+        ("psd", dict(n_symbols=3, variants=("gfdm",)), r"'gfdm' streams .* = 1536 samples"),
+        ("ber", dict(qam_order=8), r"qam_order must be a power of four .*got 8"),
+        ("sir", dict(qam_order=0), r"qam_order must be a power of four .*got 0"),
+    ],
+    ids=["recovery_iterations", "window_len", "negative-overlap", "whole-window-overlap",
+         "ofdm-stream-short", "gfdm-stream-short", "qam_order-8", "qam_order-0"],
+)
+def test_config_validation_rejects_ber_and_psd_configs_that_fail_mid_run(kind, overrides, message):
+    # each of these passed validate() before: the Welch and stream-length
+    # cases failed only after the builds, the others with a message that
+    # did not name the field
+    with pytest.raises(ValueError, match=message):
+        small_cfg(kind, **overrides).validate()
+
+
+def test_cli_rejects_non_square_qam_before_any_work(tmp_path):
+    with pytest.raises(ValueError, match=r"qam_order must be a power of four .*got 8"):
+        main(["sir", "--set", "qam_order=8", "--out", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
+
+
 def test_from_dict_names_unknown_keys():
     with pytest.raises(ValueError, match=r"unknown config key\(s\): bogus, n_sym$"):
         ExperimentConfig.from_dict({"kind": "sir", "n_sym": 3, "bogus": 1})

@@ -247,10 +247,3 @@ def test_even_m_edge_convention_keeps_matrix_invertible():
         g = prototype_filter(p)
         tm = build_transmit_matrix(g, p)
         assert np.allclose(tm.demodulate(tm.A), np.eye(p.N), atol=1e-8)
-
-
-def test_filter_csv_dump():
-    _, g, _ = built(4, 2, beta=0.0)
-    lines = g.to_csv().strip().split("\n")
-    assert lines[0] == "n,g_real,g_imag,dft_magnitude"
-    assert len(lines) == g.N + 1

@@ -74,11 +74,9 @@ def test_build_basis_matches_pointwise_evaluation():
     basis = build_basis(g, p)
     _, F0 = synthesis_waveform(g, p)
     n_core = np.arange(p.N)
-    n_ext = np.arange(-p.n_cp, p.N)
+    assert basis.Q.shape == (p.N, p.V + 1)
     for v in range(p.V + 1):
         assert np.allclose(basis.Q[:, v], basis_signal(F0, v, n_core, p.n_cp), atol=1e-11)
-    for v in range(2 * p.V + 1):
-        assert np.allclose(basis.Q_ext[:, v], basis_signal(F0, v, n_ext, p.n_cp), atol=1e-10)
 
 
 def test_boundary_matrix_entries_are_basis_boundary_values():

@@ -24,7 +24,6 @@ from ncgfdm.spectrum import (
     psd_sample_stream,
     sidelobe_level,
     sir_report,
-    smooth_power_curve,
     welch_psd,
 )
 
@@ -218,24 +217,24 @@ def dense_power_oracle(ops, n_symbols):
 @pytest.mark.parametrize("K,M,n_cp,beta,V", [(8, 4, 8, 0.0, 2), (8, 4, 8, 0.5, 1)])
 def test_low_rank_power_matches_dense_recursion(K, M, n_cp, beta, V):
     _, _, _, ops = built_ops(K, M, n_cp, beta, V)
-    got = smooth_power_curve(ops, 8)
+    got = sir_report(ops, 8).smooth_power
     want = dense_power_oracle(ops, 8)
     assert np.allclose(got, want, rtol=1e-10)
 
 
 def test_beta_zero_steady_power_and_sir():
     _, _, _, ops = built_ops(16, 7, 16, 0.0, 2)
-    curve = smooth_power_curve(ops, 30)
+    rep = sir_report(ops, 30)
+    curve = rep.smooth_power
     assert curve[0] == 0.0
     assert curve[-1] == pytest.approx(2 * (ops.V + 1), rel=1e-9)
-    rep = sir_report(ops, 30)
     assert rep.per_symbol_power[0] == ops.params.N
     assert rep.closed_form_db == pytest.approx(
         10 * np.log10(16 * 7 / (2 * (ops.V + 1)))
     )
     assert rep.sir_db[-1] == pytest.approx(rep.closed_form_db, abs=1e-6)
     with np.errstate(divide="ignore"):
-        lin = ops.params.N / smooth_power_curve(ops, 5)
+        lin = ops.params.N / sir_report(ops, 5).smooth_power
     assert np.isinf(lin[0])
     assert np.all(np.isfinite(lin[1:]))
 
@@ -265,9 +264,17 @@ def test_sir_report_attaches_closed_form_only_when_unitary():
     assert sir_report(unitary, 4).closed_form_db == pytest.approx(10 * np.log10(16 * 7 / 6))
     with pytest.raises(ValueError):
         sir_report(ops, 0)
-    csv = sir_report(ops, 4).to_csv()
-    assert csv.splitlines()[0] == "index,power,sir_db"
-    assert len(csv.splitlines()) == 5
+
+
+def test_sir_report_prefix_equals_shorter_report():
+    # run_sir reads the plateau after 8, 16, ..., 128 symbols off one
+    # 128-symbol report; each prefix must be the shorter report, bit for bit
+    _, _, _, ops = built_ops(16, 7, 16, 0.5, 2)
+    full = sir_report(ops, 128)
+    for n in (8, 16, 32, 64):
+        short = sir_report(ops, n)
+        assert np.array_equal(full.sir_db[:n], short.sir_db)
+        assert np.array_equal(full.smooth_power[:n], short.smooth_power)
 
 
 def test_empirical_sir_tracks_theory():
@@ -332,7 +339,7 @@ def test_empirical_sir_rejects_degenerate_stream():
 
 def test_mc_smooth_power_matches_curve():
     _, _, _, ops = built_ops(16, 7, 16, 0.1, 2)
-    theory = smooth_power_curve(ops, 10)
+    theory = sir_report(ops, 10).smooth_power
     pts = qam_constellation(16).points
     mc = mc_smooth_power(ops, SeededRng(4).generator, n_streams=3000, n_symbols=10, points=pts)
     assert mc[0] == 0.0
