@@ -34,6 +34,7 @@ from .params import (
     qam_constellation,
 )
 from .smoothing import (
+    MAX_ORDER,
     NcOperators,
     build_basis,
     build_nc_operators,
@@ -201,6 +202,13 @@ class ExperimentConfig:
             raise ValueError("PSD experiments need at least one symbol")
         if not self.variants:
             raise ValueError("at least one waveform variant is required")
+        if self.kind in ("ber", "psd"):
+            for spec in self.variants:
+                var = resolve_variant(self, spec)
+                if var.smoothed:
+                    _check_order(f"variant {spec!r}", var.params.V)
+        if self.kind == "power":
+            _check_order("power experiments", self.V)
         if self.kind == "psd":
             self._validate_welch()
         if self.kind == "sir":
@@ -258,6 +266,7 @@ class ExperimentConfig:
                     f"v_grid entry V={V} does not fit the block: 2V+1 = {2 * V + 1} > "
                     f"N = K*M = {N}"
                 )
+            _check_order("v_grid entry", V)
         for beta in self.beta_grid:
             try:
                 self.waveform(beta=beta)
@@ -303,6 +312,15 @@ class ExperimentConfig:
         d.pop("out_dir", None)  # where results land is not part of the experiment
         canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def _check_order(name: str, V: int) -> None:
+    """Reject a smoothing order whose operator build would fail its identity check."""
+    if V > MAX_ORDER:
+        raise ValueError(
+            f"{name}: smoothing order V={V} exceeds {MAX_ORDER}, the highest whose "
+            f"operators pass the identity check in double precision"
+        )
 
 
 def apply_preset(cfg: ExperimentConfig, preset: str) -> ExperimentConfig:

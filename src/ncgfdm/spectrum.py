@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .filterbank import prototype_filter
@@ -39,9 +38,7 @@ __all__ = [
 ]
 
 
-def psd_sample_stream(
-    cores: np.ndarray, n_cp: int, oversample: int, recenter: bool = True
-) -> np.ndarray:
+def psd_sample_stream(cores: np.ndarray, n_cp: int, oversample: int) -> np.ndarray:
     """Serialize symbol cores into an oversampled CP-framed stream.
 
     Each core column is interpolated separately by zero-padding its DFT
@@ -50,13 +47,12 @@ def psd_sample_stream(
     exactly.  It is then CP-extended by ``n_cp * oversample`` samples (the
     CP is a circular extension, so per-symbol interpolation and framing
     commute).  Interpolating per symbol, not globally, is what makes
-    boundary discontinuities visible as out-of-band radiation.  With
-    ``recenter`` the occupied band, which sits at the bottom
-    ``1/oversample`` of the widened spectrum, is shifted to be symmetric
-    around DC by exp(-j pi n / oversample), with n restarting at 0 on each
-    call.  At oversample 1 the result is the plain CP-framed stream, each
-    symbol's last ``n_cp`` samples then its core; ``n_cp`` must lie in
-    [0, N).
+    boundary discontinuities visible as out-of-band radiation.  The
+    occupied band, which sits at the bottom ``1/oversample`` of the widened
+    spectrum, is shifted to be symmetric around DC by
+    exp(-j pi n / oversample), with n restarting at 0 on each call.  At
+    oversample 1 the result is the plain CP-framed stream, each symbol's
+    last ``n_cp`` samples then its core; ``n_cp`` must lie in [0, N).
     """
     if oversample < 1:
         raise ValueError("oversample factor must be >= 1")
@@ -74,13 +70,13 @@ def psd_sample_stream(
     # a period-2*oversample vector in t, with the sign of odd rows flipped
     # when N + n_cp is odd.  The interpolation gain is folded in.
     signs = (1.0,)
-    if recenter and oversample > 1:
+    if oversample > 1:
         period = np.exp(-1j * np.pi * np.arange(2 * oversample) / oversample)
         phase = oversample * np.resize(period, cp + L)
         if (N + n_cp) % 2:
             signs = (1.0, -1.0)
     else:
-        phase = np.full(cp + L, float(oversample))
+        phase = np.ones(cp + L)
     framed = np.empty((rows.shape[0], cp + L), dtype=np.complex128)
     step = len(signs)
     for j, sign in enumerate(signs):
@@ -134,7 +130,9 @@ class WelchAccumulator:
             raise ValueError("overlap must lie in [0, window_len)")
         self.window_len = window_len
         self.step = window_len - overlap
-        self.window = scipy.signal.get_window("hann", window_len)
+        # periodic Hann window; the textbook 0.5 - 0.5 cos(2 pi k / n)
+        # differs from this form in the last bits, and so would the PSD
+        self.window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, window_len + 1)[:-1])
         self._wnorm = np.sum(self.window**2)
         self._acc = np.zeros(window_len)
         self._count = 0

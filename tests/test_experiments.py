@@ -98,6 +98,42 @@ def test_config_validation_rejects_ber_and_psd_configs_that_fail_mid_run(kind, o
         small_cfg(kind, **overrides).validate()
 
 
+@pytest.mark.parametrize(
+    "runner,kind,field,values,message",
+    [
+        (run_sir, "sir", "v_grid", lambda V: (0, 2, V), r"v_grid entry: smoothing order V=8"),
+        (run_ber, "ber", "variants", lambda V: ("gfdm", f"nc-gfdm:{V}"),
+         r"variant 'nc-gfdm:8': smoothing order V=8"),
+    ],
+    ids=["v_grid", "variant"],
+)
+def test_config_validation_rejects_smoothing_order_whose_build_fails(
+    monkeypatch, runner, kind, field, values, message
+):
+    # V=8 passed validate() before; the run then drew data for the earlier
+    # cells and failed in build_nc_operators on the idempotent residual
+    cfg = ExperimentConfig(kind=kind, K=256, M=7, n_cp=280, beta=0.1)
+    top = experiments.MAX_ORDER
+    # the highest accepted order builds; the next one fails the identity check
+    p = cfg.waveform(V=top)
+    experiments._operators(*experiments._transmit(p), p)
+    replace(cfg, **{field: values(top)}).validate()
+    p = cfg.waveform(V=top + 1)
+    with pytest.raises(AssertionError, match="idempotent residual"):
+        experiments._operators(*experiments._transmit(p), p)
+    cfg = replace(cfg, **{field: values(top + 1)})
+    with pytest.raises(ValueError, match=message):
+        cfg.validate()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was rejected")
+
+    for name in ("_transmit", "_draw_data", "empirical_sir"):
+        monkeypatch.setattr(experiments, name, no_work)
+    with pytest.raises(ValueError, match=message):
+        runner(cfg)
+
+
 def test_cli_rejects_non_square_qam_before_any_work(tmp_path):
     with pytest.raises(ValueError, match=r"qam_order must be a power of four .*got 8"):
         main(["sir", "--set", "qam_order=8", "--out", str(tmp_path)])

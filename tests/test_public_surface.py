@@ -1,13 +1,18 @@
-"""The public surface: module ``__all__`` lists, the package namespace and the README.
+"""The public surface: module ``__all__`` lists, the package namespace, the README
+and the run-time imports.
 
 Every name a module lists in ``__all__`` must exist, every name the package
-re-exports must be listed by the module that defines it, and the README's
-Python example must run as written.
+re-exports must be listed by the module that defines it, the README's
+Python example must run as written, and the program must load without
+scipy, which only the tests use.
 """
 
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -41,3 +46,13 @@ def test_readme_python_example_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_program_imports_no_scipy():
+    src = str(Path(ncgfdm.__file__).resolve().parents[1])
+    code = "import sys, ncgfdm, ncgfdm.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

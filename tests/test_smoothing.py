@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import basis_signal, built, built_ops, dense_p_tilde, reference_smooth
-from ncgfdm.filterbank import shifted_filter
+from ncgfdm.filterbank import SingularMatrixError, shifted_filter
 from ncgfdm.params import SeededRng, qam_constellation
 from ncgfdm.smoothing import (
+    BasisSet,
     boundary_mismatch,
     boundary_mismatch_dft,
     build_basis,
@@ -147,6 +148,27 @@ def test_pf_conditioning_reported():
     _, _, _, ops = built_ops(8, 4, 8, 0.1, 6)
     assert np.isfinite(ops.pf_cond)
     assert ops.pf_cond >= 1.0
+
+
+@pytest.mark.parametrize("beta,V", [(0.0, 2), (0.5, 6), (0.1, 7)])
+def test_pf_cond_is_the_one_norm_condition_of_the_equilibrated_matrix(beta, V):
+    _, _, _, ops = built_ops(8, 4, 8, beta, V)
+    s = 1.0 / np.sqrt(np.abs(np.diag(ops.P_f)))
+    S = ops.P_f * np.outer(s, s)
+    want = np.linalg.norm(S, 1) * np.linalg.norm(np.linalg.inv(S), 1)
+    assert ops.pf_cond == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("fill,check", [(0.0, np.isinf), (np.nan, np.isnan)])
+def test_singular_boundary_matrix_raises(fill, check):
+    # P_f is built from the moments of F0: a zero spectrum makes it zero,
+    # a NaN one makes its condition NaN; neither may pass the gate
+    p, g, tm = built(8, 4, 8, 0.1, 2)
+    basis = build_basis(g, p)
+    bad = BasisSet(Q=basis.Q, F0=np.full_like(basis.F0, fill))
+    with pytest.raises(SingularMatrixError, match="boundary matrix") as err:
+        build_nc_operators(tm, bad, p)
+    assert check(err.value.cond)
 
 
 def test_first_symbol_unsmoothed():
