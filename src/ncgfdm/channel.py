@@ -87,11 +87,11 @@ def eva_profile(sample_interval_ns: float = 9.3, doppler_hz: float = 100.0) -> C
 class ChannelRealization:
     """Block-fading realizations: sparse impulse responses and their DFTs.
 
-    ``delays`` (P,) are the tap positions in samples, shared by every block;
+    ``delays`` (P,) are the path delays in samples, shared by every block;
     ``gains`` is (P,) for one block or (count, P) with one block per row,
     and ``H_diag`` is the N-point DFT of the response, (N,) or (count, N).
     ``symbols`` holds the symbol index of each block, or is None when the
-    taps did not come from a fading process.
+    paths did not come from a fading process.
     """
 
     delays: np.ndarray
@@ -100,18 +100,16 @@ class ChannelRealization:
     symbols: np.ndarray | None = None
 
     @classmethod
-    def from_taps(cls, taps: np.ndarray, symbols=None) -> "ChannelRealization":
-        """From dense taps, (N,) or one block per row (count, N)."""
-        taps = np.asarray(taps, dtype=np.complex128)
-        delays = np.flatnonzero(np.any(np.atleast_2d(taps), axis=0))
-        return cls(delays, taps[..., delays], np.fft.fft(taps, axis=-1), symbols)
+    def from_paths(cls, delays, gains, N: int, symbols=None) -> "ChannelRealization":
+        """From path delays (P,) and gains, (P,) or one block per row (count, P).
 
-    @property
-    def taps(self) -> np.ndarray:
-        """The dense impulse response, assembled on each access."""
-        taps = np.zeros(self.gains.shape[:-1] + self.H_diag.shape[-1:], dtype=np.complex128)
-        taps[..., self.delays] = self.gains
-        return taps
+        H_diag[k] = sum_p gains[p] exp(-2 pi j d_p k / N), with d_p k taken
+        mod N so the phase stays exact for long blocks.
+        """
+        delays = np.asarray(delays, dtype=int)
+        gains = np.asarray(gains, dtype=np.complex128)
+        phase = np.exp(-2j * np.pi * (np.outer(delays, np.arange(N)) % N) / N)
+        return cls(delays, gains, gains @ phase, symbols)
 
 
 @dataclass
@@ -151,16 +149,16 @@ class JakesFadingProcess:
         return np.exp(1j * arg).sum(axis=-1) / np.sqrt(self.n_sinusoids)
 
     def realization(self, symbol_index) -> ChannelRealization:
-        """Taps of the block at one symbol index, or one block per row for an array."""
+        """Paths of the block at one symbol index, or one block per row for an array."""
         positions = self.profile.tap_positions()
         if positions.max(initial=0) >= self.block_len:
             raise ValueError(
                 f"path delay {positions.max()} samples exceeds block length {self.block_len}"
             )
         amps = np.sqrt(self.profile.linear_powers()) * self.gains(symbol_index)
-        taps = np.zeros(amps.shape[:-1] + (self.block_len,), dtype=np.complex128)
-        np.add.at(taps.T, positions, amps.T)
-        return ChannelRealization.from_taps(taps, symbols=np.asarray(symbol_index))
+        return ChannelRealization.from_paths(
+            positions, amps, self.block_len, symbols=np.asarray(symbol_index)
+        )
 
 
 def awgn(

@@ -73,6 +73,8 @@ def _apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
         ExperimentConfig.check_keys(values)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
+    if "kind" in values:
+        raise SystemExit("--set cannot change key 'kind': the subcommand names the experiment")
     return replace(cfg, **values)
 
 
@@ -97,7 +99,7 @@ def main(argv=None) -> int:
     cfg = load_config(args)
     out_dir = cfg.out_dir or "."
     if args.command == "validate":
-        report = run_validation(cfg)
+        report = run_validation()
         write_tables(cfg, [report.to_table(cfg)], out_dir)
         for row in report.rows:
             K, M, beta, V, identity, residual, tol, ok = row
@@ -109,7 +111,10 @@ def main(argv=None) -> int:
         if not report.passed:
             print(f"{len(report.failures())} identity check(s) failed", file=sys.stderr)
             return 1
-        print(f"all {len(report.rows)} identity checks passed")
+        print(
+            f"all {len(report.rows)} identity checks passed; worst residual at "
+            f"{report.worst_fraction():.2e} of its tolerance"
+        )
         return 0
     tables = run_experiment(cfg)
     paths = write_tables(cfg, tables, out_dir)

@@ -59,6 +59,10 @@ class WaveformParams:
         return self.K * self.M
 
     def validate(self) -> "WaveformParams":
+        for name in ("K", "M", "n_cp", "V", "oversample"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DimensionError(f"{name} must be an integer, got {value!r}")
         if self.K < 1 or self.M < 1:
             raise DimensionError(f"K and M must be positive, got K={self.K}, M={self.M}")
         if not 0.0 <= self.beta <= 1.0:
@@ -67,7 +71,7 @@ class WaveformParams:
             raise DimensionError(f"highest derivative order must be >= 0, got {self.V}")
         if 2 * self.V + 1 > self.N:
             raise DimensionError(
-                f"basis set does not fit: 2V+1 = {2 * self.V + 1} > N = {self.N}"
+                f"basis set does not fit: 2V+1 = {2 * self.V + 1} > N = K*M = {self.N}"
             )
         if not 0 <= self.n_cp < self.N:
             raise DimensionError(f"CP length must satisfy 0 <= n_cp < N, got {self.n_cp}")

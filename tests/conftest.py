@@ -146,6 +146,14 @@ def reference_welch(chunks, window_len, overlap):
     return acc, count, tail
 
 
+def dense_taps(h):
+    """Oracle: the dense impulse response of a channel realization, (N,) or
+    one block per row (count, N), with the gains of equal delays summed."""
+    taps = np.zeros(h.gains.shape[:-1] + h.H_diag.shape[-1:], dtype=np.complex128)
+    np.add.at(taps.T, h.delays, h.gains.T)
+    return taps
+
+
 def dense_p_tilde(ops):
     """P_tilde = A^-1 Q P_f^-1 P_2 as a dense N x N matrix (small N only)."""
     return np.linalg.inv(ops.tm.A) @ ops.Q @ ops.P_f_inv @ ops.P_2

@@ -44,7 +44,7 @@ def report(n, ok, detail):
 
 def test_criterion_1_operator_identity_suite():
     rep = run_validation()
-    worst = max(r[5] / r[6] for r in rep.rows)
+    worst = rep.worst_fraction()
     report(
         1,
         rep.passed,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
+from conftest import dense_taps
 from ncgfdm.channel import (
     ChannelProfile,
     ChannelRealization,
@@ -43,7 +44,7 @@ def test_apply_channel_matches_direct_circular_convolution(rng):
     N = 32
     taps = np.zeros(N, dtype=complex)
     taps[[0, 3, 7]] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    h = ChannelRealization.from_taps(taps)
+    h = ChannelRealization.from_paths([0, 3, 7], taps[[0, 3, 7]], N)
     x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     want = np.array(
         [sum(taps[l] * x[(n - l) % N] for l in range(N)) for n in range(N)]
@@ -57,7 +58,7 @@ def test_apply_channel_matches_direct_circular_convolution(rng):
 
 
 def test_apply_channel_length_mismatch():
-    h = ChannelRealization.from_taps(np.ones(8))
+    h = ChannelRealization.from_paths(np.arange(8), np.ones(8), 8)
     with pytest.raises(ValueError):
         apply_channel(h, np.zeros(9))
 
@@ -115,9 +116,9 @@ def test_jakes_gains_unit_mean_power():
 def test_realization_energy_and_sparsity():
     prof = eva_profile()
     h = JakesFadingProcess(prof, 512, 1e-4, np.random.default_rng(3)).realization(0)
-    nz = np.flatnonzero(h.taps)
+    nz = np.flatnonzero(dense_taps(h))
     assert list(nz) == [0, 3, 16, 33, 40, 76, 117, 186, 270]
-    assert np.allclose(h.H_diag, np.fft.fft(h.taps))
+    assert np.allclose(h.H_diag, np.fft.fft(dense_taps(h)))
 
 
 def test_realization_rejects_short_block():
@@ -133,7 +134,7 @@ def test_cyclic_prefix_absorbs_delay_spread(rng):
     N, n_cp = 64, 12
     taps_short = np.zeros(N, dtype=complex)
     taps_short[[0, 4, 11]] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    h = ChannelRealization.from_taps(taps_short)
+    h = ChannelRealization.from_paths([0, 4, 11], taps_short[[0, 4, 11]], N)
     core = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     frame = np.concatenate([core[-n_cp:], core])
     lin = np.convolve(frame, taps_short[:12])[n_cp : n_cp + N]
@@ -153,17 +154,15 @@ def test_zf_equalize_inverts_channel(rng):
 
 def test_zf_deep_fade_detection():
     # taps [1, -1, 0, ...] put an exact spectral null at bin 0
-    taps = np.zeros(16, dtype=complex)
-    taps[0], taps[1] = 1.0, -1.0
-    h = ChannelRealization.from_taps(taps)
+    h = ChannelRealization.from_paths([0, 1], [1.0, -1.0], 16)
     with pytest.raises(DeepFadeError) as info:
         zf_equalize(h, np.ones(16, dtype=complex))
     assert info.value.bin_index == 0
     # batched: every block is checked and the first faded one is named
-    rows = np.zeros((3, 16), dtype=complex)
-    rows[:, 0] = 1.0
-    rows[1, 1], rows[2, 2] = -1.0, 0.5
-    h = ChannelRealization.from_taps(rows, symbols=np.array([40, 41, 42]))
+    gains = np.zeros((3, 3), dtype=complex)
+    gains[:, 0] = 1.0
+    gains[1, 1], gains[2, 2] = -1.0, 0.5
+    h = ChannelRealization.from_paths([0, 1, 2], gains, 16, symbols=np.array([40, 41, 42]))
     with pytest.raises(DeepFadeError, match="bin 0 of symbol 41") as info:
         zf_equalize(h, np.ones((3, 16), dtype=complex))
     assert (info.value.bin_index, info.value.symbol_index) == (0, 41)
@@ -182,13 +181,18 @@ def test_batched_gains_and_realizations_equal_per_index_calls():
     idx = np.array([0, 1, 7, 279, 280, 5000])
     gains = proc.gains(idx)
     h = proc.realization(idx)
-    assert gains.shape == (idx.size, 9) and h.taps.shape == (idx.size, 512)
+    assert gains.shape == (idx.size, 9) and h.H_diag.shape == (idx.size, 512)
     for j, i in enumerate(idx):
         one = proc.realization(int(i))
         assert np.array_equal(gains[j], proc.gains(int(i)))
-        assert np.array_equal(h.taps[j], one.taps)
-        assert np.array_equal(h.H_diag[j], one.H_diag)
+        assert np.array_equal(h.delays, one.delays)
+        assert np.array_equal(h.gains[j], one.gains)
+        # a 9-term sum per bin; the batched and the single product take
+        # different BLAS kernels (gemm, gemv), which round it differently
+        assert np.allclose(h.H_diag[j], one.H_diag, rtol=0, atol=1e-14)
     assert list(h.symbols) == list(idx)
+    # the sum over paths is the DFT of the dense response
+    assert np.allclose(h.H_diag, np.fft.fft(dense_taps(h)), rtol=0, atol=1e-14)
 
 
 def framed_convolution(taps, cores, n_cp):
@@ -216,13 +220,13 @@ def test_framed_channel_matches_direct_convolution(n_cp):
     h = proc.realization(np.arange(count))
     gen = np.random.default_rng(n_cp)
     X = gen.standard_normal((count, N)) + 1j * gen.standard_normal((count, N))
-    want = framed_convolution(h.taps, X, n_cp)
+    want = framed_convolution(dense_taps(h), X, n_cp)
     framed = apply_channel(h, X, n_cp)
     assert np.allclose(framed, want, rtol=0, atol=1e-12)
     # a stream split in two chunks continues from the carried tail, of which
     # only the samples that reach past the CP are needed
-    first = ChannelRealization.from_taps(h.taps[:split])
-    second = ChannelRealization.from_taps(h.taps[split:])
+    first = ChannelRealization.from_paths(h.delays, h.gains[:split], N)
+    second = ChannelRealization.from_paths(h.delays, h.gains[split:], N)
     tail = X[split - 1, N - 270 + n_cp :] if n_cp < 270 else None
     got = np.vstack(
         [apply_channel(first, X[:split], n_cp), apply_channel(second, X[split:], n_cp, tail)]

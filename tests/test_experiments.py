@@ -37,6 +37,16 @@ def small_cfg(kind, **kw):
     return ExperimentConfig(**base)
 
 
+def forbid_work(monkeypatch):
+    """Make every build and data draw of the runners raise."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was rejected")
+
+    for name in ("_transmit", "_draw_data", "empirical_sir"):
+        monkeypatch.setattr(experiments, name, no_work)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(kind="spectrogram").validate()
@@ -61,17 +71,25 @@ def test_config_validation():
         ("sir", dict(v_grid=()), r"non-empty v_grid"),
         ("sir", dict(v_grid=(2, 56)), r"v_grid entry V=56 .* 113 > N = K\*M = 112"),
         ("sir", dict(beta_grid=(0.1, 1.5)), r"beta_grid entry 1.5: .*got 1.5"),
+        ("sir", dict(v_grid=(2, -1)), r"v_grid entry V=-1 .*>= 0, got -1"),
+        ("sir", dict(v_grid=(2, 2.5)), r"v_grid entry V=2.5 .*V must be an integer, got 2.5"),
+        ("power", dict(V=2.5), r"V must be an integer, got 2.5"),
     ],
     ids=["n_symbols", "n_streams", "n_indices", "empty-beta_grid", "empty-v_grid",
-         "v_grid-too-large", "beta_grid-out-of-range"],
+         "v_grid-too-large", "beta_grid-out-of-range", "v_grid-negative", "v_grid-fractional",
+         "fractional-V"],
 )
 def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
-    kind, overrides, message
+    monkeypatch, kind, overrides, message
 ):
     # each of these passed validate() before, then failed or dropped grid
     # cells only once the operators were built
+    cfg = small_cfg(kind, **overrides)
     with pytest.raises(ValueError, match=message):
-        small_cfg(kind, **overrides).validate()
+        cfg.validate()
+    forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg)
 
 
 @pytest.mark.parametrize(
@@ -86,16 +104,25 @@ def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
         ("psd", dict(n_symbols=3, variants=("gfdm",)), r"'gfdm' streams .* = 1536 samples"),
         ("ber", dict(qam_order=8), r"qam_order must be a power of four .*got 8"),
         ("sir", dict(qam_order=0), r"qam_order must be a power of four .*got 0"),
+        ("ber", dict(variants=("gfdm", "nc-gfdm:x")),
+         r"variant 'nc-gfdm:x': smoothing order 'x' is not an integer"),
     ],
     ids=["recovery_iterations", "window_len", "negative-overlap", "whole-window-overlap",
-         "ofdm-stream-short", "gfdm-stream-short", "qam_order-8", "qam_order-0"],
+         "ofdm-stream-short", "gfdm-stream-short", "qam_order-8", "qam_order-0",
+         "variant-suffix"],
 )
-def test_config_validation_rejects_ber_and_psd_configs_that_fail_mid_run(kind, overrides, message):
+def test_config_validation_rejects_ber_and_psd_configs_that_fail_mid_run(
+    monkeypatch, kind, overrides, message
+):
     # each of these passed validate() before: the Welch and stream-length
     # cases failed only after the builds, the others with a message that
     # did not name the field
+    cfg = small_cfg(kind, **overrides)
     with pytest.raises(ValueError, match=message):
-        small_cfg(kind, **overrides).validate()
+        cfg.validate()
+    forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg)
 
 
 @pytest.mark.parametrize(
@@ -124,12 +151,7 @@ def test_config_validation_rejects_smoothing_order_whose_build_fails(
     cfg = replace(cfg, **{field: values(top + 1)})
     with pytest.raises(ValueError, match=message):
         cfg.validate()
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the config was rejected")
-
-    for name in ("_transmit", "_draw_data", "empirical_sir"):
-        monkeypatch.setattr(experiments, name, no_work)
+    forbid_work(monkeypatch)
     with pytest.raises(ValueError, match=message):
         runner(cfg)
 
@@ -257,13 +279,22 @@ def test_noise_variance_convention():
     assert got == pytest.approx((1 + 280 / 1792) / 4 / 10.0)
 
 
-def test_run_validation_passes_and_catches_faults():
+def test_run_validation_passes_and_catches_faults(monkeypatch):
     report = run_validation()
     assert report.passed
     assert not report.failures()
+    assert len(report.rows) == 321
     # every row carries the full identification tuple
     assert all(len(r) == 8 for r in report.rows)
-    bad = run_validation(inject_fault=True)
+    build = experiments.build_nc_operators
+
+    def corrupted(*args, **kwargs):
+        # scaling P_2 breaks the boundary product, and with it P_tilde = gain P_2
+        ops = build(*args, **kwargs)
+        return replace(ops, P_2=ops.P_2 * 1.01)
+
+    monkeypatch.setattr(experiments, "build_nc_operators", corrupted)
+    bad = run_validation()
     assert not bad.passed
     assert any(r[4] == "idempotent" for r in bad.failures())
 
@@ -460,6 +491,9 @@ def test_cli_rejects_bad_override():
         main(["sir", "--set", "nonsense"])
     with pytest.raises(SystemExit):
         main(["sir", "--set", "not_a_field=3"])
+    # the subcommand names the experiment; a second setting would disagree with it
+    with pytest.raises(SystemExit, match=r"^--set cannot change key 'kind'"):
+        main(["power", "--set", "kind=validate"])
 
 
 def test_cli_names_unknown_override_keys():

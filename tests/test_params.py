@@ -33,6 +33,11 @@ def test_valid_params_roundtrip():
         dict(K=4, M=2, n_cp=-1),
         dict(K=4, M=2, filter_kind="hamming"),
         dict(K=4, M=2, oversample=0),
+        dict(K=4.0, M=2),
+        dict(K=4, M=True),
+        dict(K=4, M=2, n_cp=1.5),
+        dict(K=4, M=2, V=2.5),
+        dict(K=4, M=2, oversample=2.0),
     ],
 )
 def test_invalid_params_rejected(kwargs):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from ncgfdm.smoothing import (
     operator_identity_residuals,
     smooth_stream,
     synthesis_waveform,
-    with_corrupted_p2,
 )
 
 
@@ -94,25 +95,35 @@ def test_boundary_matrix_entries_are_basis_boundary_values():
     [(4, 2, 4, 0.0, 1), (8, 4, 8, 0.5, 2), (16, 7, 16, 0.3, 4), (8, 4, 8, 0.1, 6)],
 )
 def test_operator_identities(K, M, n_cp, beta, V):
-    _, _, _, ops = built_ops(K, M, n_cp, beta, V)
+    _, g, _, ops = built_ops(K, M, n_cp, beta, V)
     res = operator_identity_residuals(ops)
     tol = identity_tolerance(V)
     for name in ("pf_symmetric", "pf_product", "idempotent", "decode_fixed", "decode_basis"):
-        assert res[name] <= tol, (name, res[name])
+        assert res[name][0] <= tol == res[name][1], (name, res[name])
     # n_cp is a multiple of K in all cases above, so the Gram identity applies
-    assert res["p1p2_gram"] <= tol
+    assert res["p1p2_gram"][0] <= tol == res["p1p2_gram"][1]
+    # the unitary identities are listed exactly when the set claims a unitary A
+    unitary = {"unitarity", "trace_rank", "power_trace"}
+    assert unitary & set(res) == (unitary if g.is_dirichlet else set())
+
+
+def gram_residual(ops):
+    a, b = ops.P_1 @ ops.P_1.conj().T, ops.P_2 @ ops.P_2.conj().T
+    return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b))
 
 
 def test_gram_identity_requires_cp_multiple_of_k():
     # non-unitary matrix and K does not divide n_cp: the Gram identity breaks
     p, g, tm = built(8, 4, n_cp=5, beta=0.5, V=2)
     basis = build_basis(g, p)
-    ops = build_nc_operators(tm, basis, p, check=True)  # build check skips the gram
-    res = operator_identity_residuals(ops)
-    assert res["p1p2_gram"] > 1e-6
+    ops = build_nc_operators(tm, basis, p, check=True)  # the check leaves out the gram
+    assert "p1p2_gram" not in operator_identity_residuals(ops)
+    assert gram_residual(ops) > 1e-6
     # with the unitary prototype it holds regardless of the CP length
     _, _, _, ops_u = built_ops(8, 4, 5, 0.0, 2)
-    assert operator_identity_residuals(ops_u)["p1p2_gram"] <= 1e-9
+    r, tol = operator_identity_residuals(ops_u)["p1p2_gram"]
+    assert r <= tol == 1e-9
+    assert gram_residual(ops_u) <= 1e-9
 
 
 def test_trace_equals_rank_even_off_unitary():
@@ -126,9 +137,14 @@ def test_build_rejects_identity_violations():
     p, g, tm = built(8, 4, n_cp=8, beta=0.5, V=2)
     basis = build_basis(g, p)
     ops = build_nc_operators(tm, basis, p)
-    bad = with_corrupted_p2(ops)
-    res = operator_identity_residuals(bad)
-    assert res["idempotent"] > 1e-6
+    # scaling P_2 breaks the boundary product, and with it P_tilde = gain P_2
+    bad = replace(ops, P_2=ops.P_2 * 1.01)
+    assert operator_identity_residuals(bad)["idempotent"][0] > 1e-6
+    # a unitary claim on a non-unitary pulse fails the build
+    p, g, tm = built(16, 7, n_cp=16, beta=0.5, V=2)
+    assert not g.is_dirichlet and tm.cond > 2
+    with pytest.raises(AssertionError, match="unitarity residual"):
+        build_nc_operators(tm, build_basis(g, p), p, is_unitary=True)
 
 
 def test_paper_size_operator_set_holds_no_dense_matrix():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import built, built_ops, dense_p_tilde
+from conftest import built, built_ops, dense_p_tilde, dense_taps
 from ncgfdm.channel import JakesFadingProcess, eva_profile, zf_equalize
 from ncgfdm.params import SeededRng, decision_labels, qam_constellation
 from ncgfdm.smoothing import smooth_stream
@@ -163,7 +163,7 @@ def test_full_chain_over_fading_channel(qam16):
     h = JakesFadingProcess(eva_profile(), p.N, 1e-4, np.random.default_rng(7)).realization(0)
     cores = np.empty((p.N, 3), dtype=complex)
     for i in range(3):
-        rx = np.convolve(framed[:, i], np.trim_zeros(h.taps, "b"))[: p.N + p.n_cp]
+        rx = np.convolve(framed[:, i], np.trim_zeros(dense_taps(h), "b"))[: p.N + p.n_cp]
         cores[:, i] = zf_equalize(h, rx[p.n_cp :])
     soft = recover_iterative(ops, cores, qam16, n_iter=6)
     assert np.array_equal(decision_labels(soft, qam16), decision_labels(D, qam16))
