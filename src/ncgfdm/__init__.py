@@ -58,7 +58,6 @@ from .spectrum import (
     psd_sample_stream,
     sidelobe_level,
     sir_report,
-    welch_psd,
 )
 from .experiments import (
     ExperimentConfig,

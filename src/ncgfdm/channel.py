@@ -17,6 +17,7 @@ modulator returns them in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -68,6 +69,11 @@ class ChannelProfile:
             raise ValueError("delay and power lists must have equal length")
         if d.size == 0 or d[0] < 0 or np.any(np.diff(d) <= 0):
             raise ValueError("delays must be non-negative and strictly increasing")
+        dt, fd = self.sample_interval_ns, self.doppler_hz
+        if not (isinstance(dt, Real) and np.isfinite(dt) and dt > 0):
+            raise ValueError(f"sample_interval_ns must be a finite number > 0, got {dt!r}")
+        if not (isinstance(fd, Real) and np.isfinite(fd) and fd >= 0):
+            raise ValueError(f"doppler_hz must be a finite number >= 0, got {fd!r}")
 
     def tap_positions(self) -> np.ndarray:
         """Path delays rounded to the nearest sample."""
@@ -196,7 +202,7 @@ def _check_length(h: ChannelRealization, x: np.ndarray) -> None:
 def apply_channel(
     h: ChannelRealization,
     x: np.ndarray,
-    n_cp: int | None = None,
+    n_cp: int,
     tail: np.ndarray | None = None,
 ) -> np.ndarray:
     """Received cores of CP-framed blocks after the tapped-delay line.
@@ -205,20 +211,18 @@ def apply_channel(
     one realization for all of them or one per row.  Block i is sent as
     [x_i[N - n_cp:], x_i], the blocks back to back, and the cores are
     returned after CP removal.  Paths within the CP give each core's
-    circular convolution, computed through the DFT; ``n_cp`` None takes
-    every path to be within it.  A path d > n_cp adds, over the first
-    d - n_cp samples of a core, the previous block's last samples minus
-    the core's own wrapped ones.  ``tail`` ends the framed stream sent
-    before x[0] and holds at least its last max-delay samples (the previous
-    core will do); None means zeros, the start of a stream.
+    circular convolution, computed through the DFT, which is the whole
+    output when ``n_cp`` covers the largest delay.  A path d > n_cp adds,
+    over the first d - n_cp samples of a core, the previous block's last
+    samples minus the core's own wrapped ones.  ``tail`` ends the framed
+    stream sent before x[0] and holds at least its last max-delay samples
+    (the previous core will do); None means zeros, the start of a stream.
     """
     x = np.asarray(x, dtype=np.complex128)
     _check_length(h, x)
     spec = np.fft.fft(x, axis=-1)
     spec *= h.H_diag
     y = np.fft.ifft(spec, axis=-1)
-    if n_cp is None:
-        return y
     N = x.shape[-1]
     xr, yr, gains = np.atleast_2d(x), np.atleast_2d(y), np.atleast_2d(h.gains)
     reach = h.delays.max(initial=n_cp) - n_cp

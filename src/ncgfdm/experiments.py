@@ -13,6 +13,7 @@ import json
 import math
 import subprocess
 from dataclasses import asdict, dataclass, field, fields, replace
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +127,8 @@ def code_version() -> str:
 
 
 def _default_metadata() -> dict:
-    # recorded in outputs for traceability; not used in baseband math
+    # the carrier and subcarrier spacing are recorded for traceability only;
+    # the sample interval and Doppler set the EVA channel (channel_profile)
     return {
         "subcarrier_spacing_hz": 15_000.0,
         "carrier_frequency_hz": 2.0e9,
@@ -190,14 +192,15 @@ class ExperimentConfig:
         q = self.qam_order
         if not (isinstance(q, int) and q >= 4 and q & (q - 1) == 0 and q.bit_length() % 2):
             raise ValueError(f"qam_order must be a power of four (square QAM), got {q!r}")
-        if self.kind == "ber" and len(self.snr_db) == 0:
-            raise ValueError("BER experiments need a non-empty SNR grid")
-        if self.kind == "ber" and self.recovery_iterations < 1:
-            raise ValueError(
-                f"BER experiments need recovery_iterations >= 1, got {self.recovery_iterations}"
-            )
-        if self.kind == "psd" and self.n_symbols < 1:
-            raise ValueError("PSD experiments need at least one symbol")
+        _check_count(self.kind, "seed", self.seed, 0)
+        for name, least in _COUNTS.get(self.kind, {}).items():
+            _check_count(self.kind, name, getattr(self, name), least)
+        if self.kind == "ber":
+            if len(self.snr_db) == 0:
+                raise ValueError("BER experiments need a non-empty SNR grid")
+            for snr in self.snr_db:
+                if isinstance(snr, bool) or not isinstance(snr, Real) or not math.isfinite(snr):
+                    raise ValueError(f"snr_db entries must be finite numbers, got {snr!r}")
         if not self.variants:
             raise ValueError("at least one waveform variant is required")
         if self.kind in ("ber", "psd"):
@@ -211,12 +214,6 @@ class ExperimentConfig:
             self._validate_welch()
         if self.kind == "sir":
             self._validate_sir_grid()
-        if self.kind == "power":
-            for name in ("n_streams", "n_indices"):
-                if getattr(self, name) < 1:
-                    raise ValueError(
-                        f"power experiments need {name} >= 1, got {getattr(self, name)}"
-                    )
         if self.kind == "ber" and self.channel == "eva":
             # a block's response is its N-point DFT, and a path past the CP
             # reaches back one block only, so every path delay must fall
@@ -235,9 +232,7 @@ class ExperimentConfig:
         return self
 
     def _validate_welch(self) -> None:
-        if self.window_len < 8:
-            raise ValueError(f"PSD experiments need window_len >= 8, got {self.window_len}")
-        if not 0 <= self.overlap < self.window_len:
+        if not _is_int(self.overlap) or not 0 <= self.overlap < self.window_len:
             raise ValueError(
                 f"overlap must lie in [0, window_len = {self.window_len}), got {self.overlap}"
             )
@@ -252,8 +247,6 @@ class ExperimentConfig:
                 )
 
     def _validate_sir_grid(self) -> None:
-        if self.n_symbols < 2:
-            raise ValueError(f"SIR experiments need n_symbols >= 2, got {self.n_symbols}")
         for name in ("beta_grid", "v_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"SIR experiments need a non-empty {name}, got ()")
@@ -272,8 +265,8 @@ class ExperimentConfig:
     def channel_profile(self) -> ChannelProfile:
         """EVA delay profile at the sample interval and Doppler in ``metadata``."""
         return eva_profile(
-            sample_interval_ns=float(self.metadata.get("sample_interval_ns", 9.3)),
-            doppler_hz=float(self.metadata.get("doppler_hz", 100.0)),
+            sample_interval_ns=self.metadata.get("sample_interval_ns", 9.3),
+            doppler_hz=self.metadata.get("doppler_hz", 100.0),
         )
 
     def to_dict(self) -> dict:
@@ -308,6 +301,25 @@ class ExperimentConfig:
         d.pop("out_dir", None)  # where results land is not part of the experiment
         canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+#: the count fields each experiment kind reads, with the least value it accepts
+_COUNTS = {
+    "psd": {"n_symbols": 1, "window_len": 8},
+    "ber": {"n_bits": 1, "recovery_iterations": 1},
+    "sir": {"n_symbols": 2},
+    "power": {"n_streams": 1, "n_indices": 1},
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(kind: str, name: str, value, least: int) -> None:
+    """Reject a count that is not an integer (bools excluded) of at least ``least``."""
+    if not _is_int(value) or value < least:
+        raise ValueError(f"{kind} experiments need an integer {name} >= {least}, got {value!r}")
 
 
 def _check_order(name: str, V: int) -> None:
@@ -413,29 +425,23 @@ def resolve_variant(cfg: ExperimentConfig, spec: str) -> Variant:
     CP shrinks by M to preserve the overhead ratio.
     """
     base, _, suffix = spec.partition(":")
+    if base not in ("ofdm", "td-nc-ofdm", "gfdm", "nc-gfdm"):
+        raise ValueError(f"unknown variant {spec!r}")
     try:
         V = int(suffix) if suffix else cfg.V
     except ValueError:
         raise ValueError(
             f"variant {spec!r}: smoothing order {suffix!r} is not an integer"
         ) from None
-    ofdm_cp = cfg.n_cp // cfg.M
-    if base == "ofdm":
-        p = WaveformParams(K=cfg.K, M=1, n_cp=ofdm_cp, beta=0.0, V=V, filter_kind="rc")
-        smoothed = False
-    elif base == "td-nc-ofdm":
-        p = WaveformParams(K=cfg.K, M=1, n_cp=ofdm_cp, beta=0.0, V=V, filter_kind="rc")
-        smoothed = True
-    elif base == "gfdm":
-        p = replace(cfg.waveform(V=V), oversample=1)
-        smoothed = False
-    elif base == "nc-gfdm":
-        p = replace(cfg.waveform(V=V), oversample=1)
-        smoothed = True
-    else:
-        raise ValueError(f"unknown variant {spec!r}")
+    try:
+        if base.endswith("ofdm"):
+            p = WaveformParams(K=cfg.K, M=1, n_cp=cfg.n_cp // cfg.M, V=V).validate()
+        else:
+            p = replace(cfg.waveform(V=V), oversample=1)
+    except DimensionError as exc:
+        raise ValueError(f"variant {spec!r}: {exc}") from None
     label = spec.replace(":", "_v").replace("-", "_")
-    return Variant(name=spec, label=label, params=p.validate(), smoothed=smoothed)
+    return Variant(name=spec, label=label, params=p, smoothed=base in ("td-nc-ofdm", "nc-gfdm"))
 
 
 def _transmit(p: WaveformParams):
@@ -483,11 +489,9 @@ def run_psd(cfg: ExperimentConfig) -> list:
         g, tm = _transmit(p)
         ops = _operators(g, tm, p) if var.smoothed else None
         rng = master.child(vi)
-        acc = WelchAccumulator(cfg.window_len, cfg.overlap)
+        acc = WelchAccumulator(cfg.window_len, cfg.overlap, cfg.oversample)
         carry = None
-        # psd_sample_stream restarts exp(-j pi n / oversample) at n = 0 on each
-        # call; an even chunk keeps it continuous when N + n_cp is odd
-        chunk = 2 * max(1, 1_000_000 // (p.N * cfg.oversample))
+        chunk = max(1, 2_000_000 // (p.N * cfg.oversample))
         done = 0
         while done < cfg.n_symbols:
             nb = min(chunk, cfg.n_symbols - done)
@@ -544,7 +548,7 @@ def run_ber(cfg: ExperimentConfig) -> list:
         var = resolve_variant(cfg, spec)
         g, tm = _transmit(var.params)
         builds.append((var, tm, _operators(g, tm, var.params) if var.smoothed else None))
-    profile = cfg.channel_profile()
+    profile = cfg.channel_profile() if cfg.channel == "eva" else None
     rows = []
     for si, snr in enumerate(cfg.snr_db):
         for var, tm, ops in builds:

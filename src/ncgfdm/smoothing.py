@@ -163,14 +163,16 @@ def operator_identity_residuals(ops: NcOperators) -> dict[str, tuple[float, floa
 
     - every set: ``pf_symmetric`` (P_f = P_f^T), ``pf_product``
       (P_2 A^{-1} Q = P_f), ``idempotent`` (P_tilde^2 = P_tilde),
-      ``decode_fixed`` and ``decode_basis`` (the decode fixed point);
+      ``decode_fixed`` and ``decode_basis`` (the decode fixed point), and
+      ``trace_rank`` (|tr P_tilde - (V+1)|, absolute; idempotency makes the
+      trace the rank);
     - when A is unitary or the CP length is a multiple of K: ``p1p2_gram``
       (P_1 P_1^H = P_2 P_2^H);
     - when the set claims a unitary A: ``unitarity``
       (||A^H A - I||_F / sqrt(N), from the singular values sqrt(K)|Zg|; at
-      1e-9 for every V, as it involves no derivative order),
-      ``trace_rank`` (|tr P_tilde - (V+1)|, absolute) and ``power_trace``
-      (tr{P_hat P_hat^H + P_tilde P_tilde^H} against 2(V+1), relative).
+      1e-9 for every V, as it involves no derivative order) and
+      ``power_trace`` (tr{P_hat P_hat^H + P_tilde P_tilde^H} against
+      2(V+1), relative).
 
     With L = gain, P_tilde = L P_2 and P_w = (Q P_f^{-1}) P_2, the N x N
     identities reduce to (V+1) x (V+1) Gram forms through T = P_2 L:
@@ -198,7 +200,8 @@ def operator_identity_residuals(ops: NcOperators) -> dict[str, tuple[float, floa
     if ops.is_unitary:
         u = np.linalg.norm(p.K * np.abs(ops.tm.polyphase) ** 2 - 1.0) / np.sqrt(p.N)
         res["unitarity"] = (float(u), 1e-9)
-        res["trace_rank"] = (float(abs(np.trace(T) - (V + 1))), tol)
+    res["trace_rank"] = (float(abs(np.trace(T) - (V + 1))), tol)
+    if ops.is_unitary:
         power = np.trace(P1P1h @ LhL) + np.trace(P2P2h @ LhL)
         res["power_trace"] = (abs(float(np.real(power)) - 2 * (V + 1)) / (2 * (V + 1)), tol)
     return res

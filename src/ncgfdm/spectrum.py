@@ -4,11 +4,12 @@ The PSD path is streaming-friendly and FFT-domain throughout: symbols are
 oversampled one row at a time by DFT zero-padding, and a
 :class:`WelchAccumulator` consumes sample chunks of any length and averages
 Hann-windowed periodograms, transforming its segments in fixed-size
-batches, so long waveforms never need to be held in memory at once.  Power
-and SIR estimators run entirely on the low-rank smoothing factors; no N x N
-product is formed per symbol, and the Monte-Carlo estimators reduce their
-data draws to thin products row block by row block, so their memory does
-not grow with N times the number of symbols or streams.
+batches, so long waveforms never need to be held in memory at once.  Its
+window also recentres the oversampled band on DC.  Power and SIR
+estimators run entirely on the low-rank smoothing factors; no N x N product
+is formed per symbol, and the Monte-Carlo estimators reduce their data
+draws to thin products row block by row block, so their memory does not
+grow with N times the number of symbols or streams.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "psd_sample_stream",
     "PsdEstimate",
     "WelchAccumulator",
-    "welch_psd",
     "normalize_inband",
     "sidelobe_level",
     "SirReport",
@@ -48,11 +48,11 @@ def psd_sample_stream(cores: np.ndarray, n_cp: int, oversample: int) -> np.ndarr
     CP is a circular extension, so per-symbol interpolation and framing
     commute).  Interpolating per symbol, not globally, is what makes
     boundary discontinuities visible as out-of-band radiation.  The
-    occupied band, which sits at the bottom ``1/oversample`` of the widened
-    spectrum, is shifted to be symmetric around DC by
-    exp(-j pi n / oversample), with n restarting at 0 on each call.  At
-    oversample 1 the result is the plain CP-framed stream, each symbol's
-    last ``n_cp`` samples then its core; ``n_cp`` must lie in [0, N).
+    occupied band sits at the bottom ``1/oversample`` of the widened
+    spectrum; a :class:`WelchAccumulator` given the same ``oversample``
+    centres it on DC.  At oversample 1 the result is the plain CP-framed
+    stream, each symbol's last ``n_cp`` samples then its core; ``n_cp``
+    must lie in [0, N).
     """
     if oversample < 1:
         raise ValueError("oversample factor must be >= 1")
@@ -63,26 +63,13 @@ def psd_sample_stream(cores: np.ndarray, n_cp: int, oversample: int) -> np.ndarr
     if not 0 <= n_cp < N:
         raise ValueError(f"CP length {n_cp} out of range for block of {N}")
     L, cp = N * oversample, n_cp * oversample
-    if oversample > 1:
-        rows = np.fft.ifft(np.fft.fft(rows, axis=1), n=L, axis=1)
-    # The recentring phase at n = j*(L + cp) + t, for row j and position t
-    # in the framed symbol, is (-1)^(j*(N + n_cp)) exp(-j pi t / oversample):
-    # a period-2*oversample vector in t, with the sign of odd rows flipped
-    # when N + n_cp is odd.  The interpolation gain is folded in.
-    signs = (1.0,)
-    if oversample > 1:
-        period = np.exp(-1j * np.pi * np.arange(2 * oversample) / oversample)
-        phase = oversample * np.resize(period, cp + L)
-        if (N + n_cp) % 2:
-            signs = (1.0, -1.0)
-    else:
-        phase = np.ones(cp + L)
     framed = np.empty((rows.shape[0], cp + L), dtype=np.complex128)
-    step = len(signs)
-    for j, sign in enumerate(signs):
-        ph = sign * phase
-        np.multiply(rows[j::step, L - cp :], ph[:cp], out=framed[j::step, :cp])
-        np.multiply(rows[j::step], ph[cp:], out=framed[j::step, cp:])
+    if oversample > 1:
+        up = np.fft.ifft(np.fft.fft(rows, axis=1), n=L, axis=1)
+        np.multiply(up, oversample, out=framed[:, cp:])
+    else:
+        framed[:, cp:] = rows
+    framed[:, :cp] = framed[:, L:]
     return framed.ravel()
 
 
@@ -118,10 +105,15 @@ class WelchAccumulator:
 
     Hann-windowed segments advance by ``window_len - overlap``.
     Output frequencies are normalized to the sample rate of the chunks and
-    fftshifted to [-1/2, 1/2).
+    fftshifted to [-1/2, 1/2).  For a stream from :func:`psd_sample_stream`
+    at ``oversample`` > 1, the window also carries exp(-j pi k / oversample),
+    which moves the occupied band from [0, 1/oversample) to be symmetric
+    around DC.  A periodogram drops any constant phase of its segment, so
+    this equals recentring the whole stream by exp(-j pi n / oversample),
+    whatever its chunking.
     """
 
-    def __init__(self, window_len: int, overlap: int | None = None):
+    def __init__(self, window_len: int, overlap: int | None = None, oversample: int = 1):
         if window_len < 8:
             raise ValueError("segment length too short")
         if overlap is None:
@@ -134,6 +126,8 @@ class WelchAccumulator:
         # differs from this form in the last bits, and so would the PSD
         self.window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, window_len + 1)[:-1])
         self._wnorm = np.sum(self.window**2)
+        if oversample > 1:
+            self.window = self.window * np.exp(-1j * np.pi * np.arange(window_len) / oversample)
         self._acc = np.zeros(window_len)
         self._count = 0
         self._tail = np.zeros(0, dtype=np.complex128)
@@ -173,13 +167,6 @@ class WelchAccumulator:
         psd = np.fft.fftshift(self._acc / (self._count * self._wnorm))
         freqs = np.fft.fftshift(np.fft.fftfreq(self.window_len))
         return PsdEstimate(freqs=freqs, psd=psd, segments=self._count)
-
-
-def welch_psd(samples: np.ndarray, window_len: int, overlap: int | None = None) -> PsdEstimate:
-    """One-shot Welch estimate of an in-memory sample stream."""
-    acc = WelchAccumulator(window_len, overlap=overlap)
-    acc.process(samples)
-    return acc.result()
 
 
 def normalize_inband(est: PsdEstimate, band: float) -> PsdEstimate:

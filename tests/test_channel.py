@@ -49,18 +49,19 @@ def test_apply_channel_matches_direct_circular_convolution(rng):
     want = np.array(
         [sum(taps[l] * x[(n - l) % N] for l in range(N)) for n in range(N)]
     )
-    assert np.allclose(apply_channel(h, x), want, atol=1e-12)
+    # a CP covering the largest delay (7) leaves the circular product
+    assert np.allclose(apply_channel(h, x, 7), want, atol=1e-12)
     # row-wise application agrees with per-row calls
     X = rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N))
-    got = apply_channel(h, X)
+    got = apply_channel(h, X, 7)
     for j in range(3):
-        assert np.allclose(got[j], apply_channel(h, X[j]))
+        assert np.allclose(got[j], apply_channel(h, X[j], 7))
 
 
 def test_apply_channel_length_mismatch():
     h = ChannelRealization.from_paths(np.arange(8), np.ones(8), 8)
     with pytest.raises(ValueError):
-        apply_channel(h, np.zeros(9))
+        apply_channel(h, np.zeros(9), 7)
 
 
 def test_awgn_moments_and_circularity():
@@ -138,7 +139,7 @@ def test_cyclic_prefix_absorbs_delay_spread(rng):
     core = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     frame = np.concatenate([core[-n_cp:], core])
     lin = np.convolve(frame, taps_short[:12])[n_cp : n_cp + N]
-    assert np.allclose(lin, apply_channel(h, core), atol=1e-12)
+    assert np.allclose(lin, apply_channel(h, core, n_cp), atol=1e-12)
 
 
 def test_zf_equalize_inverts_channel(rng):
@@ -146,7 +147,7 @@ def test_zf_equalize_inverts_channel(rng):
     prof = eva_profile()
     h = JakesFadingProcess(prof, 512, 1e-4, np.random.default_rng(9)).realization(0)
     x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-    y = apply_channel(h, x)
+    y = apply_channel(h, x, 270)
     assert np.allclose(zf_equalize(h, y), x, atol=1e-9)
     with pytest.raises(ValueError):
         zf_equalize(h, np.zeros(N))
@@ -234,7 +235,7 @@ def test_framed_channel_matches_direct_convolution(n_cp):
     assert np.allclose(got, want, rtol=0, atol=1e-12)
     # it equals the per-block circular product exactly when the CP covers
     # the delay spread; otherwise the ISI shows
-    circular = np.array([apply_channel(proc.realization(i), X[i]) for i in range(count)])
+    circular = np.array([apply_channel(proc.realization(i), X[i], 270) for i in range(count)])
     assert np.allclose(framed, circular, rtol=0, atol=1e-12) == (n_cp >= 270)
 
 

@@ -25,10 +25,12 @@ from ncgfdm.experiments import (
     write_tables,
 )
 from ncgfdm.params import WaveformParams
-from ncgfdm.spectrum import normalize_inband, welch_psd
+from ncgfdm.spectrum import WelchAccumulator, normalize_inband
 
 
 SMALL = dict(K=16, M=7, n_cp=16, beta=0.1, V=2)
+#: an EVA config that validates: N = 448 holds the last tap (270 samples at 9.3 ns)
+EVA_OK = dict(K=64, channel="eva", variants=("gfdm", "nc-gfdm:2"))
 
 
 def small_cfg(kind, **kw):
@@ -74,10 +76,15 @@ def test_config_validation():
         ("sir", dict(v_grid=(2, -1)), r"v_grid entry V=-1 .*>= 0, got -1"),
         ("sir", dict(v_grid=(2, 2.5)), r"v_grid entry V=2.5 .*V must be an integer, got 2.5"),
         ("power", dict(V=2.5), r"V must be an integer, got 2.5"),
+        ("power", dict(n_indices=4.0), r"integer n_indices >= 1, got 4.0"),
+        ("sir", dict(n_symbols=100.0), r"integer n_symbols >= 2, got 100.0"),
+        ("sir", dict(seed=-1), r"integer seed >= 0, got -1"),
+        ("power", dict(seed=1.5), r"integer seed >= 0, got 1.5"),
     ],
     ids=["n_symbols", "n_streams", "n_indices", "empty-beta_grid", "empty-v_grid",
          "v_grid-too-large", "beta_grid-out-of-range", "v_grid-negative", "v_grid-fractional",
-         "fractional-V"],
+         "fractional-V", "fractional-n_indices", "fractional-sir-n_symbols", "negative-seed",
+         "fractional-seed"],
 )
 def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
     monkeypatch, kind, overrides, message
@@ -106,10 +113,33 @@ def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
         ("sir", dict(qam_order=0), r"qam_order must be a power of four .*got 0"),
         ("ber", dict(variants=("gfdm", "nc-gfdm:x")),
          r"variant 'nc-gfdm:x': smoothing order 'x' is not an integer"),
+        ("ber", dict(variants=("gfdm", "nc-gfdm:-1")),
+         r"variant 'nc-gfdm:-1': highest derivative order must be >= 0, got -1"),
+        ("ber", dict(EVA_OK, metadata={"sample_interval_ns": 0.0}),
+         r"sample_interval_ns must be a finite number > 0, got 0.0"),
+        ("ber", dict(EVA_OK, metadata={"sample_interval_ns": -9.3}),
+         r"sample_interval_ns must be a finite number > 0, got -9.3"),
+        ("ber", dict(EVA_OK, metadata={"doppler_hz": math.nan}),
+         r"doppler_hz must be a finite number >= 0, got nan"),
+        ("ber", dict(EVA_OK, metadata={"doppler_hz": "fast"}),
+         r"doppler_hz must be a finite number >= 0, got 'fast'"),
+        ("ber", dict(snr_db=(math.nan,)), r"snr_db entries must be finite numbers, got nan"),
+        ("ber", dict(snr_db=("x",)), r"snr_db entries must be finite numbers, got 'x'"),
+        ("psd", dict(n_symbols=1000.0), r"integer n_symbols >= 1, got 1000.0"),
+        ("psd", dict(window_len=1792.0), r"integer window_len >= 8, got 1792.0"),
+        ("psd", dict(overlap=448.0), r"overlap must lie in \[0, window_len = 1792\), got 448.0"),
+        ("ber", dict(recovery_iterations=8.0), r"integer recovery_iterations >= 1, got 8.0"),
+        ("ber", dict(n_bits=-5), r"integer n_bits >= 1, got -5"),
+        ("ber", dict(seed=-1), r"integer seed >= 0, got -1"),
+        ("psd", dict(seed=1.5), r"integer seed >= 0, got 1.5"),
     ],
     ids=["recovery_iterations", "window_len", "negative-overlap", "whole-window-overlap",
          "ofdm-stream-short", "gfdm-stream-short", "qam_order-8", "qam_order-0",
-         "variant-suffix"],
+         "variant-suffix", "variant-negative-order", "eva-zero-sample-interval",
+         "eva-negative-sample-interval", "eva-nan-doppler", "eva-text-doppler", "nan-snr", "text-snr",
+         "fractional-psd-n_symbols", "fractional-window_len", "fractional-overlap",
+         "fractional-recovery_iterations", "negative-n_bits", "negative-seed",
+         "fractional-seed"],
 )
 def test_config_validation_rejects_ber_and_psd_configs_that_fail_mid_run(
     monkeypatch, kind, overrides, message
@@ -283,7 +313,7 @@ def test_run_validation_passes_and_catches_faults(monkeypatch):
     report = run_validation()
     assert report.passed
     assert not report.failures()
-    assert len(report.rows) == 321
+    assert len(report.rows) == 331
     # every row carries the full identification tuple
     assert all(len(r) == 8 for r in report.rows)
     build = experiments.build_nc_operators
@@ -363,7 +393,8 @@ def test_run_psd_output(tmp_path):
 
 
 def test_run_psd_chunks_match_one_stream(monkeypatch):
-    # N + n_cp odd: chunk boundaries must not flip the recentring phase
+    # N + n_cp odd, three chunks of 279 symbols: the recentring must not
+    # flip sign at the chunk boundaries
     cores = []
     original = experiments.psd_sample_stream
 
@@ -377,9 +408,11 @@ def test_run_psd_chunks_match_one_stream(monkeypatch):
         window_len=1792, overlap=448, variants=("nc-gfdm:2",), n_symbols=837, seed=5,
     )
     (table,) = run_psd(cfg)
-    assert len(cores) >= 3
+    assert [X.shape[1] for X in cores] == [279, 279, 279]
     stream = reference_psd_sample_stream(np.hstack(cores), cfg.n_cp, cfg.oversample)
-    want = normalize_inband(welch_psd(stream, cfg.window_len, cfg.overlap), 1 / cfg.oversample)
+    acc = WelchAccumulator(cfg.window_len, cfg.overlap)
+    acc.process(stream)
+    want = normalize_inband(acc.result(), 1 / cfg.oversample)
     got = np.array(table.rows)
     assert table.provenance["segments"] == want.segments
     assert np.array_equal(got[:, 0], want.freqs)

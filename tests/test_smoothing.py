@@ -98,12 +98,14 @@ def test_operator_identities(K, M, n_cp, beta, V):
     _, g, _, ops = built_ops(K, M, n_cp, beta, V)
     res = operator_identity_residuals(ops)
     tol = identity_tolerance(V)
-    for name in ("pf_symmetric", "pf_product", "idempotent", "decode_fixed", "decode_basis"):
+    general = ("pf_symmetric", "pf_product", "idempotent", "decode_fixed", "decode_basis",
+               "trace_rank")
+    for name in general:
         assert res[name][0] <= tol == res[name][1], (name, res[name])
     # n_cp is a multiple of K in all cases above, so the Gram identity applies
     assert res["p1p2_gram"][0] <= tol == res["p1p2_gram"][1]
     # the unitary identities are listed exactly when the set claims a unitary A
-    unitary = {"unitarity", "trace_rank", "power_trace"}
+    unitary = {"unitarity", "power_trace"}
     assert unitary & set(res) == (unitary if g.is_dirichlet else set())
 
 

@@ -25,7 +25,6 @@ from ncgfdm.spectrum import (
     psd_sample_stream,
     sidelobe_level,
     sir_report,
-    welch_psd,
 )
 
 
@@ -38,16 +37,9 @@ def _traced_peak(fn, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
-def _unrecentred(stream, ov):
-    """The stream times the conjugate recentring phase exp(+j pi n / ov)."""
-    if ov == 1:
-        return stream
-    return stream * np.exp(1j * np.pi * np.arange(stream.size) / ov)
-
-
 def test_oversample_symbol_interpolates_original_samples(rng):
     x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    up = _unrecentred(psd_sample_stream(x, 0, 4), 4)
+    up = psd_sample_stream(x, 0, 4)
     assert up.size == 128
     assert np.allclose(up[::4], x, atol=1e-12)
     assert np.array_equal(psd_sample_stream(x, 0, 1), x)
@@ -59,26 +51,34 @@ def test_oversample_stream_tone_and_energy(rng):
     n, ov = 64, 4
     k = 5
     tone = np.exp(2j * np.pi * k * np.arange(n) / n)
-    up = _unrecentred(psd_sample_stream(tone, 0, ov), ov)
+    up = psd_sample_stream(tone, 0, ov)
     spec = np.fft.fft(up)
     # the tone stays on bin k of the widened grid
     assert np.argmax(np.abs(spec)) == k
     # Parseval with the rate compensation: energy scales by the factor
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    upx = _unrecentred(psd_sample_stream(x, 0, ov), ov)
+    upx = psd_sample_stream(x, 0, ov)
     assert np.sum(np.abs(upx) ** 2) == pytest.approx(ov * np.sum(np.abs(x) ** 2))
 
 
 def test_psd_sample_stream_layout(rng):
     N, n_cp, ov = 16, 4, 2
     cores = rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3))
-    stream = _unrecentred(psd_sample_stream(cores, n_cp, ov), ov)
+    stream = psd_sample_stream(cores, n_cp, ov)
     block = (N + n_cp) * ov
     assert stream.size == block * 3
     up = oversample_symbol(cores[:, 1], ov)
     sym = stream[block : 2 * block]
     assert np.allclose(sym[: n_cp * ov], up[-n_cp * ov :])
     assert np.allclose(sym[n_cp * ov :], up)
+
+
+def _welch_of_reference(cores, n_cp, ov, window_len, overlap):
+    """(PSD, segments): plain Welch of the recentred column-reference stream."""
+    stream = reference_psd_sample_stream(cores, n_cp, ov, recenter=True)
+    acc, count, _ = reference_welch([stream], window_len, overlap)
+    wnorm = np.sum(scipy.signal.get_window("hann", window_len) ** 2)
+    return np.fft.fftshift(acc / (count * wnorm)), count
 
 
 @pytest.mark.parametrize(
@@ -89,15 +89,41 @@ def test_psd_sample_stream_layout(rng):
 @pytest.mark.parametrize("recenter", [True, False])
 def test_psd_sample_stream_matches_column_reference(rng, N, n_cp, count, ov, recenter):
     cores = rng.standard_normal((N, count)) + 1j * rng.standard_normal((N, count))
-    want = reference_psd_sample_stream(cores, n_cp, ov, recenter)
     got = psd_sample_stream(cores, n_cp, ov)
     # a single core given as a vector frames like a one-column matrix
     one = psd_sample_stream(cores[:, 0], n_cp, ov)
-    if not recenter:
-        got, one = _unrecentred(got, ov), _unrecentred(one, ov)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.array_equal(one, got[: (N + n_cp) * ov])
+    if recenter and ov > 1:
+        # the recentring lives in the Welch window: its estimate equals plain
+        # Welch of the reference stream recentred as a whole
+        acc = WelchAccumulator(8, 3, oversample=ov)
+        acc.process(got)
+        est = acc.result()
+        want, segments = _welch_of_reference(cores, n_cp, ov, 8, 3)
+        assert est.segments == segments
+        assert np.max(np.abs(est.psd - want)) <= 1e-12 * np.max(want)
+    else:  # the plain stream, which at oversample 1 is also the recentred one
+        want = reference_psd_sample_stream(cores, n_cp, ov, recenter=False)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("ov", [2, 3, 4])
+def test_welch_of_odd_chunks_matches_one_call_and_reference(rng, ov):
+    # N + n_cp = 15 is odd and every chunk holds an odd number of symbols:
+    # a phase that restarts on each chunk would flip sign at the joins
+    N, n_cp, window_len, overlap = 12, 3, 40, 10
+    cores = rng.standard_normal((N, 45)) + 1j * rng.standard_normal((N, 45))
+    one = WelchAccumulator(window_len, overlap, oversample=ov)
+    one.process(psd_sample_stream(cores, n_cp, ov))
+    chunked = WelchAccumulator(window_len, overlap, oversample=ov)
+    for part in np.split(cores, [1, 4, 9, 16, 27, 40], axis=1):
+        chunked.process(psd_sample_stream(part, n_cp, ov))
+    want, segments = _welch_of_reference(cores, n_cp, ov, window_len, overlap)
+    got, whole = chunked.result(), one.result()
+    assert got.segments == whole.segments == segments
+    assert np.max(np.abs(got.psd - whole.psd)) <= 1e-12 * np.max(want)
+    assert np.max(np.abs(got.psd - want)) <= 1e-12 * np.max(want)
 
 
 @pytest.mark.parametrize(
@@ -136,7 +162,9 @@ def test_welch_tone_peak(rng):
     f0 = 0.125
     x = np.exp(2j * np.pi * f0 * np.arange(n))
     x += 0.001 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    est = welch_psd(x, 1024)
+    acc = WelchAccumulator(1024)
+    acc.process(x)
+    est = acc.result()
     db = est.db()
     peak = np.argmax(db)
     assert abs(est.freqs[peak] - f0) < 1.5 / 1024
@@ -146,7 +174,9 @@ def test_welch_tone_peak(rng):
 def test_welch_white_noise_flat():
     gen = np.random.default_rng(8)
     x = (gen.standard_normal(1 << 19) + 1j * gen.standard_normal(1 << 19)) / np.sqrt(2)
-    est = welch_psd(x, 256)
+    acc = WelchAccumulator(256)
+    acc.process(x)
+    est = acc.result()
     db = est.db()
     assert np.max(np.abs(db - db.mean())) < 0.5
     # the per-bin mean equals the sample variance (unit here)
@@ -155,14 +185,17 @@ def test_welch_white_noise_flat():
 
 def test_welch_amplitude_linearity(rng):
     x = rng.standard_normal(1 << 14) + 1j * rng.standard_normal(1 << 14)
-    a = welch_psd(x, 512).db()
-    b = welch_psd(10.0 * x, 512).db()
-    assert np.allclose(b - a, 20.0, atol=1e-9)
+    a, b = WelchAccumulator(512), WelchAccumulator(512)
+    a.process(x)
+    b.process(10.0 * x)
+    assert np.allclose(b.result().db() - a.result().db(), 20.0, atol=1e-9)
 
 
 def test_streaming_matches_one_shot(rng):
     x = rng.standard_normal(9000) + 1j * rng.standard_normal(9000)
-    one = welch_psd(x, 512, overlap=128)
+    whole = WelchAccumulator(512, overlap=128)
+    whole.process(x)
+    one = whole.result()
     acc = WelchAccumulator(512, overlap=128)
     for start in range(0, 9000, 700):
         acc.process(x[start : start + 700])
@@ -369,7 +402,9 @@ def test_smoothing_suppresses_boundary_radiation():
     X_smooth, _, _ = smooth_stream(ops, D)
     X_plain = ops.tm.A @ D
     ov, band = 4, 0.25
-    est_s = welch_psd(psd_sample_stream(X_smooth, p.n_cp, ov), 512)
-    est_p = welch_psd(psd_sample_stream(X_plain, p.n_cp, ov), 512)
+    est_s, est_p = WelchAccumulator(512, oversample=ov), WelchAccumulator(512, oversample=ov)
+    est_s.process(psd_sample_stream(X_smooth, p.n_cp, ov))
+    est_p.process(psd_sample_stream(X_plain, p.n_cp, ov))
+    est_s, est_p = est_s.result(), est_p.result()
     off = 2.0 / 16 / ov  # two subcarrier spacings beyond the edge
     assert sidelobe_level(est_s, band, off) < sidelobe_level(est_p, band, off) - 3.0
