@@ -195,6 +195,11 @@ class ExperimentConfig:
         _check_count(self.kind, "seed", self.seed, 0)
         for name, least in _COUNTS.get(self.kind, {}).items():
             _check_count(self.kind, name, getattr(self, name), least)
+        # every kind reads these four in to_dict, for the config hash
+        for name in ("snr_db", "variants", "beta_grid", "v_grid"):
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)):
+                raise ValueError(f"{name} must be a list or tuple, got {value!r}")
         if self.kind == "ber":
             if len(self.snr_db) == 0:
                 raise ValueError("BER experiments need a non-empty SNR grid")
@@ -203,6 +208,9 @@ class ExperimentConfig:
                     raise ValueError(f"snr_db entries must be finite numbers, got {snr!r}")
         if not self.variants:
             raise ValueError("at least one waveform variant is required")
+        for spec in self.variants:
+            if not isinstance(spec, str):
+                raise ValueError(f"variants entries must be strings, got {spec!r}")
         if self.kind in ("ber", "psd"):
             for spec in self.variants:
                 var = resolve_variant(self, spec)
@@ -250,15 +258,17 @@ class ExperimentConfig:
         for name in ("beta_grid", "v_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"SIR experiments need a non-empty {name}, got ()")
+        # replace, not waveform(V=...), whose None stands for the config's own value
+        base = self.waveform()
         for V in self.v_grid:
             try:
-                self.waveform(V=V)
+                replace(base, V=V).validate()
             except DimensionError as exc:
                 raise ValueError(f"v_grid entry V={V} is rejected: {exc}") from exc
             _check_order("v_grid entry", V)
         for beta in self.beta_grid:
             try:
-                self.waveform(beta=beta)
+                replace(base, beta=beta).validate()
             except DimensionError as exc:
                 raise ValueError(f"beta_grid entry {beta}: {exc}") from exc
 
@@ -619,19 +629,18 @@ _PLATEAU_READS = (8, 16, 32, 64, 128)
 def _steady_sir_db(ops: NcOperators) -> tuple[float, float, float]:
     """(sir_db, smooth_power, closed_form_db) at the converged plateau.
 
-    One power recursion over 128 symbols, read after 8, 16, ..., 128 of
-    them: the first read within 0.01 dB of the one before is the plateau,
-    else the last.  ``closed_form_db`` is nan unless A is unitary.
+    The power recursion is read after 8, 16, ..., 128 symbols: the first read
+    within 0.01 dB of the one before is the plateau, else the last.  Each
+    report runs only up to the read it checks; a shorter report is a prefix
+    of a longer one, so the values do not depend on where it stops.
+    ``closed_form_db`` is nan unless A is unitary.
     """
-    rep = sir_report(ops, _PLATEAU_READS[-1])
-    prev = None
-    for n in _PLATEAU_READS:
-        cur = rep.sir_db[n - 1]
-        if prev is not None and abs(cur - prev) < 0.01:
+    for prev_n, n in zip(_PLATEAU_READS, _PLATEAU_READS[1:]):
+        rep = sir_report(ops, n)
+        if abs(rep.sir_db[n - 1] - rep.sir_db[prev_n - 1]) < 0.01:
             break
-        prev = cur
     closed = float("nan") if rep.closed_form_db is None else rep.closed_form_db
-    return float(cur), float(rep.smooth_power[n - 1]), closed
+    return float(rep.sir_db[n - 1]), float(rep.smooth_power[n - 1]), closed
 
 
 def run_sir(cfg: ExperimentConfig) -> list:

@@ -9,6 +9,7 @@ subcarrier ``k`` of subsymbol ``m`` (see :class:`ncgfdm.filterbank.TransmitMatri
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -65,6 +66,8 @@ class WaveformParams:
                 raise DimensionError(f"{name} must be an integer, got {value!r}")
         if self.K < 1 or self.M < 1:
             raise DimensionError(f"K and M must be positive, got K={self.K}, M={self.M}")
+        if isinstance(self.beta, bool) or not isinstance(self.beta, Real):
+            raise DimensionError(f"roll-off beta must be a real number, got {self.beta!r}")
         if not 0.0 <= self.beta <= 1.0:
             raise DimensionError(f"roll-off beta must lie in [0, 1], got {self.beta}")
         if self.V < 0:
@@ -88,142 +91,77 @@ class WaveformParams:
 
 @dataclass(frozen=True)
 class Constellation:
-    """A unit-energy constellation with a fixed bit labeling.
+    """Square Gray-mapped QAM at unit mean energy, built by :func:`qam_constellation`.
 
     ``points[i]`` is the point whose label is the ``bits_per_symbol``-bit
-    binary expansion of ``i`` (MSB first).  Square QAM, where the first half
-    of the label picks the in-phase level and the second half picks the
-    quadrature level from one shared level set, is decided per axis; any
-    other point set falls back to the nearest-point search over all points.
+    binary expansion of ``i`` (MSB first).  The first half of the label picks
+    the in-phase level and the second half the quadrature level, from one
+    shared level set.  The squared distance splits into an in-phase and a
+    quadrature term, so the nearest point pairs the nearest level on each
+    axis, and :func:`decision_labels` decides one axis at a time.
     """
 
     points: np.ndarray
     bits_per_symbol: int
-    name: str = ""
-    _slicer: "_SquareQamSlicer | None" = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.complex128)
-        object.__setattr__(self, "points", pts)
-        n = pts.size
-        if n < 2 or (n & (n - 1)) != 0:
-            raise ValueError(f"constellation size must be a power of two, got {n}")
-        if n != 2**self.bits_per_symbol:
-            raise ValueError("point count does not match bits_per_symbol")
-        energy = np.mean(np.abs(pts) ** 2)
-        if abs(energy - 1.0) > 1e-12:
-            raise ValueError(f"constellation mean energy is {energy}, expected 1")
-        object.__setattr__(self, "_slicer", _SquareQamSlicer.of(pts, self.bits_per_symbol))
-
-
-@dataclass(frozen=True)
-class _SquareQamSlicer:
-    """Nearest-point decision of square QAM, one PAM axis at a time.
-
-    The squared distance splits into an in-phase and a quadrature term, so
-    the nearest point pairs the nearest level on each axis.  A level's
-    position is the count of midpoint thresholds below the sample.  A sample
-    exactly on a threshold goes to the neighbour with the lower label; per
-    axis that yields the lowest point index among the tied points.
-    """
-
     #: ascending midpoints between adjacent levels; one ulp lower where the
     #: upper neighbour has the lower label, so that ``>`` sends a tie upward
     thresholds: np.ndarray
     #: label of the point at (in-phase position, quadrature position),
-    #: flattened row-major with ``side`` positions per axis
+    #: flattened row-major with ``thresholds.size + 1`` positions per axis
     labels: np.ndarray
-    side: int
-
-    @classmethod
-    def of(cls, points: np.ndarray, bits: int) -> "_SquareQamSlicer | None":
-        """The slicer for ``points``, or None when they are not square QAM."""
-        if bits % 2:
-            return None
-        side = 2 ** (bits // 2)
-        grid = points.reshape(side, side)
-        levels = grid.real[:, 0]  # indexed by the label half
-        if np.any(grid.real != levels[:, None]) or np.any(grid.imag != levels[None, :]):
-            return None
-        order = np.argsort(levels)
-        ascending = levels[order]
-        if np.any(np.diff(ascending) <= 0):
-            return None
-        mid = (ascending[:-1] + ascending[1:]) / 2
-        thresholds = np.where(order[1:] < order[:-1], np.nextafter(mid, -np.inf), mid)
-        labels = (order[:, None] * side + order[None, :]).ravel()
-        return cls(thresholds=thresholds, labels=labels, side=side)
-
-    def __call__(self, flat: np.ndarray) -> np.ndarray:
-        """Labels of a contiguous 1-D complex128 array."""
-        axes = flat.view(np.float64)  # interleaved in-phase, quadrature
-        pos = np.zeros(axes.shape, dtype=np.min_scalar_type(self.labels.size - 1))
-        for t in self.thresholds:
-            pos += axes > t
-        return np.take(self.labels, pos[0::2] * self.side + pos[1::2])
-
-
-def _gray_pam_levels(bits: int) -> np.ndarray:
-    """PAM levels indexed by the Gray-decoded bit pattern (MSB first).
-
-    Level order: bit pattern g maps to amplitude 2*b - (L-1) where b is the
-    binary-reflected Gray decode of g.  For 2 bits: 00->-3, 01->-1, 11->+1,
-    10->+3.
-    """
-    L = 2**bits
-    levels = np.empty(L)
-    for g in range(L):
-        b = g
-        mask = g >> 1
-        while mask:
-            b ^= mask
-            mask >>= 1
-        levels[g] = 2 * b - (L - 1)
-    return levels
 
 
 def qam_constellation(order: int) -> Constellation:
     """Square Gray-mapped QAM of the given order (4, 16, 64, ...).
 
     The first half of the label addresses the in-phase axis, the second half
-    the quadrature axis; each axis carries a binary-reflected Gray code.
-    Points are scaled to unit average energy.
+    the quadrature axis; each axis carries a binary-reflected Gray code, so
+    the b-th lowest level has label half ``b ^ (b >> 1)``.  For 2 bits per
+    axis: 00->-3, 01->-1, 11->+1, 10->+3.  Points are scaled to unit average
+    energy.
     """
-    bits = int(np.log2(order))
-    if 2**bits != order or bits % 2 != 0:
-        raise ValueError(f"square QAM requires a power-of-four order, got {order}")
+    whole = isinstance(order, (int, np.integer)) and not isinstance(order, bool)
+    if not (whole and order >= 4 and order & (order - 1) == 0 and int(order).bit_length() % 2):
+        raise ValueError(f"square QAM requires a power-of-four order, got {order!r}")
+    bits = int(order).bit_length() - 1
     half = bits // 2
-    pam = _gray_pam_levels(half)
+    side = 2**half
+    b = np.arange(side)
+    gray = b ^ (b >> 1)
+    pam = np.empty(side)
+    pam[gray] = 2 * b - (side - 1)
     idx = np.arange(order)
-    i_bits = idx >> half
-    q_bits = idx & (2**half - 1)
-    raw = pam[i_bits] + 1j * pam[q_bits]
-    scale = np.sqrt(np.mean(np.abs(raw) ** 2))
-    return Constellation(points=raw / scale, bits_per_symbol=bits, name=f"{order}QAM")
+    raw = pam[idx >> half] + 1j * pam[idx & (side - 1)]
+    points = raw / np.sqrt(np.mean(np.abs(raw) ** 2))
+    ascending = points.real[gray * side]
+    mid = (ascending[:-1] + ascending[1:]) / 2
+    return Constellation(
+        points=points,
+        bits_per_symbol=bits,
+        thresholds=np.where(gray[1:] < gray[:-1], np.nextafter(mid, -np.inf), mid),
+        labels=(gray[:, None] * side + gray[None, :]).ravel(),
+    )
 
 
 # ---------------------------------------------------------------------------
 # hard decisions
 
 
-def _nearest_labels(flat: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Dense nearest-point search; ties resolve to the lowest point index."""
-    # np.argmin takes the first (lowest index) of equal minima
-    d2 = np.abs(flat[:, None] - points[None, :]) ** 2
-    return np.argmin(d2, axis=1)
-
-
 def decision_labels(y: np.ndarray, c: Constellation) -> np.ndarray:
     """Indices of the nearest constellation points, in the shape of ``y``.
 
-    A sample exactly on a decision threshold resolves to the lowest point
-    index.  Square QAM is sliced per axis; other constellations compare
-    every sample with every point.
+    A level's position on each axis is the count of thresholds below the
+    sample.  A sample exactly on a threshold goes to the neighbour with the
+    lower label; per axis that yields the lowest point index among the tied
+    points.
     """
     y = np.asarray(y, dtype=np.complex128)
-    flat = y.ravel()
-    labels = _nearest_labels(flat, c.points) if c._slicer is None else c._slicer(flat)
-    return labels.reshape(y.shape)
+    axes = y.ravel().view(np.float64)  # interleaved in-phase, quadrature
+    pos = np.zeros(axes.shape, dtype=np.min_scalar_type(c.labels.size - 1))
+    for t in c.thresholds:
+        pos += axes > t
+    side = c.thresholds.size + 1
+    return np.take(c.labels, pos[0::2] * side + pos[1::2]).reshape(y.shape)
 
 
 def hard_decision(y: np.ndarray, c: Constellation) -> np.ndarray:

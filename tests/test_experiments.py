@@ -80,11 +80,20 @@ def test_config_validation():
         ("sir", dict(n_symbols=100.0), r"integer n_symbols >= 2, got 100.0"),
         ("sir", dict(seed=-1), r"integer seed >= 0, got -1"),
         ("power", dict(seed=1.5), r"integer seed >= 0, got 1.5"),
+        ("sir", dict(beta_grid=("x",)), r"beta_grid entry x: .*real number, got 'x'"),
+        ("sir", dict(beta_grid=(0.1, None)), r"beta_grid entry None: .*real number, got None"),
+        ("sir", dict(v_grid=(2, None)), r"v_grid entry V=None .*V must be an integer, got None"),
+        ("sir", dict(beta_grid=0.1), r"beta_grid must be a list or tuple, got 0.1"),
+        ("sir", dict(v_grid=2), r"v_grid must be a list or tuple, got 2"),
+        # every kind hashes snr_db into its provenance
+        ("sir", dict(snr_db=5.0), r"snr_db must be a list or tuple, got 5.0"),
+        ("power", dict(beta="0.1"), r"roll-off beta must be a real number, got '0.1'"),
     ],
     ids=["n_symbols", "n_streams", "n_indices", "empty-beta_grid", "empty-v_grid",
          "v_grid-too-large", "beta_grid-out-of-range", "v_grid-negative", "v_grid-fractional",
          "fractional-V", "fractional-n_indices", "fractional-sir-n_symbols", "negative-seed",
-         "fractional-seed"],
+         "fractional-seed", "text-beta_grid", "none-beta_grid", "none-v_grid",
+         "scalar-beta_grid", "scalar-v_grid", "scalar-snr_db", "text-beta"],
 )
 def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
     monkeypatch, kind, overrides, message
@@ -132,6 +141,12 @@ def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
         ("ber", dict(n_bits=-5), r"integer n_bits >= 1, got -5"),
         ("ber", dict(seed=-1), r"integer seed >= 0, got -1"),
         ("psd", dict(seed=1.5), r"integer seed >= 0, got 1.5"),
+        ("ber", dict(snr_db=5.0), r"snr_db must be a list or tuple, got 5.0"),
+        ("ber", dict(variants=(2,)), r"variants entries must be strings, got 2"),
+        ("psd", dict(variants=("gfdm", None)), r"variants entries must be strings, got None"),
+        ("ber", dict(variants="gfdm"), r"variants must be a list or tuple, got 'gfdm'"),
+        ("psd", dict(beta="0.1"), r"roll-off beta must be a real number, got '0.1'"),
+        ("ber", dict(beta=True), r"roll-off beta must be a real number, got True"),
     ],
     ids=["recovery_iterations", "window_len", "negative-overlap", "whole-window-overlap",
          "ofdm-stream-short", "gfdm-stream-short", "qam_order-8", "qam_order-0",
@@ -139,7 +154,8 @@ def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
          "eva-negative-sample-interval", "eva-nan-doppler", "eva-text-doppler", "nan-snr", "text-snr",
          "fractional-psd-n_symbols", "fractional-window_len", "fractional-overlap",
          "fractional-recovery_iterations", "negative-n_bits", "negative-seed",
-         "fractional-seed"],
+         "fractional-seed", "scalar-snr_db", "int-variant", "none-variant", "string-variants",
+         "text-beta", "bool-beta"],
 )
 def test_config_validation_rejects_ber_and_psd_configs_that_fail_mid_run(
     monkeypatch, kind, overrides, message
@@ -186,9 +202,17 @@ def test_config_validation_rejects_smoothing_order_whose_build_fails(
         runner(cfg)
 
 
-def test_cli_rejects_non_square_qam_before_any_work(tmp_path):
-    with pytest.raises(ValueError, match=r"qam_order must be a power of four .*got 8"):
-        main(["sir", "--set", "qam_order=8", "--out", str(tmp_path)])
+@pytest.mark.parametrize(
+    "kind,setting,message",
+    [
+        ("sir", "qam_order=8", r"qam_order must be a power of four .*got 8"),
+        ("ber", "snr_db=12", r"snr_db must be a list or tuple, got 12"),
+    ],
+    ids=["qam_order-8", "scalar-snr_db"],
+)
+def test_cli_rejects_bad_settings_before_any_work(tmp_path, kind, setting, message):
+    with pytest.raises(ValueError, match=message):
+        main([kind, "--set", setting, "--out", str(tmp_path)])
     assert not any(tmp_path.iterdir())
 
 
@@ -353,6 +377,29 @@ def test_run_sir_contents():
     assert by_key[(0.0, 2)][3] < by_key[(0.0, 0)][3]
     for r in rows:
         assert abs(r[3] - r[4]) < 0.5
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_steady_sir_stops_at_the_plateau_read(monkeypatch, beta):
+    p = WaveformParams(**dict(SMALL, beta=beta)).validate()
+    ops = experiments._operators(*experiments._transmit(p), p)
+    full = experiments.sir_report(ops, 128)
+    # the plateau: reads after 8 and 16 symbols agree within 0.01 dB
+    assert abs(full.sir_db[15] - full.sir_db[7]) < 0.01
+    steps, report = [], experiments.sir_report
+
+    def counted(ops, n_symbols):
+        steps.append(n_symbols - 1)  # recursion steps of one report
+        return report(ops, n_symbols)
+
+    monkeypatch.setattr(experiments, "sir_report", counted)
+    sir_db, smooth_power, closed = experiments._steady_sir_db(ops)
+    assert sum(steps) == 15  # one 16-symbol report, not 127 steps
+    assert (sir_db, smooth_power) == (full.sir_db[15], full.smooth_power[15])
+    if beta == 0.0:
+        assert closed == full.closed_form_db
+    else:
+        assert math.isnan(closed)
 
 
 def test_run_power_recursion_vs_monte_carlo():
