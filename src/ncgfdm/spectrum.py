@@ -14,6 +14,7 @@ grow with N times the number of symbols or streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,30 +295,98 @@ def closed_form_sir(p: WaveformParams) -> float:
 _DRAW_BLOCK = 64
 
 
+def _label_table(pts: np.ndarray) -> tuple[np.ndarray, int]:
+    """(table, b): the points read per packed unit of the draw, and the label width.
+
+    ``pts`` must hold 2**b points, b >= 1.  When b divides 8 the unit is a
+    byte: row u of the (256, 8/b) table holds the points of the 8/b labels
+    packed in byte u, most significant field first.  Otherwise the unit is
+    the label itself and the table is ``pts`` as one column.
+    """
+    size = pts.size
+    if size < 2 or size & (size - 1):
+        raise ValueError(f"points must hold a power-of-two count of at least 2, got {size}")
+    bits = size.bit_length() - 1
+    if 8 % bits:
+        return pts[:, None], bits
+    shifts = 8 - bits * np.arange(1, 8 // bits + 1)
+    return pts[(np.arange(256)[:, None] >> shifts) & (size - 1)], bits
+
+
+def _draw_units(rng: np.random.Generator, n: int, bits: int) -> np.ndarray:
+    """Packed units of ``n`` labels drawn as consecutive ``bits``-bit fields.
+
+    The fields read the bytes of ``rng.bytes`` in order, each byte most
+    significant bit first, so a draw of ``n`` labels takes ceil(n b / 8)
+    bytes.  When b divides 8 the units are those bytes; otherwise they are
+    the labels, unpacked from groups of b / gcd(b, 8) whole bytes (zero
+    padded at the end) and so possibly a few past ``n``.
+    """
+    buf = np.frombuffer(rng.bytes(-(-n * bits // 8)), dtype=np.uint8)
+    if not 8 % bits:
+        return buf
+    per = 8 // math.gcd(bits, 8)  # labels per group
+    width = bits * per // 8  # bytes per group
+    if buf.size % width:
+        buf = np.concatenate([buf, np.zeros(width - buf.size % width, dtype=np.uint8)])
+    groups = buf.reshape(-1, width)
+    labels = np.empty((groups.shape[0], per), dtype=np.intp)
+    for j in range(per):
+        first, last = j * bits // 8, ((j + 1) * bits - 1) // 8
+        # the bytes under field j, as one word of the narrowest unsigned type
+        word = groups[:, first].astype(np.min_scalar_type((1 << 8 * (last - first + 1)) - 1))
+        for k in range(first + 1, last + 1):
+            word <<= 8
+            word |= groups[:, k]
+        word >>= 8 * (last + 1) - (j + 1) * bits
+        word &= (1 << bits) - 1
+        labels[:, j] = word
+    return labels.ravel()
+
+
 def _draw_products(
-    ops: NcOperators, rng: np.random.Generator, pts: np.ndarray, cols: int, count: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    ops: NcOperators, rng: np.random.Generator, pts: np.ndarray, cols: int, energy: bool = False
+) -> tuple[np.ndarray, np.ndarray, float | None]:
     """Thin products P_1 D and P_2 D of an (N, cols) draw of constellation points.
 
-    The labels are drawn ``_DRAW_BLOCK`` rows at a time.  ``integers`` fills
-    in C order from the generator's own state, so consecutive row blocks are
-    consecutive pieces of one (N, cols) draw.  Each block adds
-    [P_1; P_2][:, rows] @ pts[labels] in one stacked product.  With
-    ``count``, also returns how often each point occurs in columns 1..,
-    the symbols after the unsmoothed head; else None.
+    Draw contract: ``pts`` holds 2**b points, and the labels of D, in C
+    order, are consecutive b-bit fields of ``rng.bytes``, each byte most
+    significant bit first (:func:`_draw_units`); a point count that is not a
+    power of two raises ValueError before any draw.  The labels are drawn
+    ``_DRAW_BLOCK`` rows at a time.  A full block is 8 b cols bytes, a whole
+    number of the generator's 32-bit words, so consecutive blocks are
+    consecutive pieces of one (N, cols) draw.  Each block gathers its points
+    through the table of packed units (:func:`_label_table`), without
+    forming an array of labels when b divides 8, and adds
+    [P_1; P_2][:, rows] @ D[rows] in one stacked product.  With ``energy``,
+    also returns the energy of columns 1.., the symbols after the
+    unsmoothed head: a histogram of the units, less the head column and the
+    fields past the last label; else None.
     """
     N, V1 = ops.params.N, ops.V + 1
+    table, bits = _label_table(pts)
     stacked = np.vstack([ops.P_1, ops.P_2])
     acc = np.zeros((2 * V1, cols), dtype=np.complex128)
-    counts = np.zeros(pts.size, dtype=np.int64) if count else None
+    hist = np.zeros(len(table), dtype=np.int64)
+    skipped = 0.0
+    gathered = None  # the first block is the largest; later blocks reuse its memory
     for start in range(0, N, _DRAW_BLOCK):
         stop = min(start + _DRAW_BLOCK, N)
-        labels = rng.integers(0, pts.size, size=(stop - start, cols))
-        acc += stacked[:, start:stop] @ pts[labels]
-        if count:
-            counts += np.bincount(labels.ravel(), minlength=pts.size)
-            counts -= np.bincount(labels[:, 0], minlength=pts.size)
-    return acc[:V1], acc[V1:], counts
+        n = (stop - start) * cols
+        units = _draw_units(rng, n, bits)
+        if gathered is None:
+            gathered = np.empty((units.size, table.shape[1]), dtype=np.complex128)
+        # every unit indexes the table, so "wrap" changes nothing but lets
+        # take write straight into the held memory instead of a buffer
+        flat = np.take(table, units, axis=0, out=gathered[: units.size], mode="wrap").ravel()
+        block = flat[:n].reshape(stop - start, cols)
+        acc += stacked[:, start:stop] @ block
+        if energy:
+            hist += np.bincount(units, minlength=len(table))
+            head = block[:, 0]
+            skipped += np.vdot(head, head).real + np.vdot(flat[n:], flat[n:]).real
+    sig = float(hist @ np.sum(np.abs(table) ** 2, axis=1)) - skipped if energy else None
+    return acc[:V1], acc[V1:], sig
 
 
 def empirical_sir(
@@ -331,23 +400,26 @@ def empirical_sir(
     Measured where it matters: at the demodulator output, where the soft
     estimate is d + A^{-1} w, so signal and interference are the data
     vectors and the data-domain smooth contributions.  Data vectors draw
-    i.i.d. from ``points``, a unit-energy constellation.  No (N, n_symbols)
-    array is formed: the draw is reduced to its thin products P_1 D and
-    P_2 D row block by row block, the recursion runs on them
-    (:func:`coefficient_scan`), and the signal energy comes from label
-    counts.  Raises when the stream carries no boundary discontinuity to
-    smooth (zero interference).
+    i.i.d. from ``points``, a unit-energy constellation of 2**b points
+    (else ValueError, before any draw).  The labels of the (N, n_symbols)
+    draw are consecutive b-bit fields of ``rng.bytes`` in C order, drawn
+    64 rows at a time; the blocks concatenate to one whole draw
+    (:func:`_draw_products`).  No (N, n_symbols) array is formed: the draw
+    is reduced to its thin products P_1 D and P_2 D row block by row block,
+    the recursion runs on them (:func:`coefficient_scan`), and the signal
+    energy comes from a histogram of the packed label units.  Raises when
+    the stream carries no boundary discontinuity to smooth (zero
+    interference).
     """
     if n_symbols < 2:
         raise ValueError("need at least two symbols to observe smoothing")
     pts = np.asarray(points, dtype=np.complex128)
-    P1D, P2D, counts = _draw_products(ops, rng, pts, n_symbols, count=True)
+    P1D, P2D, sig = _draw_products(ops, rng, pts, n_symbols, energy=True)
     B, _ = coefficient_scan(ops, P1D, P2D)
     gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
     intf = float(np.real(np.einsum("vi,vw,wi->", B[:, 1:].conj(), gram, B[:, 1:])))
     if intf <= 0:
         raise ZeroDivisionError("stream produced no smoothing interference")
-    sig = float(counts @ np.abs(pts) ** 2)
     return sig / intf
 
 
@@ -360,12 +432,15 @@ def mc_smooth_power(
 ) -> np.ndarray:
     """Monte-Carlo mean of ||A^{-1} w_i||^2 per symbol index over streams.
 
-    Data draw i.i.d. from ``points``, a unit-energy constellation.  Each
-    symbol index draws its (N, n_streams) data in row blocks, reduced to
-    the thin products P_1 D and P_2 D, and advances the coefficient
-    recursion of all streams at once (:func:`coefficient_scan`), carrying
-    across indices; no modulation is performed and no (N, n_streams) array
-    is formed.
+    Data draw i.i.d. from ``points``, a unit-energy constellation of 2**b
+    points (else ValueError, before any draw).  Each symbol index draws its
+    (N, n_streams) data as one draw of :func:`_draw_products`: labels are
+    consecutive b-bit fields of ``rng.bytes`` in C order, taken 64 rows at
+    a time, and the blocks concatenate to one whole draw.  The draw is
+    reduced to the thin products P_1 D and P_2 D, and advances the
+    coefficient recursion of all streams at once
+    (:func:`coefficient_scan`), carrying across indices; no modulation is
+    performed and no (N, n_streams) array is formed.
     """
     if n_streams < 1 or n_symbols < 1:
         raise ValueError("need at least one stream and one symbol")

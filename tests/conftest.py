@@ -64,6 +64,21 @@ def reference_smooth(ops, D):
     return np.stack(X_bar, axis=1), np.stack(D_bar, axis=1)
 
 
+def reference_labels(rng, order, shape):
+    """Oracle: labels of ``order`` = 2**b points as b-bit fields of random bytes.
+
+    One call to ``rng.bytes`` supplies ceil(n b / 8) bytes for the n labels
+    of ``shape``; their bits, each byte most significant bit first, are cut
+    into consecutive b-bit fields, read most significant bit first and laid
+    out in C order.
+    """
+    bits = int(order).bit_length() - 1
+    n = int(np.prod(shape))
+    buf = np.frombuffer(rng.bytes(-(-n * bits // 8)), dtype=np.uint8)
+    fields = np.unpackbits(buf, count=n * bits).reshape(n, bits).astype(np.int64)
+    return (fields @ (1 << np.arange(bits - 1, -1, -1))).reshape(shape)
+
+
 def reference_empirical_sir(ops, rng, n_symbols, points):
     """Oracle: Monte-Carlo SIR over the whole (N, n_symbols) draw held at once.
 
@@ -72,7 +87,7 @@ def reference_empirical_sir(ops, rng, n_symbols, points):
     and sums |D|^2 over the columns after the unsmoothed head.
     """
     pts = np.asarray(points, dtype=np.complex128)
-    D = pts[rng.integers(0, pts.size, size=(ops.params.N, n_symbols))]
+    D = pts[reference_labels(rng, pts.size, (ops.params.N, n_symbols))]
     P1D, P2D = ops.P_1 @ D, ops.P_2 @ D
     G = ops.P_1 @ ops.A_inv_Q
     B = np.zeros((ops.V + 1, n_symbols), dtype=complex)

@@ -117,12 +117,14 @@ def test_criterion_4_smooth_power_recursion():
     dev0 = abs(mean - 6.0) / 6.0
     ok = dev0 <= 0.03
     # shaped cases: recursion vs Monte-Carlo at every symbol index; beta=0.1
-    # quantizes to the Dirichlet pulse, beta=0.5 gives a non-unitary A
+    # quantizes to the Dirichlet pulse, beta=0.5 gives a non-unitary A.  One
+    # index's Monte-Carlo mean spreads by 1.26% relative at 2000 streams
+    # (40 seeds x 20 indices), so 8000 streams put the 3% bound at 4.8 sigma
     worst = {}
     for beta in (0.1, 0.5):
         _, _, _, ops_rc = built_ops(256, 7, 280, beta, 2)
         theory = sir_report(ops_rc, 21).smooth_power
-        mc = mc_smooth_power(ops_rc, SeededRng(1004).generator, 2_000, 21, points=c.points)
+        mc = mc_smooth_power(ops_rc, SeededRng(1004).generator, 8_000, 21, points=c.points)
         rel = np.abs(mc[1:] - theory[1:]) / theory[1:]
         ok &= bool(np.all(rel <= 0.03))
         worst[beta] = rel.max()

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.signal
+import scipy.stats
 
 from conftest import (
     built_ops,
@@ -10,6 +11,7 @@ from conftest import (
     dense_p_tilde,
     oversample_symbol,
     reference_empirical_sir,
+    reference_labels,
     reference_psd_sample_stream,
     reference_welch,
 )
@@ -18,6 +20,9 @@ from ncgfdm.smoothing import coefficient_stream, smooth_stream
 from ncgfdm.spectrum import (
     PsdEstimate,
     WelchAccumulator,
+    _draw_products,
+    _draw_units,
+    _label_table,
     closed_form_sir,
     empirical_sir,
     mc_smooth_power,
@@ -332,35 +337,93 @@ def test_empirical_sir_tracks_theory():
         empirical_sir(ops, SeededRng(21).generator, 1, points=pts)
 
 
-@pytest.mark.parametrize("V,rel", [(2, 1e-12), (6, 1e-8)])
-def test_empirical_sir_matches_whole_array_reference(V, rel):
-    # N = 112 is not a multiple of the 64-row draw block, so the last block
-    # is partial; the same seed must give the same labels as one whole draw.
-    # At V=6 (pf_cond 2.5e8) the summation order of the products alone moves
-    # the SIR by up to 6.5e-9 relative over 30 seeds, so 1e-8 is the bound
-    _, _, _, ops = built_ops(16, 7, 16, 0.5, V)
-    pts = qam_constellation(16).points
-    got = empirical_sir(ops, SeededRng(31).generator, 700, points=pts)
-    want = reference_empirical_sir(ops, SeededRng(31).generator, 700, pts)
+@pytest.mark.parametrize(
+    "K,M,V,rel,order,n_symbols",
+    [(16, 7, 2, 1e-12, 16, 700), (16, 7, 6, 1e-8, 16, 700)]
+    + [(15, 5, 2, 1e-12, order, 101) for order in (4, 16, 64, 256, 1024, 4096)],
+    ids=["2-1e-12", "6-1e-8"] + [f"qam{order}-odd" for order in (4, 16, 64, 256, 1024, 4096)],
+)
+def test_empirical_sir_matches_whole_array_reference(K, M, V, rel, order, n_symbols):
+    # N = 112 and N = 75 are not multiples of the 64-row draw block, so the
+    # last block is partial, and at N = 75 with an odd symbol count it ends
+    # inside a byte; the same seed must give the same labels as one whole
+    # draw.  At V=6 (pf_cond 2.5e8) the summation order of the products
+    # alone moves the SIR by up to 6.5e-9 relative over 30 seeds, so 1e-8 is
+    # the bound
+    _, _, _, ops = built_ops(K, M, K, 0.5, V)
+    pts = qam_constellation(order).points
+    got = empirical_sir(ops, SeededRng(31).generator, n_symbols, points=pts)
+    want = reference_empirical_sir(ops, SeededRng(31).generator, n_symbols, pts)
     assert got == pytest.approx(want, rel=rel)
 
 
-def test_mc_smooth_power_matches_whole_array_draw():
+@pytest.mark.parametrize("n_streams", [150, 151])
+def test_mc_smooth_power_matches_whole_array_draw(n_streams):
     _, _, _, ops = built_ops(16, 7, 16, 0.5, 2)
     pts = qam_constellation(16).points
-    got = mc_smooth_power(ops, SeededRng(8).generator, 150, 4, points=pts)
+    got = mc_smooth_power(ops, SeededRng(8).generator, n_streams, 4, points=pts)
     gen = SeededRng(8).generator
-    D = np.stack([pts[gen.integers(0, 16, size=(ops.params.N, 150))] for _ in range(4)], axis=1)
+    shape = (ops.params.N, n_streams)
+    D = np.stack([pts[reference_labels(gen, 16, shape)] for _ in range(4)], axis=1)
     B, _ = coefficient_stream(ops, D)
     gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
-    want = np.real(np.einsum("vis,vw,wis->i", B.conj(), gram, B)) / 150
+    want = np.real(np.einsum("vis,vw,wis->i", B.conj(), gram, B)) / n_streams
     assert want[1] > 0
     assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("order", [2**b for b in range(1, 13)])
+def test_row_blocked_draw_is_one_whole_draw(order):
+    # N = 75 rows is one full 64-row block and a partial one of 11; with 7
+    # columns the partial block ends inside a byte for every odd label width
+    _, _, _, ops = built_ops(15, 5, 15, 0.5, 2)
+    pts = np.exp(2j * np.pi * np.arange(order) / order) * (1 + np.arange(order) / order)
+    gen = np.random.default_rng(order)
+    P1D, P2D, sig = _draw_products(ops, gen, pts, 7, energy=True)
+    after = gen.bytes(16)
+    whole = np.random.default_rng(order)
+    D = pts[reference_labels(whole, order, (ops.params.N, 7))]
+    assert whole.bytes(16) == after  # the blocks consumed exactly one whole draw
+    scale = np.abs(ops.P_1).sum() + np.abs(ops.P_2).sum()
+    assert np.allclose(P1D, ops.P_1 @ D, rtol=0, atol=1e-13 * scale)
+    assert np.allclose(P2D, ops.P_2 @ D, rtol=0, atol=1e-13 * scale)
+    assert sig == pytest.approx(float(np.sum(np.abs(D[:, 1:]) ** 2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_drawn_labels_are_uniform(bits):
+    # Pearson chi-square over 64 expected draws per label, against the
+    # 1 - 1e-6 quantile of chi-square with order - 1 degrees of freedom:
+    # each order falsely fails with probability 1e-6, the twelve together
+    # with at most 1.2e-5
+    order = 2**bits
+    n = 64 * order
+    table, width = _label_table(np.arange(order))
+    assert width == bits
+    units = _draw_units(SeededRng(2026).child(bits), n, bits)
+    labels = np.take(table, units, axis=0).ravel()[:n]
+    counts = np.bincount(labels, minlength=order)
+    assert counts.size == order
+    stat = float(np.sum((counts - 64.0) ** 2) / 64.0)
+    assert stat < scipy.stats.chi2.isf(1e-6, order - 1)
+
+
+@pytest.mark.parametrize("size", [1, 3, 6, 12])
+def test_monte_carlo_rejects_point_counts_off_a_power_of_two(size):
+    _, _, _, ops = built_ops(8, 4, 8, 0.5, 2)
+    pts = np.ones(size, dtype=complex)
+    gen = np.random.default_rng(3)
+    with pytest.raises(ValueError, match=f"power-of-two count .*got {size}"):
+        empirical_sir(ops, gen, 10, points=pts)
+    with pytest.raises(ValueError, match=f"power-of-two count .*got {size}"):
+        mc_smooth_power(ops, gen, 10, 3, points=pts)
+    assert gen.bytes(8) == np.random.default_rng(3).bytes(8)  # nothing was drawn
+
+
 def test_monte_carlo_memory_does_not_scale_with_the_draw():
-    # at paper N a whole (N, 4000) draw is 16 bytes a point and its int64
-    # labels 8 more; the row-blocked draw must stay under an eighth of that
+    # at paper N a whole (N, 4000) draw is 16 bytes a point and its packed
+    # labels half a byte more; the row-blocked draw must stay under an
+    # eighth of the points alone
     _, _, _, ops = built_ops(256, 7, 280, 0.5, 2)
     pts = qam_constellation(16).points
     bound = ops.params.N * 4000 * 16 // 8
@@ -370,16 +433,12 @@ def test_monte_carlo_memory_does_not_scale_with_the_draw():
 
 def test_empirical_sir_rejects_degenerate_stream():
     # with n_cp = 0 and repeated data the boundaries are already continuous,
-    # so there is nothing to smooth and the interference energy is zero
+    # so there is nothing to smooth and the interference energy is zero;
+    # two equal points make every draw that repeated stream
     _, _, _, ops = built_ops(8, 4, 0, 0.0, 2)
-    pts = np.array([1.0 + 0.0j, -1.0 + 0.0j])
-
-    class Constant:
-        def integers(self, lo, hi, size):
-            return np.zeros(size, dtype=int)
-
+    pts = np.array([1.0 + 0.0j, 1.0 + 0.0j])
     with pytest.raises(ZeroDivisionError):
-        empirical_sir(ops, Constant(), 50, points=pts[:1].repeat(2))
+        empirical_sir(ops, SeededRng(50).generator, 50, points=pts)
 
 
 def test_mc_smooth_power_matches_curve():
