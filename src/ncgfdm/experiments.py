@@ -465,12 +465,20 @@ def _operators(g, tm, p: WaveformParams, check: bool = True) -> NcOperators:
     return build_nc_operators(tm, build_basis(g, p), p, is_unitary=g.is_dirichlet, check=check)
 
 
+def _bit_labels(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
+    """Labels of consecutive ``bits_per_symbol``-bit groups, MSB first."""
+    fields = bits.reshape(-1, bits_per_symbol)
+    labels = fields[:, 0].astype(np.intp)
+    for i in range(1, bits_per_symbol):
+        labels <<= 1
+        labels |= fields[:, i]
+    return labels
+
+
 def _draw_data(rng: np.random.Generator, c: Constellation, N: int, count: int):
     """(bits, D): random bits and the corresponding data-vector columns."""
     bits = rng.integers(0, 2, size=count * N * c.bits_per_symbol, dtype=np.uint8)
-    weights = 1 << np.arange(c.bits_per_symbol - 1, -1, -1)
-    labels = bits.reshape(-1, c.bits_per_symbol) @ weights
-    D = c.points[labels].reshape(N, count, order="F")
+    D = np.take(c.points, _bit_labels(bits, c.bits_per_symbol)).reshape(N, count, order="F")
     return bits, D
 
 
@@ -542,11 +550,20 @@ def noise_variance(ebn0_db: float, p: WaveformParams, bits_per_symbol: int) -> f
     return eb / 10.0 ** (ebn0_db / 10.0)
 
 
+#: samples per BER chunk; a chunk holds max(1, _BER_CHUNK // N) blocks
+_BER_CHUNK = 4_000_000
+
+
 def run_ber(cfg: ExperimentConfig) -> list:
     """Monte-Carlo BER per SNR point and variant.
 
     Channel, noise, and data draws are seeded per SNR point, not per
-    variant, so all variants face identical realizations.
+    variant, so all variants face identical realizations.  They depend on
+    the variant only through its block length N and CP length, so each SNR
+    point draws every chunk once per (N, n_cp) group: the bits and data,
+    the fading and the noise.  Each variant of the group then transmits,
+    receives and counts errors on that chunk, with its own smoothing carry
+    and channel tail.  The rows keep the order (SNR point, variant).
     """
     cfg.validate()
     if cfg.kind != "ber":
@@ -554,57 +571,23 @@ def run_ber(cfg: ExperimentConfig) -> list:
     c = qam_constellation(cfg.qam_order)
     master = SeededRng(cfg.seed)
     builds = []
-    for spec in cfg.variants:
+    groups = {}
+    for i, spec in enumerate(cfg.variants):
         var = resolve_variant(cfg, spec)
         g, tm = _transmit(var.params)
         builds.append((var, tm, _operators(g, tm, var.params) if var.smoothed else None))
-    profile = cfg.channel_profile() if cfg.channel == "eva" else None
+        groups.setdefault((var.params.N, var.params.n_cp), []).append(i)
     rows = []
     for si, snr in enumerate(cfg.snr_db):
-        for var, tm, ops in builds:
-            p = var.params
-            sigma2 = 0.0 if cfg.channel == "none" else noise_variance(snr, p, c.bits_per_symbol)
-            bits_rng = master.child(3 * si + 0)
-            chan_rng = master.child(3 * si + 1)
-            noise_rng = master.child(3 * si + 2)
-            fading = tail = None
-            if cfg.channel == "eva":
-                duration = (p.N + p.n_cp) * profile.sample_interval_ns * 1e-9
-                fading = JakesFadingProcess(profile, p.N, duration, chan_rng)
-            n_blocks = max(1, math.ceil(cfg.n_bits / (p.N * c.bits_per_symbol)))
-            chunk = max(1, 4_000_000 // p.N)
-            errors = 0
-            total = 0
-            carry = None
-            done = 0
-            while done < n_blocks:
-                nb = min(chunk, n_blocks - done)
-                bits, D = _draw_data(bits_rng, c, p.N, nb)
-                if var.smoothed:
-                    X, _, carry = smooth_stream(ops, D, carry)
-                else:
-                    X = tm.modulate(D)
-                if cfg.channel == "eva":
-                    # one block per row: X.T is contiguous (TransmitMatrix.modulate)
-                    h = fading.realization(np.arange(done, done + nb))
-                    R = apply_channel(h, X.T, p.n_cp, tail)
-                    tail = X[:, -1].copy()
-                    R = awgn(R, sigma2, noise_rng, per_row=True)
-                    Y = zf_equalize(h, R).T
-                    del h, R  # not held through the recovery, which sets peak memory
-                elif cfg.channel == "awgn":
-                    Y = awgn(X, sigma2, noise_rng)
-                else:
-                    Y = X
-                if var.smoothed:
-                    soft = recover_iterative(ops, Y, c, cfg.recovery_iterations)
-                else:
-                    soft = tm.demodulate(Y)
-                rx = _bits_of(soft, c)
-                errors += int(np.count_nonzero(rx != bits))
-                total += bits.size
-                done += nb
-            rows.append((float(snr), var.name, errors / total, total))
+        counts = [None] * len(builds)
+        for members in groups.values():
+            group = _ber_group(cfg, c, master, si, [builds[i] for i in members])
+            for i, count in zip(members, group):
+                counts[i] = count
+        rows.extend(
+            (float(snr), var.name, errors / total, total)
+            for (var, _, _), (errors, total) in zip(builds, counts)
+        )
     prov = _provenance(
         cfg,
         channel=cfg.channel,
@@ -620,6 +603,63 @@ def run_ber(cfg: ExperimentConfig) -> list:
             provenance=prov,
         )
     ]
+
+
+def _ber_group(cfg, c, master, si: int, builds: list) -> list:
+    """(errors, bits) per build, at SNR point ``si``, of variants sharing N and n_cp."""
+    p = builds[0][0].params
+    snr = cfg.snr_db[si]
+    sigma2 = 0.0 if cfg.channel == "none" else noise_variance(snr, p, c.bits_per_symbol)
+    bits_rng = master.child(3 * si + 0)
+    chan_rng = master.child(3 * si + 1)
+    noise_rng = master.child(3 * si + 2)
+    eva = cfg.channel == "eva"
+    if eva:
+        profile = cfg.channel_profile()
+        duration = (p.N + p.n_cp) * profile.sample_interval_ns * 1e-9
+        fading = JakesFadingProcess(profile, p.N, duration, chan_rng)
+    n_blocks = max(1, math.ceil(cfg.n_bits / (p.N * c.bits_per_symbol)))
+    chunk = max(1, _BER_CHUNK // p.N)
+    errors = [0] * len(builds)
+    carries = [None] * len(builds)
+    tails = [None] * len(builds)
+    total = 0
+    done = 0
+    while done < n_blocks:
+        nb = min(chunk, n_blocks - done)
+        bits, D = _draw_data(bits_rng, c, p.N, nb)
+        if eva:
+            h = fading.realization(np.arange(done, done + nb))
+        if cfg.channel != "none":
+            # the noise alone, drawn as awgn draws it for one block per row
+            # (EVA) or for the (N, count) cores; adding it to a variant's
+            # signal gives that variant's awgn output bitwise
+            shape = (nb, p.N) if eva else (p.N, nb)
+            noise = awgn(np.broadcast_to(0j, shape), sigma2, noise_rng, per_row=eva)
+        for j, (var, tm, ops) in enumerate(builds):
+            if var.smoothed:
+                X, _, carries[j] = smooth_stream(ops, D, carries[j])
+            else:
+                X = tm.modulate(D)
+            if eva:
+                # one block per row: X.T is contiguous (TransmitMatrix.modulate)
+                R = apply_channel(h, X.T, p.n_cp, tails[j])
+                tails[j] = X[:, -1].copy()
+                R += noise
+                Y = zf_equalize(h, R).T
+                del R  # not held through the recovery, which sets peak memory
+            elif cfg.channel == "awgn":
+                Y = X + noise
+            else:
+                Y = X
+            if var.smoothed:
+                soft = recover_iterative(ops, Y, c, cfg.recovery_iterations)
+            else:
+                soft = tm.demodulate(Y)
+            errors[j] += int(np.count_nonzero(_bits_of(soft, c) != bits))
+        total += bits.size
+        done += nb
+    return [(e, total) for e in errors]
 
 
 #: symbol counts after which :func:`_steady_sir_db` reads the SIR plateau

@@ -103,6 +103,9 @@ class Constellation:
 
     points: np.ndarray
     bits_per_symbol: int
+    #: the shared per-axis levels in ascending order, bitwise equal to the
+    #: real and imaginary parts of ``points``
+    levels: np.ndarray
     #: ascending midpoints between adjacent levels; one ulp lower where the
     #: upper neighbour has the lower label, so that ``>`` sends a tie upward
     thresholds: np.ndarray
@@ -138,6 +141,7 @@ def qam_constellation(order: int) -> Constellation:
     return Constellation(
         points=points,
         bits_per_symbol=bits,
+        levels=ascending,
         thresholds=np.where(gray[1:] < gray[:-1], np.nextafter(mid, -np.inf), mid),
         labels=(gray[:, None] * side + gray[None, :]).ravel(),
     )
@@ -145,6 +149,20 @@ def qam_constellation(order: int) -> Constellation:
 
 # ---------------------------------------------------------------------------
 # hard decisions
+
+
+def _axis_positions(y: np.ndarray, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
+    """(y as complex, level position of every axis value).
+
+    The positions are interleaved in-phase, quadrature over ``y`` in C order;
+    a position is the count of thresholds below the axis value.
+    """
+    y = np.asarray(y, dtype=np.complex128)
+    axes = y.ravel().view(np.float64)
+    pos = np.zeros(axes.shape, dtype=np.min_scalar_type(c.labels.size - 1))
+    for t in c.thresholds:
+        pos += axes > t
+    return y, pos
 
 
 def decision_labels(y: np.ndarray, c: Constellation) -> np.ndarray:
@@ -155,11 +173,7 @@ def decision_labels(y: np.ndarray, c: Constellation) -> np.ndarray:
     lower label; per axis that yields the lowest point index among the tied
     points.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    axes = y.ravel().view(np.float64)  # interleaved in-phase, quadrature
-    pos = np.zeros(axes.shape, dtype=np.min_scalar_type(c.labels.size - 1))
-    for t in c.thresholds:
-        pos += axes > t
+    y, pos = _axis_positions(y, c)
     side = c.thresholds.size + 1
     return np.take(c.labels, pos[0::2] * side + pos[1::2]).reshape(y.shape)
 
@@ -167,9 +181,17 @@ def decision_labels(y: np.ndarray, c: Constellation) -> np.ndarray:
 def hard_decision(y: np.ndarray, c: Constellation) -> np.ndarray:
     """Nearest-point decision; ties resolve to the lowest point index.
 
-    Works elementwise on scalars or arrays, returning constellation points.
+    Works elementwise on scalars or arrays, returning constellation points,
+    bitwise equal to ``c.points[decision_labels(y, c)]``.  Each axis reads
+    its level at its position straight into the output, so no label is
+    formed.
     """
-    return np.take(c.points, decision_labels(y, c))
+    y, pos = _axis_positions(y, c)
+    out = np.empty(y.shape, dtype=np.complex128)
+    # every position indexes a level, so "clip" never clips; it spares the
+    # buffered copy that mode="raise" makes of ``out``
+    np.take(c.levels, pos, out=out.reshape(-1).view(np.float64), mode="clip")
+    return out[()] if out.ndim == 0 else out
 
 
 def demap_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 import scipy.signal
 
 from ncgfdm.filterbank import build_transmit_matrix, prototype_filter
-from ncgfdm.params import WaveformParams, qam_constellation
+from ncgfdm.params import WaveformParams, decision_labels, qam_constellation
 from ncgfdm.smoothing import build_basis, build_nc_operators
 
 
@@ -62,6 +62,23 @@ def reference_smooth(ops, D):
         X_bar.append(A @ d + w)
         D_bar.append(d + A_inv @ w)
     return np.stack(X_bar, axis=1), np.stack(D_bar, axis=1)
+
+
+def reference_recover(ops, y, c, n_iter):
+    """Oracle: iterative recovery over all columns at once, every round run.
+
+    z = A^-1 y; round r strips Q P_f^-1 P_2 (z - d_hat) with d_hat = 0 in
+    round 0 and the nearest points to the previous round's soft estimate
+    after; returns the soft estimate of the last round, in the shape of y.
+    """
+    z = ops.tm.demodulate(y)
+    pf_p2 = ops.P_f_inv @ ops.P_2
+    d_hat = np.zeros_like(z)
+    for r in range(n_iter):
+        if r:
+            d_hat = c.points[decision_labels(soft, c)]
+        soft = z - ops.A_inv_Q @ (pf_p2 @ (z - d_hat))
+    return soft
 
 
 def reference_labels(rng, order, shape):

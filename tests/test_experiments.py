@@ -499,6 +499,42 @@ def test_run_ber_awgn_sanity():
     assert 0.0 < by_snr[14.0] < by_snr[6.0] < 0.2
 
 
+@pytest.mark.parametrize("channel", ["awgn", "eva"])
+def test_run_ber_shares_each_draw_across_variants(monkeypatch, channel):
+    # AWGN: two (N, n_cp) groups, 448 + 64 and 64 + 9; EVA needs N above its
+    # last tap, so only the GFDM group; 7 blocks of N = 448 in chunks of 3
+    variants = {
+        "awgn": ("ofdm", "gfdm", "td-nc-ofdm:2", "nc-gfdm:2"),
+        "eva": ("gfdm", "nc-gfdm:1", "nc-gfdm:2"),
+    }[channel]
+    cfg = small_cfg(
+        "ber", K=64, n_cp=64, beta=0.5, channel=channel, snr_db=(4.0, 10.0),
+        n_bits=448 * 4 * 7, variants=variants, seed=3,
+    )
+    monkeypatch.setattr(experiments, "_BER_CHUNK", 3 * 448)
+    draws = []
+    original = experiments._draw_data
+
+    def record(rng, c, N, count):
+        draws.append((N, count))
+        return original(rng, c, N, count)
+
+    monkeypatch.setattr(experiments, "_draw_data", record)
+    rows = run_ber(cfg)[0].rows
+    chunks = {448: [3, 3, 1], 64: [21, 21, 7]}
+    assert draws == [
+        (N, count)
+        for _ in cfg.snr_db
+        for N in dict.fromkeys(resolve_variant(cfg, v).params.N for v in variants)
+        for count in chunks[N]
+    ]
+    single = {
+        spec: iter(run_ber(replace(cfg, variants=(spec,)))[0].rows) for spec in variants
+    }
+    assert rows == tuple(next(single[spec]) for _ in cfg.snr_db for spec in variants)
+    assert all(0.0 < row[2] < 0.5 for row in rows)
+
+
 def test_run_experiment_dispatch():
     tables = run_experiment(small_cfg("validate"))
     assert tables[0].name == "validation"

@@ -92,6 +92,16 @@ def test_map_demap_roundtrip(rng):
     assert np.array_equal(demap_symbols(D.reshape(-1, order="F"), c), bits)
 
 
+@pytest.mark.parametrize("bits_per_symbol", range(2, 13))
+def test_bit_labels_match_the_weighted_sum(bits_per_symbol, rng):
+    from ncgfdm.experiments import _bit_labels
+
+    bits = rng.integers(0, 2, size=bits_per_symbol * 4096, dtype=np.uint8)
+    weights = 1 << np.arange(bits_per_symbol - 1, -1, -1)
+    want = bits.reshape(-1, bits_per_symbol) @ weights
+    assert np.array_equal(_bit_labels(bits, bits_per_symbol), want)
+
+
 def test_hard_decision_nearest_and_ties():
     c = qam_constellation(4)
     noisy = c.points + 0.05 * (1 + 1j)
@@ -149,6 +159,28 @@ def test_square_qam_thresholds_resolve_to_lowest_index(order):
                 if pt.real in x_near and pt.imag in q_near
             ]
             assert decision_labels(x + 1j * q, c) == min(tied), (x, q)
+
+
+@pytest.mark.parametrize("order", [4, 16, 64, 256, 1024, 4096])
+def test_hard_decision_is_bitwise_the_labelled_point(order):
+    c = qam_constellation(order)
+    assert np.array_equal(c.levels, np.unique(c.points.real))
+    rng = np.random.default_rng(order)
+    # each level, each threshold and its neighbouring floats (ties included),
+    # and noise of one spacing around random points
+    near = np.concatenate([c.levels, c.thresholds])
+    axis = np.concatenate([near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf)])
+    ties = (axis[:, None] + 1j * axis[None, :]).ravel()
+    dmin = np.min(np.diff(c.levels))
+    n = 1 << 16
+    noisy = c.points[rng.integers(0, order, n)] + dmin * (
+        rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    )
+    for y in (ties, noisy.reshape(256, -1), noisy.reshape(256, -1).T):
+        got = hard_decision(y, c)
+        want = c.points[decision_labels(y, c)]
+        assert got.shape == y.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_decisions_keep_scalars_scalar():

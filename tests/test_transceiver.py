@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import built, built_ops, dense_p_tilde, dense_taps
+from conftest import built, built_ops, dense_p_tilde, dense_taps, reference_recover
+from ncgfdm import transceiver
 from ncgfdm.channel import JakesFadingProcess, eva_profile, zf_equalize
 from ncgfdm.params import SeededRng, decision_labels, qam_constellation
 from ncgfdm.smoothing import smooth_stream
@@ -146,6 +147,57 @@ def test_recovery_keeps_no_unrequested_trajectory(qam16):
     finally:
         tracemalloc.stop()
     assert peak < 8 * Y.nbytes
+
+
+def noisy_smoothed(ops, c, count, sigma, seed):
+    """Smoothed cores of ``count`` random symbols plus complex noise of std sigma."""
+    if count == 0:
+        return np.zeros((ops.params.N, 0), dtype=complex)
+    gen = np.random.default_rng(seed)
+    D = c.points[gen.integers(0, c.points.size, size=(ops.params.N, count))]
+    X, _, _ = smooth_stream(ops, D)
+    return X + sigma * (gen.standard_normal(X.shape) + 1j * gen.standard_normal(X.shape))
+
+
+@pytest.mark.parametrize("shape", ["empty", "one", "short", "ragged", "1-D"])
+def test_blocked_recovery_matches_unblocked_reference(qam16, shape):
+    p, _, _, ops = built_ops(16, 7, 16, 0.3, 2)
+    step = transceiver._RECOVER_BLOCK // p.N
+    count = {"empty": 0, "one": 1, "short": step - 3, "ragged": 2 * step + 5, "1-D": 1}[shape]
+    # at this noise the one-column and the five-column blocks reach their fixed
+    # point early, and the full blocks never do
+    Y = noisy_smoothed(ops, qam16, count, 0.06, seed=count)
+    if shape == "1-D":
+        Y = Y[:, 0]
+    got = recover_iterative(ops, Y, qam16, n_iter=6)
+    want = reference_recover(ops, Y, qam16, 6)
+    assert got.shape == Y.shape
+    assert np.array_equal(decision_labels(got, qam16), decision_labels(want, qam16))
+    scale = np.max(np.abs(want), initial=1.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+
+
+def test_recovery_stops_at_the_fixed_point(qam16, monkeypatch):
+    p, _, _, ops = built_ops(256, 7, 280, 0.1, 2)
+    Y = noisy_smoothed(ops, qam16, 40, 0.02, seed=3)
+    calls = []
+    original = transceiver.hard_decision
+
+    def record(y, c):
+        calls.append(y.shape)
+        return original(y, c)
+
+    monkeypatch.setattr(transceiver, "hard_decision", record)
+    k = 4
+    soft = recover_iterative(ops, Y, qam16, n_iter=k)
+    calls.clear()
+    later = recover_iterative(ops, Y, qam16, n_iter=k + 5)
+    # converged by round k: five more rounds change no bit of the estimate
+    assert later.tobytes() == soft.tobytes()
+    # and each block stopped at its fixed point: running all k + 5 rounds
+    # would take k + 4 decisions per block
+    blocks = -(-Y.shape[1] // (transceiver._RECOVER_BLOCK // p.N))
+    assert len(calls) <= k * blocks
 
 
 def test_recovery_requires_positive_iterations(qam16):
