@@ -63,19 +63,16 @@ def _apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
         if not sep:
             raise SystemExit(f"bad override {item!r}; expected KEY=VALUE")
         try:
-            value = json.loads(raw)
+            values[key] = json.loads(raw)
         except json.JSONDecodeError:
-            value = raw
-        if isinstance(value, list):
-            value = tuple(value)
-        values[key] = value
+            values[key] = raw
     try:
-        ExperimentConfig.check_keys(values)
+        parsed = ExperimentConfig.from_dict(values)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     if "kind" in values:
         raise SystemExit("--set cannot change key 'kind': the subcommand names the experiment")
-    return replace(cfg, **values)
+    return replace(cfg, **{key: getattr(parsed, key) for key in values})
 
 
 def load_config(args) -> ExperimentConfig:

@@ -12,7 +12,8 @@ import hashlib
 import json
 import math
 import subprocess
-from dataclasses import asdict, dataclass, field, fields, replace
+from collections import namedtuple
+from dataclasses import asdict, dataclass, field, replace
 from numbers import Real
 from pathlib import Path
 
@@ -137,6 +138,42 @@ def _default_metadata() -> dict:
     }
 
 
+_RUNS = ("psd", "ber", "sir", "power")  # the kinds that run a waveform
+_Field = namedtuple("_Field", "type kinds range", defaults=(None,))
+_SCALAR = np.generic.item  # json's default: a numpy scalar as its Python value
+_WAVEFORM = _Field("existing", _RUNS, lambda cfg, _: cfg.waveform())
+
+
+def _finite(x) -> bool:
+    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+#: Every field of ExperimentConfig: (type, the kinds that read it or None for
+#: all, range), read by _check_field.  An "existing" range is the check the
+#: field already has; a "dict" range is the one channel that reads it.
+_FIELDS = {
+    "kind": _Field("choice", None, EXPERIMENT_KINDS),
+    **dict.fromkeys(("K", "M", "n_cp", "beta", "V", "filter_kind", "oversample"), _WAVEFORM),
+    "qam_order": _Field("existing", _RUNS, lambda _, q: qam_constellation(q)),
+    "channel": _Field("choice", ("ber",), ("awgn", "eva", "none")),
+    "snr_db": _Field("list", ("ber",), ("finite numbers", _finite)),
+    "n_symbols": _Field("count", ("psd", "sir"), {"psd": 1, "sir": 2}),
+    "n_streams": _Field("count", ("power",), {"power": 1}),
+    "n_bits": _Field("count", ("ber",), {"ber": 1}),
+    "n_indices": _Field("count", ("power",), {"power": 1}),
+    "recovery_iterations": _Field("count", ("ber",), {"ber": 1}),
+    "variants": _Field("list", ("psd", "ber"), ("strings", lambda x: isinstance(x, str))),
+    "beta_grid": _Field("list", ("sir",)),
+    "v_grid": _Field("list", ("sir",)),
+    "window_len": _Field("count", ("psd",), {"psd": 8}),
+    "overlap": _Field("interval", ("psd",), (0, "window_len")),
+    "seed": _Field("count", _RUNS, dict.fromkeys(_RUNS, 0)),
+    "out_dir": _Field("path", ()),  # no run reads it; the command line writes there
+    "metadata": _Field("dict", ("ber",), "eva"),
+}
+_SEQUENCES = tuple(name for name, rule in _FIELDS.items() if rule.type == "list")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one experiment run.
@@ -184,44 +221,9 @@ class ExperimentConfig:
         ).validate()
 
     def validate(self) -> "ExperimentConfig":
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
-        self.waveform()
-        if self.channel not in ("awgn", "eva", "none"):
-            raise ValueError(f"unknown channel {self.channel!r}")
-        q = self.qam_order
-        if not (isinstance(q, int) and q >= 4 and q & (q - 1) == 0 and q.bit_length() % 2):
-            raise ValueError(f"qam_order must be a power of four (square QAM), got {q!r}")
-        _check_count(self.kind, "seed", self.seed, 0)
-        for name, least in _COUNTS.get(self.kind, {}).items():
-            _check_count(self.kind, name, getattr(self, name), least)
-        # every kind reads these four in to_dict, for the config hash
-        for name in ("snr_db", "variants", "beta_grid", "v_grid"):
-            value = getattr(self, name)
-            if not isinstance(value, (tuple, list)):
-                raise ValueError(f"{name} must be a list or tuple, got {value!r}")
-        if self.kind == "ber":
-            if len(self.snr_db) == 0:
-                raise ValueError("BER experiments need a non-empty SNR grid")
-            for snr in self.snr_db:
-                if isinstance(snr, bool) or not isinstance(snr, Real) or not math.isfinite(snr):
-                    raise ValueError(f"snr_db entries must be finite numbers, got {snr!r}")
-        if not self.variants:
-            raise ValueError("at least one waveform variant is required")
-        for spec in self.variants:
-            if not isinstance(spec, str):
-                raise ValueError(f"variants entries must be strings, got {spec!r}")
-        if self.kind in ("ber", "psd"):
-            for spec in self.variants:
-                var = resolve_variant(self, spec)
-                if var.smoothed:
-                    _check_order(f"variant {spec!r}", var.params.V)
-        if self.kind == "power":
-            _check_order("power experiments", self.V)
-        if self.kind == "psd":
-            self._validate_welch()
-        if self.kind == "sir":
-            self._validate_sir_grid()
+        """Check each field by :data:`_FIELDS`, then the rules that span fields."""
+        for name, rule in _FIELDS.items():
+            _check_field(self, name, rule, getattr(self, name))
         if self.kind == "ber" and self.channel == "eva":
             # a block's response is its N-point DFT, and a path past the CP
             # reaches back one block only, so every path delay must fall
@@ -229,48 +231,47 @@ class ExperimentConfig:
             # simulated as inter-symbol interference
             profile = self.channel_profile()
             tap = int(profile.tap_positions().max())
-            for spec in self.variants:
-                N = resolve_variant(self, spec).params.N
-                if N <= tap:
-                    raise ValueError(
-                        f"variant {spec!r} has block length N={N}, at or below the EVA "
-                        f"tap delay of {tap} samples ({max(profile.delays_ns):g} ns at "
-                        f"{profile.sample_interval_ns:g} ns per sample)"
-                    )
-        return self
-
-    def _validate_welch(self) -> None:
-        if not _is_int(self.overlap) or not 0 <= self.overlap < self.window_len:
-            raise ValueError(
-                f"overlap must lie in [0, window_len = {self.window_len}), got {self.overlap}"
-            )
-        for spec in self.variants:
-            p = resolve_variant(self, spec).params
-            samples = self.n_symbols * (p.N + p.n_cp) * self.oversample
-            if samples < self.window_len:
+        for spec in self.variants if self.kind in ("ber", "psd") else ():
+            var = resolve_variant(self, spec)
+            p = var.params
+            if var.smoothed:
+                _check_order(f"variant {spec!r}", p.V)
+            frame = (p.N + p.n_cp) * self.oversample
+            if self.kind == "psd" and self.n_symbols * frame < self.window_len:
                 raise ValueError(
                     f"variant {spec!r} streams n_symbols * (N + n_cp) * oversample = "
-                    f"{self.n_symbols} * {p.N + p.n_cp} * {self.oversample} = {samples} "
-                    f"samples, fewer than one Welch segment of window_len = {self.window_len}"
+                    f"{self.n_symbols} * {p.N + p.n_cp} * {self.oversample} = "
+                    f"{self.n_symbols * frame} samples, fewer than one Welch segment of "
+                    f"window_len = {self.window_len}"
                 )
-
-    def _validate_sir_grid(self) -> None:
-        for name in ("beta_grid", "v_grid"):
-            if len(getattr(self, name)) == 0:
-                raise ValueError(f"SIR experiments need a non-empty {name}, got ()")
-        # replace, not waveform(V=...), whose None stands for the config's own value
-        base = self.waveform()
-        for V in self.v_grid:
+            if self.kind == "ber" and self.channel == "eva" and p.N <= tap:
+                raise ValueError(
+                    f"variant {spec!r} has block length N={p.N}, at or below the EVA "
+                    f"tap delay of {tap} samples ({max(profile.delays_ns):g} ns at "
+                    f"{profile.sample_interval_ns:g} ns per sample)"
+                )
+        if self.kind == "power":
+            _check_order("power experiments", self.V)
+        if self.kind == "sir":
+            # replace, not waveform(V=...), whose None stands for the config's own value
+            base = self.waveform()
+            for V in self.v_grid:
+                try:
+                    replace(base, V=V).validate()
+                except DimensionError as exc:
+                    raise ValueError(f"v_grid entry V={V} is rejected: {exc}") from exc
+                _check_order("v_grid entry", V)
+            for beta in self.beta_grid:
+                try:
+                    replace(base, beta=beta).validate()
+                except DimensionError as exc:
+                    raise ValueError(f"beta_grid entry {beta}: {exc}") from exc
+        for name in _FIELDS:  # every kind records every field in its provenance
             try:
-                replace(base, V=V).validate()
-            except DimensionError as exc:
-                raise ValueError(f"v_grid entry V={V} is rejected: {exc}") from exc
-            _check_order("v_grid entry", V)
-        for beta in self.beta_grid:
-            try:
-                replace(base, beta=beta).validate()
-            except DimensionError as exc:
-                raise ValueError(f"beta_grid entry {beta}: {exc}") from exc
+                json.dumps(getattr(self, name), allow_nan=False, sort_keys=True, default=_SCALAR)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name} has no strict JSON form: {exc}") from None
+        return self
 
     def channel_profile(self) -> ChannelProfile:
         """EVA delay profile at the sample interval and Doppler in ``metadata``."""
@@ -281,24 +282,17 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        for key in ("snr_db", "variants", "beta_grid", "v_grid"):
+        for key in _SEQUENCES:
             d[key] = list(d[key])
         return d
 
     @classmethod
-    def check_keys(cls, keys) -> None:
-        """Raise a ValueError naming every key that is not a config field."""
-        unknown = sorted(set(keys) - {f.name for f in fields(cls)})
+    def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The config of JSON values ``d``; a list for a sequence field becomes a tuple."""
+        unknown = sorted(set(d) - set(_FIELDS))
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        cls.check_keys(d)
-        d = dict(d)
-        for key in ("snr_db", "variants", "beta_grid", "v_grid"):
-            if key in d:
-                d[key] = tuple(d[key])
+        d = {k: tuple(v) if k in _SEQUENCES and isinstance(v, list) else v for k, v in d.items()}
         return cls(**d)
 
     @classmethod
@@ -309,27 +303,35 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         d = self.to_dict()
         d.pop("out_dir", None)  # where results land is not part of the experiment
-        canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(d, sort_keys=True, separators=(",", ":"), default=_SCALAR)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-#: the count fields each experiment kind reads, with the least value it accepts
-_COUNTS = {
-    "psd": {"n_symbols": 1, "window_len": 8},
-    "ber": {"n_bits": 1, "recovery_iterations": 1},
-    "sir": {"n_symbols": 2},
-    "power": {"n_streams": 1, "n_indices": 1},
-}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_count(kind: str, name: str, value, least: int) -> None:
-    """Reject a count that is not an integer (bools excluded) of at least ``least``."""
-    if not _is_int(value) or value < least:
-        raise ValueError(f"{kind} experiments need an integer {name} >= {least}, got {value!r}")
+def _check_field(cfg: ExperimentConfig, name: str, rule: _Field, value) -> None:
+    if rule.type == "list" and not isinstance(value, (tuple, list)):  # in every provenance
+        raise ValueError(f"{name} must be a list or tuple, got {value!r}")
+    if rule.kinds is not None and cfg.kind not in rule.kinds:
+        return
+    if rule.type == "choice" and value not in rule.range:
+        raise ValueError(f"unknown {name} {value!r}; choose from {', '.join(rule.range)}")
+    if rule.type == "dict" and cfg.channel == rule.range and not isinstance(value, dict):
+        raise ValueError(f"{name} must be a dict, got {value!r}")
+    if rule.type == "existing":
+        rule.range(cfg, value)
+    if rule.type == "list" and len(value) == 0:
+        raise ValueError(f"{cfg.kind} experiments need a non-empty {name}, got {value!r}")
+    for entry in value if rule.type == "list" and rule.range else ():
+        if not rule.range[1](entry):
+            raise ValueError(f"{name} entries must be {rule.range[0]}, got {entry!r}")
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if rule.type == "count" and not (whole and value >= rule.range[cfg.kind]):
+        least = rule.range[cfg.kind]
+        raise ValueError(f"{cfg.kind} experiments need an integer {name} >= {least}, got {value!r}")
+    if rule.type == "interval":
+        least, bound = rule.range
+        if not (whole and least <= value < getattr(cfg, bound)):
+            top = f"{bound} = {getattr(cfg, bound)}"
+            raise ValueError(f"{name} must lie in [{least}, {top}), got {value!r}")
 
 
 def _check_order(name: str, V: int) -> None:
@@ -408,7 +410,7 @@ def write_tables(cfg: ExperimentConfig, tables, out_dir) -> list:
     }
     side_path = os.path.join(out_dir, f"{cfg.kind}.provenance.json")
     with open(side_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        json.dump(sidecar, fh, indent=2, sort_keys=True, default=_SCALAR)
         fh.write("\n")
     paths.append(side_path)
     return paths

@@ -79,7 +79,7 @@ class WaveformParams:
         if not 0 <= self.n_cp < self.N:
             raise DimensionError(f"CP length must satisfy 0 <= n_cp < N, got {self.n_cp}")
         if self.filter_kind not in (RAISED_COSINE, DIRICHLET):
-            raise DimensionError(f"unknown filter kind {self.filter_kind!r}")
+            raise DimensionError(f"unknown filter_kind {self.filter_kind!r}")
         if self.oversample < 1:
             raise DimensionError(f"oversample factor must be >= 1, got {self.oversample}")
         return self
@@ -125,7 +125,8 @@ def qam_constellation(order: int) -> Constellation:
     """
     whole = isinstance(order, (int, np.integer)) and not isinstance(order, bool)
     if not (whole and order >= 4 and order & (order - 1) == 0 and int(order).bit_length() % 2):
-        raise ValueError(f"square QAM requires a power-of-four order, got {order!r}")
+        need = "square QAM needs a power-of-four order"
+        raise ValueError(f"qam_order must be a power of four ({need}), got {order!r}")
     bits = int(order).bit_length() - 1
     half = bits // 2
     side = 2**half

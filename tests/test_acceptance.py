@@ -20,6 +20,7 @@ from ncgfdm.experiments import (
     run_psd,
     run_validation,
 )
+from ncgfdm.filterbank import build_transmit_matrix, prototype_filter
 from ncgfdm.params import SeededRng, demap_symbols, qam_constellation
 from ncgfdm.smoothing import (
     boundary_mismatch_dft,
@@ -207,6 +208,44 @@ def test_criterion_6_awgn_ber_calibration():
         ok &= abs(ber - want) <= tol
         details.append(f"{snr_db:g} dB: {ber:.3e} vs {want:.3e} (3-sigma {tol:.1e})")
     report(6, ok, "AWGN 16QAM BER vs analytic Gray oracle over 1e6 bits/point [" + "; ".join(details) + "]")
+
+
+def test_zf_ber_at_nonunitary_rolloff_matches_noise_enhanced_oracle():
+    """Criterion 6's config and seed at beta = 0.5, where A is not unitary.
+
+    Zero forcing leaves Gaussian noise of variance sigma2 * xi on every data
+    slot, with the noise enhancement xi = mean(1 / (K |Zg|^2)) (Michailow et
+    al., IEEE Trans. Commun. 2014), so the BER is the Gray 16QAM formula at
+    Es/N0 = 1 / (sigma2 * xi).  The band is 4 binomial sigma, fixed before the
+    run: the binomial sigma counts the bits as independent, but the two bits
+    of one axis are decided from one noise sample, and three points are
+    checked at once.
+    """
+    cfg = ExperimentConfig(
+        kind="ber",
+        K=256,
+        M=7,
+        n_cp=280,
+        beta=0.5,
+        channel="awgn",
+        snr_db=(4.0, 8.0, 12.0),
+        n_bits=1_000_000,
+        variants=("gfdm",),
+        seed=1006,
+    )
+    p = cfg.waveform()
+    tm = build_transmit_matrix(prototype_filter(p), p)
+    xi = float(np.mean(1.0 / (p.K * np.abs(tm.polyphase) ** 2)))
+    ok = True
+    details = [f"xi = {xi:.4f}"]
+    for snr_db, _, ber, n in run_ber(cfg)[0].rows:
+        want = analytic_16qam_ber(1.0 / (noise_variance(snr_db, p, 4) * xi))
+        sigma = math.sqrt(want * (1 - want) / n)
+        ok &= abs(ber - want) <= 4.0 * sigma
+        details.append(f"{snr_db:g} dB: {ber:.3e} vs {want:.3e} (z = {(ber - want) / sigma:+.2f})")
+    detail = "beta=0.5 AWGN BER vs noise-enhanced Gray oracle, 4-sigma band [" + "; ".join(details) + "]"
+    print(f"\n{'PASS' if ok else 'FAIL'} ZF oracle: {detail}")
+    assert ok, detail
 
 
 def test_criterion_7_psd_ordering():

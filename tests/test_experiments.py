@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -49,18 +49,77 @@ def forbid_work(monkeypatch):
         monkeypatch.setattr(experiments, name, no_work)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(kind="spectrogram").validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(kind="ber", channel="rician").validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(kind="ber", snr_db=()).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(kind="psd", n_symbols=0).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(kind="psd", variants=()).validate()
-    assert ExperimentConfig().validate().kind == "validate"
+#: per config field, configs that validate() rejects with a message naming
+#: that field.  The first cases of kind, channel, snr_db, n_symbols and
+#: variants, at the default size, are the five cases of the former
+#: test_config_validation.  A case of a kind that does not read the field
+#: rejects a value with no strict JSON form, since every kind writes every
+#: field into its provenance.
+FIELD_REJECTIONS = {
+    "kind": [dict(kind="spectrogram")],
+    "K": [dict(SMALL, kind="psd", K=0)],
+    "M": [dict(SMALL, kind="ber", M=0)],
+    "n_cp": [dict(SMALL, kind="sir", n_cp=112)],
+    "beta": [dict(SMALL, kind="power", beta=1.5)],
+    "V": [dict(SMALL, kind="power", V=2.5)],
+    "filter_kind": [dict(SMALL, kind="psd", filter_kind="gauss")],
+    "oversample": [dict(SMALL, kind="psd", oversample=0)],
+    "qam_order": [dict(SMALL, kind="ber", qam_order=8), dict(SMALL, kind="sir", qam_order=16.0)],
+    "channel": [dict(kind="ber", channel="rician")],
+    "snr_db": [
+        dict(kind="ber", snr_db=()),
+        dict(SMALL, kind="psd", snr_db=(math.inf,)),
+        dict(SMALL, kind="power", snr_db=(4.0, math.nan)),
+    ],
+    "n_symbols": [dict(kind="psd", n_symbols=0), dict(SMALL, kind="ber", n_symbols=math.inf)],
+    "n_streams": [dict(SMALL, kind="power", n_streams=0)],
+    "n_bits": [dict(SMALL, kind="ber", n_bits=0)],
+    "n_indices": [dict(SMALL, kind="power", n_indices=0)],
+    "recovery_iterations": [dict(SMALL, kind="ber", recovery_iterations=0)],
+    "variants": [dict(kind="psd", variants=()), dict(SMALL, kind="sir", variants="gfdm")],
+    "beta_grid": [dict(SMALL, kind="sir", beta_grid=()), dict(SMALL, kind="ber", beta_grid=(math.nan,))],
+    "v_grid": [dict(SMALL, kind="sir", v_grid=()), dict(SMALL, kind="psd", v_grid=(math.inf,))],
+    "window_len": [dict(SMALL, kind="psd", window_len=4)],
+    "overlap": [dict(SMALL, kind="psd", overlap=-1)],
+    "seed": [dict(SMALL, kind="sir", seed=-1)],
+    "out_dir": [dict(SMALL, kind="power", out_dir=math.nan)],
+    "metadata": [
+        dict(SMALL, **EVA_OK, kind="ber", metadata=None),
+        dict(SMALL, **EVA_OK, kind="ber", metadata=[("doppler_hz", 100.0)]),
+        dict(SMALL, kind="psd", metadata={"doppler_hz": math.inf}),
+        dict(SMALL, kind="ber", metadata={"carrier_frequency_hz": math.nan}),
+    ],
+}
+
+
+def test_field_table_lists_every_config_field_in_order():
+    # validate() walks the table in this order; overlap's range reads window_len
+    assert list(experiments._FIELDS) == [f.name for f in fields(ExperimentConfig)]
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+def test_every_config_field_has_a_rejection_that_names_it(monkeypatch, name):
+    # a new field fails here until it has a table entry and a rejected value
+    assert name in experiments._FIELDS
+    forbid_work(monkeypatch)
+    for kw in FIELD_REJECTIONS[name]:
+        cfg = ExperimentConfig(**kw)
+        for check in (cfg.validate, lambda: run_experiment(cfg)):
+            with pytest.raises(ValueError) as exc:
+                check()
+            assert name in str(exc.value), (kw, str(exc.value))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(kind="validate"), dict(SMALL, kind="power", qam_order=np.int64(16)),
+     dict(SMALL, kind="psd", metadata=None), dict(SMALL, kind="ber", metadata=None)],
+    ids=["default", "numpy-qam_order", "psd-no-metadata", "awgn-no-metadata"],
+)
+def test_config_validation_accepts(overrides):
+    # metadata is read over the EVA channel only
+    cfg = ExperimentConfig(**overrides)
+    assert cfg.validate() is cfg
 
 
 @pytest.mark.parametrize(
@@ -214,6 +273,70 @@ def test_cli_rejects_bad_settings_before_any_work(tmp_path, kind, setting, messa
     with pytest.raises(ValueError, match=message):
         main([kind, "--set", setting, "--out", str(tmp_path)])
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "kind,key,value,message",
+    [
+        ("ber", "variants", "gfdm", r"variants must be a list or tuple, got 'gfdm'"),
+        ("ber", "snr_db", 12, r"snr_db must be a list or tuple, got 12"),
+        ("ber", "snr_db", None, r"snr_db must be a list or tuple, got None"),
+        ("sir", "v_grid", 2, r"v_grid must be a list or tuple, got 2"),
+        ("sir", "v_grid", None, r"v_grid must be a list or tuple, got None"),
+        ("psd", "snr_db", [4.0, float("inf")], r"snr_db has no strict JSON form"),
+    ],
+    ids=["string-variants", "scalar-snr_db", "null-snr_db", "scalar-v_grid", "null-v_grid",
+         "inf-snr_db"],
+)
+@pytest.mark.parametrize("source", ["--config", "--set"])
+def test_cli_config_file_and_set_convert_values_alike(tmp_path, source, kind, key, value, message):
+    # both turn a JSON list into a tuple and leave anything else to validate()
+    if source == "--config":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        argv = [kind, "--config", str(path)]
+    else:
+        argv = [kind, "--set", f"{key}={json.dumps(value)}"]
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=message):
+        main(argv + ["--out", str(out)])
+    assert not out.exists()
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psd", "--set", "n_symbols=40", "--set", "window_len=256", "--set", "overlap=64"],
+        ["ber", "--set", "n_bits=2000", "--set", "snr_db=[10]"],
+        ["ber", "--set", "K=64", "--set", "channel=eva", "--set", 'variants=["gfdm"]',
+         "--set", "n_bits=2000", "--set", "snr_db=[10]"],
+        ["sir", "--set", "n_symbols=20", "--set", "beta_grid=[0.0]", "--set", "v_grid=[0,2]"],
+        ["power", "--set", "n_streams=20", "--set", "n_indices=3"],
+        ["validate"],
+    ],
+    ids=["psd", "ber", "ber-eva", "sir", "power", "validate"],
+)
+def test_every_provenance_sidecar_is_strict_json(tmp_path, capsys, argv):
+    small = [] if argv == ["validate"] else ["--set", "K=16", "--set", "n_cp=16"]
+    assert main(argv[:1] + small + argv[1:] + ["--out", str(tmp_path)]) == 0
+    sidecars = list(tmp_path.glob("*.provenance.json"))
+    assert len(sidecars) == 1
+    for path in sidecars:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def test_numpy_integer_settings_validate_and_run(tmp_path):
+    cfg = small_cfg("power", n_streams=200, n_indices=3)
+    numpy_cfg = replace(cfg, qam_order=np.int64(16), n_streams=np.int64(200), seed=np.int64(1))
+    tables = run_experiment(numpy_cfg)
+    assert [t.to_csv() for t in tables] == [t.to_csv() for t in run_experiment(cfg)]
+    write_tables(numpy_cfg, tables, tmp_path)
+    sidecar = json.loads((tmp_path / "power.provenance.json").read_text())
+    assert sidecar["config"] == cfg.to_dict()
 
 
 def test_from_dict_names_unknown_keys():
