@@ -66,21 +66,22 @@ def _apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
             values[key] = json.loads(raw)
         except json.JSONDecodeError:
             values[key] = raw
-    try:
-        parsed = ExperimentConfig.from_dict(values)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    parsed = ExperimentConfig.from_dict(values)
     if "kind" in values:
         raise SystemExit("--set cannot change key 'kind': the subcommand names the experiment")
     return replace(cfg, **{key: getattr(parsed, key) for key in values})
 
 
 def load_config(args) -> ExperimentConfig:
+    """The validated config of parsed ``args``; a rejected one raises ValueError."""
     if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
+        with open(args.config) as fh:
+            values = json.load(fh)
+        if values.setdefault("kind", args.command) != args.command:
+            raise ValueError(f"--config file is a {values['kind']!r} config, not {args.command!r}")
+        cfg = ExperimentConfig.from_dict(values)
     else:
-        cfg = ExperimentConfig()
-    cfg = replace(cfg, kind=args.command)
+        cfg = ExperimentConfig(kind=args.command)
     if args.preset:
         cfg = apply_preset(cfg, args.preset)
     cfg = _apply_overrides(cfg, args.overrides)
@@ -93,7 +94,10 @@ def load_config(args) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = load_config(args)
+    try:
+        cfg = load_config(args)
+    except ValueError as exc:  # a one-line message that names the field, no traceback
+        raise SystemExit(str(exc)) from None
     out_dir = cfg.out_dir or "."
     if args.command == "validate":
         report = run_validation()

@@ -33,6 +33,9 @@ from .params import (
     DimensionError,
     SeededRng,
     WaveformParams,
+    _draw_fields,
+    _label_table,
+    decision_labels,
     qam_constellation,
 )
 from .smoothing import (
@@ -141,6 +144,7 @@ def _default_metadata() -> dict:
 _RUNS = ("psd", "ber", "sir", "power")  # the kinds that run a waveform
 _Field = namedtuple("_Field", "type kinds range", defaults=(None,))
 _SCALAR = np.generic.item  # json's default: a numpy scalar as its Python value
+_STRICT_JSON = json.JSONEncoder(allow_nan=False, sort_keys=True, default=_SCALAR)
 _WAVEFORM = _Field("existing", _RUNS, lambda cfg, _: cfg.waveform())
 
 
@@ -223,7 +227,8 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Check each field by :data:`_FIELDS`, then the rules that span fields."""
         for name, rule in _FIELDS.items():
-            _check_field(self, name, rule, getattr(self, name))
+            if rule is not _WAVEFORM or name == "K":  # the waveform fields share one check
+                _check_field(self, name, rule, getattr(self, name))
         if self.kind == "ber" and self.channel == "eva":
             # a block's response is its N-point DFT, and a path past the CP
             # reaches back one block only, so every path delay must fall
@@ -268,7 +273,7 @@ class ExperimentConfig:
                     raise ValueError(f"beta_grid entry {beta}: {exc}") from exc
         for name in _FIELDS:  # every kind records every field in its provenance
             try:
-                json.dumps(getattr(self, name), allow_nan=False, sort_keys=True, default=_SCALAR)
+                _STRICT_JSON.encode(getattr(self, name))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{name} has no strict JSON form: {exc}") from None
         return self
@@ -294,11 +299,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         d = {k: tuple(v) if k in _SEQUENCES and isinstance(v, list) else v for k, v in d.items()}
         return cls(**d)
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
     def config_hash(self) -> str:
         d = self.to_dict()
@@ -467,28 +467,21 @@ def _operators(g, tm, p: WaveformParams, check: bool = True) -> NcOperators:
     return build_nc_operators(tm, build_basis(g, p), p, is_unitary=g.is_dirichlet, check=check)
 
 
-def _bit_labels(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
-    """Labels of consecutive ``bits_per_symbol``-bit groups, MSB first."""
-    fields = bits.reshape(-1, bits_per_symbol)
-    labels = fields[:, 0].astype(np.intp)
-    for i in range(1, bits_per_symbol):
-        labels <<= 1
-        labels |= fields[:, i]
-    return labels
-
-
 def _draw_data(rng: np.random.Generator, c: Constellation, N: int, count: int):
-    """(bits, D): random bits and the corresponding data-vector columns."""
-    bits = rng.integers(0, 2, size=count * N * c.bits_per_symbol, dtype=np.uint8)
-    D = np.take(c.points, _bit_labels(bits, c.bits_per_symbol)).reshape(N, count, order="F")
-    return bits, D
+    """(labels, D): (count, N) labels drawn by :func:`ncgfdm.params._draw_fields`,
+    one symbol after another, and their points with one symbol per column."""
+    table, bits = _label_table(np.arange(c.points.size, dtype=c.labels.dtype))
+    labels = _draw_fields(rng, table, bits, N * count)[1][: N * count].reshape(count, N)
+    return labels, np.take(c.points, labels).T
 
 
-def _bits_of(soft: np.ndarray, c: Constellation) -> np.ndarray:
-    """Hard-decide soft columns back to the transmitted bit layout."""
-    from .params import demap_symbols
-
-    return demap_symbols(soft.reshape(-1, order="F"), c)
+def _bit_errors(soft: np.ndarray, labels: np.ndarray, c: Constellation) -> int:
+    """Bit errors of deciding ``soft`` (one symbol per column) against the sent
+    ``labels`` (one per row): the set bits of each decided XOR sent label."""
+    popcount = np.array([bin(label).count("1") for label in range(c.points.size)], np.uint8)
+    wrong = decision_labels(soft.reshape(-1, order="F"), c)
+    wrong ^= labels.reshape(-1)
+    return int(np.take(popcount, wrong).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +494,7 @@ def run_psd(cfg: ExperimentConfig) -> list:
     if cfg.kind != "psd":
         raise ValueError("config kind must be 'psd'")
     c = qam_constellation(cfg.qam_order)
+    table, bits = _label_table(c.points)  # points per packed unit, so no labels are formed
     master = SeededRng(cfg.seed)
     tables = []
     for vi, spec in enumerate(cfg.variants):
@@ -515,7 +509,7 @@ def run_psd(cfg: ExperimentConfig) -> list:
         done = 0
         while done < cfg.n_symbols:
             nb = min(chunk, cfg.n_symbols - done)
-            _, D = _draw_data(rng, c, p.N, nb)
+            D = _draw_fields(rng, table, bits, p.N * nb)[1][: p.N * nb].reshape(nb, p.N).T
             if var.smoothed:
                 X, _, carry = smooth_stream(ops, D, carry)
             else:
@@ -562,7 +556,7 @@ def run_ber(cfg: ExperimentConfig) -> list:
     Channel, noise, and data draws are seeded per SNR point, not per
     variant, so all variants face identical realizations.  They depend on
     the variant only through its block length N and CP length, so each SNR
-    point draws every chunk once per (N, n_cp) group: the bits and data,
+    point draws every chunk once per (N, n_cp) group: the data labels,
     the fading and the noise.  Each variant of the group then transmits,
     receives and counts errors on that chunk, with its own smoothing carry
     and channel tail.  The rows keep the order (SNR point, variant).
@@ -612,7 +606,7 @@ def _ber_group(cfg, c, master, si: int, builds: list) -> list:
     p = builds[0][0].params
     snr = cfg.snr_db[si]
     sigma2 = 0.0 if cfg.channel == "none" else noise_variance(snr, p, c.bits_per_symbol)
-    bits_rng = master.child(3 * si + 0)
+    data_rng = master.child(3 * si + 0)
     chan_rng = master.child(3 * si + 1)
     noise_rng = master.child(3 * si + 2)
     eva = cfg.channel == "eva"
@@ -625,11 +619,10 @@ def _ber_group(cfg, c, master, si: int, builds: list) -> list:
     errors = [0] * len(builds)
     carries = [None] * len(builds)
     tails = [None] * len(builds)
-    total = 0
     done = 0
     while done < n_blocks:
         nb = min(chunk, n_blocks - done)
-        bits, D = _draw_data(bits_rng, c, p.N, nb)
+        labels, D = _draw_data(data_rng, c, p.N, nb)
         if eva:
             h = fading.realization(np.arange(done, done + nb))
         if cfg.channel != "none":
@@ -658,10 +651,9 @@ def _ber_group(cfg, c, master, si: int, builds: list) -> list:
                 soft = recover_iterative(ops, Y, c, cfg.recovery_iterations)
             else:
                 soft = tm.demodulate(Y)
-            errors[j] += int(np.count_nonzero(_bits_of(soft, c) != bits))
-        total += bits.size
+            errors[j] += _bit_errors(soft, labels, c)
         done += nb
-    return [(e, total) for e in errors]
+    return [(e, n_blocks * p.N * c.bits_per_symbol) for e in errors]
 
 
 #: symbol counts after which :func:`_steady_sir_db` reads the SIR plateau

@@ -1,4 +1,4 @@
-"""Waveform parameters, constellations, hard decisions and seeded randomness.
+"""Waveform parameters, constellations, hard decisions and the seeded data draw.
 
 Everything downstream (filter bank, smoothing operators, transceiver) is
 dimensioned by a validated :class:`WaveformParams`.  Data vectors are
@@ -110,7 +110,8 @@ class Constellation:
     #: upper neighbour has the lower label, so that ``>`` sends a tie upward
     thresholds: np.ndarray
     #: label of the point at (in-phase position, quadrature position),
-    #: flattened row-major with ``thresholds.size + 1`` positions per axis
+    #: flattened row-major with ``thresholds.size + 1`` positions per axis,
+    #: in the narrowest unsigned type that holds every label
     labels: np.ndarray
 
 
@@ -138,13 +139,14 @@ def qam_constellation(order: int) -> Constellation:
     raw = pam[idx >> half] + 1j * pam[idx & (side - 1)]
     points = raw / np.sqrt(np.mean(np.abs(raw) ** 2))
     ascending = points.real[gray * side]
+    label_type = np.min_scalar_type(order - 1)
     mid = (ascending[:-1] + ascending[1:]) / 2
     return Constellation(
         points=points,
         bits_per_symbol=bits,
         levels=ascending,
         thresholds=np.where(gray[1:] < gray[:-1], np.nextafter(mid, -np.inf), mid),
-        labels=(gray[:, None] * side + gray[None, :]).ravel(),
+        labels=(gray[:, None] * side + gray[None, :]).ravel().astype(label_type),
     )
 
 
@@ -203,7 +205,7 @@ def demap_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# seeded randomness
+# seeded randomness and the one data draw of every experiment
 
 
 @dataclass
@@ -228,3 +230,63 @@ class SeededRng:
         return np.random.default_rng(
             np.random.SeedSequence(self.seed, spawn_key=(index,))
         )
+
+
+def _label_table(pts: np.ndarray) -> tuple[np.ndarray, int]:
+    """(table, b): the points read per packed unit of the draw, and the label width.
+
+    ``pts`` must hold 2**b points, b >= 1.  When b divides 8 the unit is a
+    byte: row u of the (256, 8/b) table holds the points of the 8/b labels
+    packed in byte u, most significant field first.  Otherwise the unit is
+    the label itself and the table is ``pts`` as one column.
+    """
+    size = pts.size
+    if size < 2 or size & (size - 1):
+        raise ValueError(f"points must hold a power-of-two count of at least 2, got {size}")
+    bits = size.bit_length() - 1
+    if 8 % bits:
+        return pts[:, None], bits
+    shifts = 8 - bits * np.arange(1, 8 // bits + 1)
+    return pts[(np.arange(256)[:, None] >> shifts) & (size - 1)], bits
+
+
+def _draw_units(rng: np.random.Generator, n: int, bits: int) -> np.ndarray:
+    """Packed units of ``n`` labels drawn as consecutive ``bits``-bit fields.
+
+    The fields read the bytes of ``rng.bytes`` in order, each byte most
+    significant bit first, so a draw of ``n`` labels takes ceil(n b / 8)
+    bytes.  When b divides 8 the units are those bytes; otherwise they are
+    the labels, unpacked from groups of b / gcd(b, 8) whole bytes (zero
+    padded at the end) and so possibly a few past ``n``.
+    """
+    buf = np.frombuffer(rng.bytes(-(-n * bits // 8)), dtype=np.uint8)
+    if not 8 % bits:
+        return buf
+    per = 8 // int(np.gcd(bits, 8))  # labels per group
+    width = bits * per // 8  # bytes per group
+    groups = np.pad(buf, (0, -buf.size % width)).reshape(-1, width)
+    labels = np.empty((groups.shape[0], per), dtype=np.min_scalar_type((1 << bits) - 1))
+    for j in range(per):
+        first, last = j * bits // 8, ((j + 1) * bits - 1) // 8
+        # the bytes under field j, as one word of the narrowest unsigned type
+        word = groups[:, first].astype(np.min_scalar_type((1 << 8 * (last - first + 1)) - 1))
+        for k in range(first + 1, last + 1):
+            word <<= 8
+            word |= groups[:, k]
+        word >>= 8 * (last + 1) - (j + 1) * bits
+        word &= (1 << bits) - 1
+        labels[:, j] = word
+    return labels.ravel()
+
+
+def _draw_fields(
+    rng: np.random.Generator, table: np.ndarray, bits: int, n: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(units, values): ``n`` labels drawn by :func:`_draw_units`, and the entries of
+    :func:`_label_table`'s ``table`` for every field the units carry, in draw
+    order, the labels' first; written to ``out`` if given."""
+    units = _draw_units(rng, n, bits)
+    if out is None:
+        out = np.empty((units.size, table.shape[1]), dtype=table.dtype)
+    # every unit indexes the table, so "wrap" never wraps, but take writes to out unbuffered
+    return units, np.take(table, units, axis=0, out=out[: units.size], mode="wrap").ravel()

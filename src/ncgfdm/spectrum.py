@@ -14,14 +14,13 @@ grow with N times the number of symbols or streams.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .filterbank import prototype_filter
-from .params import WaveformParams
+from .params import WaveformParams, _draw_fields, _label_table
 from .smoothing import NcOperators, coefficient_scan
 from .smoothing import coefficient_stream  # noqa: F401  (timed here by perfbench/trace.py)
 
@@ -295,70 +294,17 @@ def closed_form_sir(p: WaveformParams) -> float:
 _DRAW_BLOCK = 64
 
 
-def _label_table(pts: np.ndarray) -> tuple[np.ndarray, int]:
-    """(table, b): the points read per packed unit of the draw, and the label width.
-
-    ``pts`` must hold 2**b points, b >= 1.  When b divides 8 the unit is a
-    byte: row u of the (256, 8/b) table holds the points of the 8/b labels
-    packed in byte u, most significant field first.  Otherwise the unit is
-    the label itself and the table is ``pts`` as one column.
-    """
-    size = pts.size
-    if size < 2 or size & (size - 1):
-        raise ValueError(f"points must hold a power-of-two count of at least 2, got {size}")
-    bits = size.bit_length() - 1
-    if 8 % bits:
-        return pts[:, None], bits
-    shifts = 8 - bits * np.arange(1, 8 // bits + 1)
-    return pts[(np.arange(256)[:, None] >> shifts) & (size - 1)], bits
-
-
-def _draw_units(rng: np.random.Generator, n: int, bits: int) -> np.ndarray:
-    """Packed units of ``n`` labels drawn as consecutive ``bits``-bit fields.
-
-    The fields read the bytes of ``rng.bytes`` in order, each byte most
-    significant bit first, so a draw of ``n`` labels takes ceil(n b / 8)
-    bytes.  When b divides 8 the units are those bytes; otherwise they are
-    the labels, unpacked from groups of b / gcd(b, 8) whole bytes (zero
-    padded at the end) and so possibly a few past ``n``.
-    """
-    buf = np.frombuffer(rng.bytes(-(-n * bits // 8)), dtype=np.uint8)
-    if not 8 % bits:
-        return buf
-    per = 8 // math.gcd(bits, 8)  # labels per group
-    width = bits * per // 8  # bytes per group
-    if buf.size % width:
-        buf = np.concatenate([buf, np.zeros(width - buf.size % width, dtype=np.uint8)])
-    groups = buf.reshape(-1, width)
-    labels = np.empty((groups.shape[0], per), dtype=np.intp)
-    for j in range(per):
-        first, last = j * bits // 8, ((j + 1) * bits - 1) // 8
-        # the bytes under field j, as one word of the narrowest unsigned type
-        word = groups[:, first].astype(np.min_scalar_type((1 << 8 * (last - first + 1)) - 1))
-        for k in range(first + 1, last + 1):
-            word <<= 8
-            word |= groups[:, k]
-        word >>= 8 * (last + 1) - (j + 1) * bits
-        word &= (1 << bits) - 1
-        labels[:, j] = word
-    return labels.ravel()
-
-
 def _draw_products(
     ops: NcOperators, rng: np.random.Generator, pts: np.ndarray, cols: int, energy: bool = False
 ) -> tuple[np.ndarray, np.ndarray, float | None]:
     """Thin products P_1 D and P_2 D of an (N, cols) draw of constellation points.
 
-    Draw contract: ``pts`` holds 2**b points, and the labels of D, in C
-    order, are consecutive b-bit fields of ``rng.bytes``, each byte most
-    significant bit first (:func:`_draw_units`); a point count that is not a
-    power of two raises ValueError before any draw.  The labels are drawn
-    ``_DRAW_BLOCK`` rows at a time.  A full block is 8 b cols bytes, a whole
-    number of the generator's 32-bit words, so consecutive blocks are
-    consecutive pieces of one (N, cols) draw.  Each block gathers its points
-    through the table of packed units (:func:`_label_table`), without
-    forming an array of labels when b divides 8, and adds
-    [P_1; P_2][:, rows] @ D[rows] in one stacked product.  With ``energy``,
+    ``pts`` holds 2**b points (else ValueError, before any draw), and D, in
+    C order, is one draw of :func:`ncgfdm.params._draw_fields` taken
+    ``_DRAW_BLOCK`` rows at a time: a full block is 8 b cols bytes, a whole
+    number of the generator's 32-bit words, so the blocks concatenate to
+    one (N, cols) draw.  Each block adds [P_1; P_2][:, rows] @ D[rows] in
+    one stacked product.  With ``energy``,
     also returns the energy of columns 1.., the symbols after the
     unsmoothed head: a histogram of the units, less the head column and the
     fields past the last label; else None.
@@ -373,12 +319,9 @@ def _draw_products(
     for start in range(0, N, _DRAW_BLOCK):
         stop = min(start + _DRAW_BLOCK, N)
         n = (stop - start) * cols
-        units = _draw_units(rng, n, bits)
+        units, flat = _draw_fields(rng, table, bits, n, gathered)
         if gathered is None:
-            gathered = np.empty((units.size, table.shape[1]), dtype=np.complex128)
-        # every unit indexes the table, so "wrap" changes nothing but lets
-        # take write straight into the held memory instead of a buffer
-        flat = np.take(table, units, axis=0, out=gathered[: units.size], mode="wrap").ravel()
+            gathered = flat.reshape(-1, table.shape[1])
         block = flat[:n].reshape(stop - start, cols)
         acc += stacked[:, start:stop] @ block
         if energy:
@@ -401,10 +344,8 @@ def empirical_sir(
     estimate is d + A^{-1} w, so signal and interference are the data
     vectors and the data-domain smooth contributions.  Data vectors draw
     i.i.d. from ``points``, a unit-energy constellation of 2**b points
-    (else ValueError, before any draw).  The labels of the (N, n_symbols)
-    draw are consecutive b-bit fields of ``rng.bytes`` in C order, drawn
-    64 rows at a time; the blocks concatenate to one whole draw
-    (:func:`_draw_products`).  No (N, n_symbols) array is formed: the draw
+    (else ValueError, before any draw), as one (N, n_symbols) draw of
+    :func:`_draw_products`.  No (N, n_symbols) array is formed: the draw
     is reduced to its thin products P_1 D and P_2 D row block by row block,
     the recursion runs on them (:func:`coefficient_scan`), and the signal
     energy comes from a histogram of the packed label units.  Raises when
@@ -434,11 +375,9 @@ def mc_smooth_power(
 
     Data draw i.i.d. from ``points``, a unit-energy constellation of 2**b
     points (else ValueError, before any draw).  Each symbol index draws its
-    (N, n_streams) data as one draw of :func:`_draw_products`: labels are
-    consecutive b-bit fields of ``rng.bytes`` in C order, taken 64 rows at
-    a time, and the blocks concatenate to one whole draw.  The draw is
-    reduced to the thin products P_1 D and P_2 D, and advances the
-    coefficient recursion of all streams at once
+    (N, n_streams) data as one draw of :func:`_draw_products`, reduced to
+    the thin products P_1 D and P_2 D, which advance the coefficient
+    recursion of all streams at once
     (:func:`coefficient_scan`), carrying across indices; no modulation is
     performed and no (N, n_streams) array is formed.
     """

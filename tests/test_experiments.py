@@ -1,13 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import reference_psd_sample_stream
 from ncgfdm import experiments
-from ncgfdm.cli import main
+from ncgfdm.cli import build_parser, load_config, main
 from ncgfdm.experiments import (
     PRESETS,
     ExperimentConfig,
@@ -270,9 +274,41 @@ def test_config_validation_rejects_smoothing_order_whose_build_fails(
     ids=["qam_order-8", "scalar-snr_db"],
 )
 def test_cli_rejects_bad_settings_before_any_work(tmp_path, kind, setting, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(SystemExit, match=message):
         main([kind, "--set", setting, "--out", str(tmp_path)])
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_exits_on_a_rejected_config_with_one_line_and_no_traceback(tmp_path):
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncgfdm.cli", "ber", "--set", "snr_db=12", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "snr_db must be a list or tuple, got 12\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", [None, "power"])
+def test_cli_config_file_may_omit_its_kind_or_repeat_the_subcommand(tmp_path, kind):
+    values = small_cfg("power", n_streams=50, n_indices=3, seed=4).to_dict()
+    if kind is None:
+        del values["kind"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    cfg = load_config(build_parser().parse_args(["power", "--config", str(path)]))
+    assert cfg == small_cfg("power", n_streams=50, n_indices=3, seed=4)
+
+
+def test_cli_rejects_a_config_file_of_another_kind(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_cfg("sir").to_dict()))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=r"^--config file is a 'sir' config, not 'ber'$"):
+        main(["ber", "--config", str(path), "--out", str(out)])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -298,7 +334,7 @@ def test_cli_config_file_and_set_convert_values_alike(tmp_path, source, kind, ke
     else:
         argv = [kind, "--set", f"{key}={json.dumps(value)}"]
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(SystemExit, match=message):
         main(argv + ["--out", str(out)])
     assert not out.exists()
 
@@ -377,9 +413,6 @@ def test_eva_cp_shorter_than_delay_spread_raises_ber():
 
 
 def test_code_version_is_known_when_run_from_source(tmp_path, monkeypatch):
-    import subprocess
-    from pathlib import Path
-
     import ncgfdm
 
     version = code_version()
@@ -429,7 +462,7 @@ def test_config_file_roundtrip(tmp_path):
     cfg = small_cfg("sir", seed=5, snr_db=(10.0,))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
-    back = ExperimentConfig.from_file(path)
+    back = ExperimentConfig.from_dict(json.loads(path.read_text()))
     assert back == cfg
     assert back.config_hash() == cfg.config_hash()
 

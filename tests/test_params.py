@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import reference_labels
 from ncgfdm.params import (
     DimensionError,
     SeededRng,
@@ -81,25 +82,35 @@ def test_qam_rejects_non_square_orders(order):
         qam_constellation(order)
 
 
-def test_map_demap_roundtrip(rng):
-    # the experiments map bits to data vectors in _draw_data, MSB first, and
-    # read the columns back in slot order
+@pytest.mark.parametrize("order", [4**b for b in range(1, 7)])
+def test_draw_data_is_the_reference_draw_with_one_symbol_per_column(order):
+    # 3 symbols of N = 75: for every order but 256 the draw ends inside a byte
     from ncgfdm.experiments import _draw_data
 
-    c = qam_constellation(16)
-    bits, D = _draw_data(rng, c, 12, 3)
-    assert bits.size == 12 * 3 * 4 and D.shape == (12, 3)
-    assert np.array_equal(demap_symbols(D.reshape(-1, order="F"), c), bits)
+    c = qam_constellation(order)
+    gen, whole = np.random.default_rng(order), np.random.default_rng(order)
+    labels, D = _draw_data(gen, c, 75, 3)
+    want = reference_labels(whole, order, (3, 75))
+    assert gen.bytes(16) == whole.bytes(16)  # one draw of the same length
+    assert np.array_equal(labels, want)
+    assert D.shape == (75, 3)
+    assert np.array_equal(D, c.points[want].T)
 
 
-@pytest.mark.parametrize("bits_per_symbol", range(2, 13))
-def test_bit_labels_match_the_weighted_sum(bits_per_symbol, rng):
-    from ncgfdm.experiments import _bit_labels
+@pytest.mark.parametrize("order", [4, 16, 64, 256])
+def test_label_xor_counts_what_the_bit_comparison_counts(order, rng):
+    from ncgfdm.experiments import _bit_errors, _draw_data
 
-    bits = rng.integers(0, 2, size=bits_per_symbol * 4096, dtype=np.uint8)
-    weights = 1 << np.arange(bits_per_symbol - 1, -1, -1)
-    want = bits.reshape(-1, bits_per_symbol) @ weights
-    assert np.array_equal(_bit_labels(bits, bits_per_symbol), want)
+    c = qam_constellation(order)
+    labels, D = _draw_data(rng, c, 75, 40)
+    noise = rng.standard_normal((75, 40, 2)).view(np.complex128)[..., 0]
+    soft = D + 0.2 * np.sqrt(16 / order) * noise
+    sent = demap_symbols(D.reshape(-1, order="F"), c)
+    decided = demap_symbols(soft.reshape(-1, order="F"), c)
+    want = int(np.count_nonzero(decided != sent))
+    symbol_errors = int(np.count_nonzero(decision_labels(soft, c) != labels.T))
+    assert want > symbol_errors > 0  # some symbols carry more than one bit error
+    assert _bit_errors(soft, labels, c) == want
 
 
 def test_hard_decision_nearest_and_ties():

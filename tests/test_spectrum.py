@@ -15,14 +15,12 @@ from conftest import (
     reference_psd_sample_stream,
     reference_welch,
 )
-from ncgfdm.params import SeededRng, qam_constellation
+from ncgfdm.params import SeededRng, _draw_units, _label_table, qam_constellation
 from ncgfdm.smoothing import coefficient_stream, smooth_stream
 from ncgfdm.spectrum import (
     PsdEstimate,
     WelchAccumulator,
     _draw_products,
-    _draw_units,
-    _label_table,
     closed_form_sir,
     empirical_sir,
     mc_smooth_power,
