@@ -37,6 +37,7 @@ __all__ = [
 # 9-path Extended Vehicular A delay/power profile (3GPP LTE)
 EVA_DELAYS_NS = (0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510.0)
 EVA_POWERS_DB = (0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9)
+N_SINUSOIDS = 32  # summed per path by JakesFadingProcess
 
 #: channel bin magnitude at or below which zero forcing counts as a deep fade
 ZF_MIN_GAIN = 1e-12
@@ -122,7 +123,7 @@ class ChannelRealization:
 class JakesFadingProcess:
     """Per-path Rayleigh gains with Jakes Doppler autocorrelation.
 
-    Each path is a sum of ``n_sinusoids`` complex sinusoids at Doppler
+    Each path is a sum of ``N_SINUSOIDS`` complex sinusoids at Doppler
     frequencies f_D cos(theta) with uniformly random angles and phases, so
     the gain autocorrelation across symbols follows J0(2 pi f_D tau).
     Gains are read at t = symbol_index * symbol_duration and held for the
@@ -133,14 +134,13 @@ class JakesFadingProcess:
     block_len: int
     symbol_duration_s: float
     rng: np.random.Generator
-    n_sinusoids: int = 32
     _angles: np.ndarray = field(init=False, repr=False)
     _phases: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n_paths = len(self.profile.delays_ns)
-        self._angles = self.rng.uniform(0.0, 2 * np.pi, size=(n_paths, self.n_sinusoids))
-        self._phases = self.rng.uniform(0.0, 2 * np.pi, size=(n_paths, self.n_sinusoids))
+        self._angles = self.rng.uniform(0.0, 2 * np.pi, size=(n_paths, N_SINUSOIDS))
+        self._phases = self.rng.uniform(0.0, 2 * np.pi, size=(n_paths, N_SINUSOIDS))
 
     def gains(self, symbol_index) -> np.ndarray:
         """Unit-mean-power complex gain per path: (paths,) at one symbol index,
@@ -152,7 +152,7 @@ class JakesFadingProcess:
         )
         # the sum over sinusoids runs along the contiguous last axis, as in a
         # per-index call, so batched gains are bitwise equal to per-index ones
-        return np.exp(1j * arg).sum(axis=-1) / np.sqrt(self.n_sinusoids)
+        return np.exp(1j * arg).sum(axis=-1) / np.sqrt(N_SINUSOIDS)
 
     def realization(self, symbol_index) -> ChannelRealization:
         """Paths of the block at one symbol index, or one block per row for an array."""

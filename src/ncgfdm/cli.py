@@ -75,8 +75,13 @@ def _apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
 def load_config(args) -> ExperimentConfig:
     """The validated config of parsed ``args``; a rejected one raises ValueError."""
     if args.config:
-        with open(args.config) as fh:
-            values = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                values = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read --config file {args.config!r}: {exc.strerror}") from None
+        if not isinstance(values, dict):
+            raise ValueError(f"--config file {args.config!r} does not hold a JSON object")
         if values.setdefault("kind", args.command) != args.command:
             raise ValueError(f"--config file is a {values['kind']!r} config, not {args.command!r}")
         cfg = ExperimentConfig.from_dict(values)

@@ -157,7 +157,8 @@ def _finite(x) -> bool:
 #: field already has; a "dict" range is the one channel that reads it.
 _FIELDS = {
     "kind": _Field("choice", None, EXPERIMENT_KINDS),
-    **dict.fromkeys(("K", "M", "n_cp", "beta", "V", "filter_kind", "oversample"), _WAVEFORM),
+    **dict.fromkeys(("K", "M", "n_cp", "beta", "V", "filter_kind"), _WAVEFORM),
+    "oversample": _Field("count", _RUNS, dict.fromkeys(_RUNS, 1)),
     "qam_order": _Field("existing", _RUNS, lambda _, q: qam_constellation(q)),
     "channel": _Field("choice", ("ber",), ("awgn", "eva", "none")),
     "snr_db": _Field("list", ("ber",), ("finite numbers", _finite)),
@@ -221,8 +222,7 @@ class ExperimentConfig:
             beta=self.beta if beta is None else beta,
             V=self.V if V is None else V,
             filter_kind=self.filter_kind,
-            oversample=self.oversample,
-        ).validate()
+        )
 
     def validate(self) -> "ExperimentConfig":
         """Check each field by :data:`_FIELDS`, then the rules that span fields."""
@@ -262,13 +262,13 @@ class ExperimentConfig:
             base = self.waveform()
             for V in self.v_grid:
                 try:
-                    replace(base, V=V).validate()
+                    replace(base, V=V)
                 except DimensionError as exc:
                     raise ValueError(f"v_grid entry V={V} is rejected: {exc}") from exc
                 _check_order("v_grid entry", V)
             for beta in self.beta_grid:
                 try:
-                    replace(base, beta=beta).validate()
+                    replace(base, beta=beta)
                 except DimensionError as exc:
                     raise ValueError(f"beta_grid entry {beta}: {exc}") from exc
         for name in _FIELDS:  # every kind records every field in its provenance
@@ -447,9 +447,9 @@ def resolve_variant(cfg: ExperimentConfig, spec: str) -> Variant:
         ) from None
     try:
         if base.endswith("ofdm"):
-            p = WaveformParams(K=cfg.K, M=1, n_cp=cfg.n_cp // cfg.M, V=V).validate()
+            p = WaveformParams(K=cfg.K, M=1, n_cp=cfg.n_cp // cfg.M, V=V)
         else:
-            p = replace(cfg.waveform(V=V), oversample=1)
+            p = cfg.waveform(V=V)
     except DimensionError as exc:
         raise ValueError(f"variant {spec!r}: {exc}") from None
     label = spec.replace(":", "_v").replace("-", "_")
@@ -478,10 +478,9 @@ def _draw_data(rng: np.random.Generator, c: Constellation, N: int, count: int):
 def _bit_errors(soft: np.ndarray, labels: np.ndarray, c: Constellation) -> int:
     """Bit errors of deciding ``soft`` (one symbol per column) against the sent
     ``labels`` (one per row): the set bits of each decided XOR sent label."""
-    popcount = np.array([bin(label).count("1") for label in range(c.points.size)], np.uint8)
     wrong = decision_labels(soft.reshape(-1, order="F"), c)
     wrong ^= labels.reshape(-1)
-    return int(np.take(popcount, wrong).sum())
+    return int(np.bitwise_count(wrong).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +686,9 @@ def run_sir(cfg: ExperimentConfig) -> list:
     rows = []
     trial = 0
     for beta in cfg.beta_grid:
-        g, tm = _transmit(replace(cfg.waveform(beta=beta), oversample=1))
+        g, tm = _transmit(cfg.waveform(beta=beta))
         for V in cfg.v_grid:
-            ops = _operators(g, tm, replace(cfg.waveform(beta=beta, V=V), oversample=1))
+            ops = _operators(g, tm, cfg.waveform(beta=beta, V=V))
             theory_db, smooth_power, closed = _steady_sir_db(ops)
             emp = empirical_sir(ops, master.child(trial), cfg.n_symbols, points=c.points)
             trial += 1
@@ -720,7 +719,7 @@ def run_power(cfg: ExperimentConfig) -> list:
     if cfg.kind != "power":
         raise ValueError("config kind must be 'power'")
     c = qam_constellation(cfg.qam_order)
-    p = replace(cfg.waveform(), oversample=1)
+    p = cfg.waveform()
     ops = _operators(*_transmit(p), p)
     rep = sir_report(ops, cfg.n_indices)
     mc = mc_smooth_power(

@@ -47,8 +47,6 @@ class PrototypeFilter:
     """
 
     samples: np.ndarray
-    kind: str
-    beta: float
     is_dirichlet: bool = False
 
     @property
@@ -157,14 +155,13 @@ def _rc_frequency_response(N: int, M: int, beta: float) -> np.ndarray:
 
 
 def prototype_filter(p: WaveformParams) -> PrototypeFilter:
-    """Build the unit-energy prototype pulse for the validated params."""
-    p.validate()
+    """Build the unit-energy prototype pulse of ``p``."""
     beta = 0.0 if p.filter_kind == DIRICHLET else p.beta
     resp = _rc_frequency_response(p.N, p.M, beta)
     flat = bool(np.all((resp == 0.0) | (resp == 1.0)))
     g = np.fft.ifft(resp)
     g /= np.linalg.norm(g)
-    return PrototypeFilter(samples=g, kind=p.filter_kind, beta=beta, is_dirichlet=flat)
+    return PrototypeFilter(samples=g, is_dirichlet=flat)
 
 
 def shifted_filter(g: PrototypeFilter, k: int, m: int, K: int, M: int) -> np.ndarray:
@@ -183,7 +180,6 @@ def build_transmit_matrix(g: PrototypeFilter, p: WaveformParams) -> TransmitMatr
 
     Raises :class:`SingularMatrixError` when cond(A) exceeds ``COND_LIMIT``.
     """
-    p.validate()
     polyphase = np.fft.fft(g.samples.reshape(p.M, p.K), axis=0)
     tm = TransmitMatrix(g=g.samples, K=p.K, M=p.M, polyphase=polyphase)
     if tm.cond > COND_LIMIT:

@@ -35,6 +35,9 @@ class DimensionError(ValueError):
 class WaveformParams:
     """Dimensional and filter parameters of one waveform configuration.
 
+    Making one, also by ``dataclasses.replace``, raises :class:`DimensionError`
+    on a combination that violates an invariant, so every instance is valid.
+
     Attributes:
         K: number of subcarriers.
         M: number of subsymbols per symbol block; N = K*M samples per block.
@@ -43,8 +46,8 @@ class WaveformParams:
         V: highest derivative order kept continuous by the smoother.
         filter_kind: "rc" or "dirichlet" ("rc" with beta=0 degenerates to
             the Dirichlet pulse).
-        oversample: time-domain oversampling factor used only for PSD
-            measurement.
+        oversample: time-domain oversampling factor; no builder reads it
+            (the PSD experiment takes its factor from its config).
     """
 
     K: int
@@ -59,7 +62,7 @@ class WaveformParams:
     def N(self) -> int:
         return self.K * self.M
 
-    def validate(self) -> "WaveformParams":
+    def __post_init__(self):
         for name in ("K", "M", "n_cp", "V", "oversample"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -82,7 +85,6 @@ class WaveformParams:
             raise DimensionError(f"unknown filter_kind {self.filter_kind!r}")
         if self.oversample < 1:
             raise DimensionError(f"oversample factor must be >= 1, got {self.oversample}")
-        return self
 
 
 # ---------------------------------------------------------------------------

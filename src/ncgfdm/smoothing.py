@@ -39,7 +39,6 @@ def synthesis_waveform(g: PrototypeFilter, p: WaveformParams) -> tuple[np.ndarra
     The geometric sum over subcarriers collapses to K*g(n) on the samples
     where n is a multiple of K and zero elsewhere.
     """
-    p.validate()
     N, K = p.N, p.K
     n = np.arange(N)
     f0 = np.where(n % K == 0, K * g.samples, 0.0)
@@ -63,7 +62,6 @@ class BasisSet:
 
 def build_basis(g: PrototypeFilter, p: WaveformParams) -> BasisSet:
     """Evaluate basis orders 0..V by inverse DFT of the derivative spectrum."""
-    p.validate()
     N, V, n_cp = p.N, p.V, p.n_cp
     _, F0 = synthesis_waveform(g, p)
     fac = 2j * np.pi * np.arange(N) / N
@@ -231,7 +229,6 @@ def build_nc_operators(
     exceeds its tolerance; ``is_unitary`` adds the unitary identities, so a
     wrong claim fails ``unitarity``.
     """
-    p.validate()
     N, V, n_cp = p.N, p.V, p.n_cp
     l = np.arange(N)
     fac = 2j * np.pi * l / N

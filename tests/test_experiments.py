@@ -279,15 +279,29 @@ def test_cli_rejects_bad_settings_before_any_work(tmp_path, kind, setting, messa
     assert not any(tmp_path.iterdir())
 
 
-def test_cli_exits_on_a_rejected_config_with_one_line_and_no_traceback(tmp_path):
+@pytest.mark.parametrize(
+    "args,content,message",
+    [
+        (["--set", "snr_db=12"], None, "snr_db must be a list or tuple, got 12"),
+        (["--config", "{path}"], None, "cannot read --config file '{path}': No such file or directory"),
+        (["--config", "{path}"], "[1, 2]", "--config file '{path}' does not hold a JSON object"),
+    ],
+    ids=["scalar-snr_db", "missing-config-file", "config-file-not-an-object"],
+)
+def test_cli_exits_on_a_rejected_config_with_one_line_and_no_traceback(
+    tmp_path, args, content, message
+):
     src = str(Path(experiments.__file__).resolve().parents[1])
-    out = tmp_path / "out"
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    if content is not None:
+        path.write_text(content)
+    argv = [arg.format(path=path) for arg in args]
     proc = subprocess.run(
-        [sys.executable, "-m", "ncgfdm.cli", "ber", "--set", "snr_db=12", "--out", str(out)],
+        [sys.executable, "-m", "ncgfdm.cli", "ber", *argv, "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
     )
     assert proc.returncode == 1
-    assert proc.stderr == "snr_db must be a list or tuple, got 12\n"
+    assert proc.stderr == message.format(path=path) + "\n"
     assert not out.exists()
 
 
@@ -537,7 +551,7 @@ def test_run_sir_contents():
 
 @pytest.mark.parametrize("beta", [0.0, 0.5])
 def test_steady_sir_stops_at_the_plateau_read(monkeypatch, beta):
-    p = WaveformParams(**dict(SMALL, beta=beta)).validate()
+    p = WaveformParams(**dict(SMALL, beta=beta))
     ops = experiments._operators(*experiments._transmit(p), p)
     full = experiments.sir_report(ops, 128)
     # the plateau: reads after 8 and 16 symbols agree within 0.01 dB

@@ -234,7 +234,7 @@ def test_condition_from_polyphase_matches_svd(K, M, beta):
 def test_pulse_with_zero_polyphase_bin_is_singular():
     # equal samples on every residue: fft_M is zero off its first bin
     p = WaveformParams(K=4, M=2, beta=0.5)
-    g = PrototypeFilter(samples=np.full(p.N, 1 / np.sqrt(p.N), dtype=complex), kind="rc", beta=0.5)
+    g = PrototypeFilter(samples=np.full(p.N, 1 / np.sqrt(p.N), dtype=complex))
     with pytest.raises(SingularMatrixError) as err:
         build_transmit_matrix(g, p)
     assert np.isinf(err.value.cond)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from ncgfdm.params import (
 
 def test_valid_params_roundtrip():
     p = WaveformParams(K=256, M=7, n_cp=280, beta=0.1, V=2)
-    assert p.validate() is p
     assert p.N == 1792
 
 
@@ -42,8 +43,11 @@ def test_valid_params_roundtrip():
     ],
 )
 def test_invalid_params_rejected(kwargs):
-    with pytest.raises(DimensionError):
-        WaveformParams(**kwargs).validate()
+    with pytest.raises(DimensionError) as made:
+        WaveformParams(**kwargs)
+    with pytest.raises(DimensionError) as replaced:
+        replace(WaveformParams(K=4, M=2), **kwargs)
+    assert str(replaced.value) == str(made.value)
 
 
 def test_vectorization_order_is_subcarrier_major():
