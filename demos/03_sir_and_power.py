@@ -36,7 +36,7 @@ print("steady smooth power and SIR at beta = 0:")
 for V in (0, 2, 4, 6):
     p, ops = operators(0.0, V)
     curve = sir_report(ops, 40).smooth_power
-    emp = empirical_sir(ops, SeededRng(V).generator, 5000, points=c.points)
+    emp = empirical_sir([ops], SeededRng(V).generator, 5000, points=c.points)[0]
     print(
         f"  V={V}: power {curve[-1]:.4f} (closed form {2 * (V + 1)}), "
         f"SIR {10 * np.log10(emp):.2f} dB empirical vs "

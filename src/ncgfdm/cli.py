@@ -80,6 +80,8 @@ def load_config(args) -> ExperimentConfig:
                 values = json.load(fh)
         except OSError as exc:
             raise ValueError(f"cannot read --config file {args.config!r}: {exc.strerror}") from None
+        except json.JSONDecodeError as exc:  # its message keeps the line, column and offset
+            raise ValueError(f"--config file {args.config!r} is not valid JSON: {exc}") from None
         if not isinstance(values, dict):
             raise ValueError(f"--config file {args.config!r} does not hold a JSON object")
         if values.setdefault("kind", args.command) != args.command:

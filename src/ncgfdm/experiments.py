@@ -158,7 +158,7 @@ def _finite(x) -> bool:
 _FIELDS = {
     "kind": _Field("choice", None, EXPERIMENT_KINDS),
     **dict.fromkeys(("K", "M", "n_cp", "beta", "V", "filter_kind"), _WAVEFORM),
-    "oversample": _Field("count", _RUNS, dict.fromkeys(_RUNS, 1)),
+    "oversample": _Field("count", ("psd",), {"psd": 1}),
     "qam_order": _Field("existing", _RUNS, lambda _, q: qam_constellation(q)),
     "channel": _Field("choice", ("ber",), ("awgn", "eva", "none")),
     "snr_db": _Field("list", ("ber",), ("finite numbers", _finite)),
@@ -241,14 +241,15 @@ class ExperimentConfig:
             p = var.params
             if var.smoothed:
                 _check_order(f"variant {spec!r}", p.V)
-            frame = (p.N + p.n_cp) * self.oversample
-            if self.kind == "psd" and self.n_symbols * frame < self.window_len:
-                raise ValueError(
-                    f"variant {spec!r} streams n_symbols * (N + n_cp) * oversample = "
-                    f"{self.n_symbols} * {p.N + p.n_cp} * {self.oversample} = "
-                    f"{self.n_symbols * frame} samples, fewer than one Welch segment of "
-                    f"window_len = {self.window_len}"
-                )
+            if self.kind == "psd":
+                frame = (p.N + p.n_cp) * self.oversample
+                if self.n_symbols * frame < self.window_len:
+                    raise ValueError(
+                        f"variant {spec!r} streams n_symbols * (N + n_cp) * oversample = "
+                        f"{self.n_symbols} * {p.N + p.n_cp} * {self.oversample} = "
+                        f"{self.n_symbols * frame} samples, fewer than one Welch segment of "
+                        f"window_len = {self.window_len}"
+                    )
             if self.kind == "ber" and self.channel == "eva" and p.N <= tap:
                 raise ValueError(
                     f"variant {spec!r} has block length N={p.N}, at or below the EVA "
@@ -684,14 +685,13 @@ def run_sir(cfg: ExperimentConfig) -> list:
     c = qam_constellation(cfg.qam_order)
     master = SeededRng(cfg.seed)
     rows = []
-    trial = 0
-    for beta in cfg.beta_grid:
+    for i, beta in enumerate(cfg.beta_grid):
+        # the orders of one roll-off share its transmit matrix, so they share one draw
         g, tm = _transmit(cfg.waveform(beta=beta))
-        for V in cfg.v_grid:
-            ops = _operators(g, tm, cfg.waveform(beta=beta, V=V))
+        cells = [_operators(g, tm, cfg.waveform(beta=beta, V=V)) for V in cfg.v_grid]
+        emps = empirical_sir(cells, master.child(i), cfg.n_symbols, points=c.points)
+        for V, ops, emp in zip(cfg.v_grid, cells, emps):
             theory_db, smooth_power, closed = _steady_sir_db(ops)
-            emp = empirical_sir(ops, master.child(trial), cfg.n_symbols, points=c.points)
-            trial += 1
             rows.append(
                 (float(beta), int(V), smooth_power, theory_db, 10.0 * np.log10(emp), closed)
             )

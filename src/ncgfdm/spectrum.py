@@ -14,7 +14,8 @@ grow with N times the number of symbols or streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -333,12 +334,12 @@ def _draw_products(
 
 
 def empirical_sir(
-    ops: NcOperators,
+    sets: Sequence[NcOperators],
     rng: np.random.Generator,
     n_symbols: int,
     points: np.ndarray,
-) -> float:
-    """Monte-Carlo SIR (linear) over a smoothed stream, skipping the head.
+) -> list[float]:
+    """Monte-Carlo SIR (linear) of each operator set over one smoothed stream's data.
 
     Measured where it matters: at the demodulator output, where the soft
     estimate is d + A^{-1} w, so signal and interference are the data
@@ -348,20 +349,38 @@ def empirical_sir(
     :func:`_draw_products`.  No (N, n_symbols) array is formed: the draw
     is reduced to its thin products P_1 D and P_2 D row block by row block,
     the recursion runs on them (:func:`coefficient_scan`), and the signal
-    energy comes from a histogram of the packed label units.  Raises when
-    the stream carries no boundary discontinuity to smooth (zero
-    interference).
+    energy of the symbols after the unsmoothed head comes from a histogram
+    of the packed label units.
+
+    ``sets`` are the operator sets of one waveform at any smoothing orders:
+    one transmit matrix, and parameters that differ in V alone (else
+    ValueError, before any draw).  Row v of P_1 and P_2 depends on v alone,
+    so each set's products are the first V+1 rows of the highest order's,
+    and all sets share one draw and one reduction.  A one-set call draws
+    and reduces exactly as a call for that set alone.  Raises
+    ZeroDivisionError when a set's stream carries no boundary discontinuity
+    to smooth (zero interference).
     """
     if n_symbols < 2:
         raise ValueError("need at least two symbols to observe smoothing")
+    top = max(sets, key=lambda ops: ops.V)
+    for ops in sets:
+        if ops.tm is not top.tm or replace(ops.params, V=top.V) != top.params:
+            raise ValueError(
+                "empirical_sir shares one draw only between operator sets on one "
+                f"transmit matrix that differ in V alone; got {ops.params} and {top.params}"
+            )
     pts = np.asarray(points, dtype=np.complex128)
-    P1D, P2D, sig = _draw_products(ops, rng, pts, n_symbols, energy=True)
-    B, _ = coefficient_scan(ops, P1D, P2D)
-    gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
-    intf = float(np.real(np.einsum("vi,vw,wi->", B[:, 1:].conj(), gram, B[:, 1:])))
-    if intf <= 0:
-        raise ZeroDivisionError("stream produced no smoothing interference")
-    return sig / intf
+    P1D, P2D, sig = _draw_products(top, rng, pts, n_symbols, energy=True)
+    out = []
+    for ops in sets:
+        B, _ = coefficient_scan(ops, P1D[: ops.V + 1], P2D[: ops.V + 1])
+        gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
+        intf = float(np.real(np.einsum("vi,vw,wi->", B[:, 1:].conj(), gram, B[:, 1:])))
+        if intf <= 0:
+            raise ZeroDivisionError("stream produced no smoothing interference")
+        out.append(sig / intf)
+    return out
 
 
 def mc_smooth_power(

@@ -88,14 +88,14 @@ def test_criterion_3_sir_closed_form_and_ofdm_gap():
     sir2 = None
     for i, V in enumerate((0, 2, 4)):
         _, _, _, ops = built_ops(256, 7, 280, 0.0, V)
-        emp = 10 * math.log10(empirical_sir(ops, master.child(i), 10_000, points=c.points))
+        emp = 10 * math.log10(empirical_sir([ops], master.child(i), 10_000, points=c.points)[0])
         closed = 10 * math.log10(256 * 7 / (2 * (V + 1)))
         ok &= abs(emp - closed) <= 0.2
         if V == 2:
             sir2 = emp
         details.append(f"V={V}: {emp:.2f} dB vs {closed:.2f} dB")
     _, _, _, ops1 = built_ops(256, 1, 40, 0.0, 2)
-    emp1 = 10 * math.log10(empirical_sir(ops1, master.child(9), 10_000, points=c.points))
+    emp1 = 10 * math.log10(empirical_sir([ops1], master.child(9), 10_000, points=c.points)[0])
     gap = sir2 - emp1
     ok &= abs(gap - 8.45) <= 0.3
     report(

@@ -126,6 +126,14 @@ def test_config_validation_accepts(overrides):
     assert cfg.validate() is cfg
 
 
+@pytest.mark.parametrize("kind", ["ber", "sir", "power", "validate"])
+def test_oversample_is_checked_only_for_the_psd_run_that_reads_it(kind):
+    cfg = ExperimentConfig(kind=kind, oversample=0)
+    assert cfg.validate() is cfg
+    with pytest.raises(ValueError, match=r"psd experiments need an integer oversample >= 1, got 0"):
+        replace(cfg, kind="psd").validate()
+
+
 @pytest.mark.parametrize(
     "kind,overrides,message",
     [
@@ -285,8 +293,10 @@ def test_cli_rejects_bad_settings_before_any_work(tmp_path, kind, setting, messa
         (["--set", "snr_db=12"], None, "snr_db must be a list or tuple, got 12"),
         (["--config", "{path}"], None, "cannot read --config file '{path}': No such file or directory"),
         (["--config", "{path}"], "[1, 2]", "--config file '{path}' does not hold a JSON object"),
+        (["--config", "{path}"], '{"n_bits": \n', "--config file '{path}' is not valid JSON: "
+         "Expecting value: line 2 column 1 (char 12)"),
     ],
-    ids=["scalar-snr_db", "missing-config-file", "config-file-not-an-object"],
+    ids=["scalar-snr_db", "missing-config-file", "config-file-not-an-object", "malformed-config-file"],
 )
 def test_cli_exits_on_a_rejected_config_with_one_line_and_no_traceback(
     tmp_path, args, content, message

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.signal
 import scipy.stats
 
 from conftest import (
+    built,
     built_ops,
     dense_p_hat,
     dense_p_tilde,
@@ -15,8 +17,9 @@ from conftest import (
     reference_psd_sample_stream,
     reference_welch,
 )
+from ncgfdm.filterbank import build_transmit_matrix
 from ncgfdm.params import SeededRng, _draw_units, _label_table, qam_constellation
-from ncgfdm.smoothing import coefficient_stream, smooth_stream
+from ncgfdm.smoothing import build_basis, build_nc_operators, coefficient_stream, smooth_stream
 from ncgfdm.spectrum import (
     PsdEstimate,
     WelchAccumulator,
@@ -329,10 +332,10 @@ def test_empirical_sir_tracks_theory():
     _, _, _, ops = built_ops(16, 7, 16, 0.0, 2)
     want = 16 * 7 / (2 * (ops.V + 1))
     pts = qam_constellation(16).points
-    got_qam = empirical_sir(ops, SeededRng(22).generator, 5000, points=pts)
+    got_qam = empirical_sir([ops], SeededRng(22).generator, 5000, points=pts)[0]
     assert got_qam == pytest.approx(want, rel=0.05)
     with pytest.raises(ValueError):
-        empirical_sir(ops, SeededRng(21).generator, 1, points=pts)
+        empirical_sir([ops], SeededRng(21).generator, 1, points=pts)
 
 
 @pytest.mark.parametrize(
@@ -350,9 +353,66 @@ def test_empirical_sir_matches_whole_array_reference(K, M, V, rel, order, n_symb
     # the bound
     _, _, _, ops = built_ops(K, M, K, 0.5, V)
     pts = qam_constellation(order).points
-    got = empirical_sir(ops, SeededRng(31).generator, n_symbols, points=pts)
+    got = empirical_sir([ops], SeededRng(31).generator, n_symbols, points=pts)[0]
     want = reference_empirical_sir(ops, SeededRng(31).generator, n_symbols, pts)
     assert got == pytest.approx(want, rel=rel)
+
+
+def _orders_on_one_transmit_matrix(K, M, n_cp, beta, orders):
+    """Operator sets of one waveform at each order, all on one transmit matrix."""
+    p, g, tm = built(K, M, n_cp, beta)
+    sets = []
+    for V in orders:
+        q = replace(p, V=V)
+        sets.append(build_nc_operators(tm, build_basis(g, q), q, is_unitary=g.is_dirichlet))
+    return sets
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_boundary_operators_of_an_order_are_the_first_rows_of_a_higher_order(beta):
+    # row v of P_1 and P_2 depends on v alone, so every order's products are
+    # read off the highest order's; this is what lets empirical_sir share a draw
+    sets = _orders_on_one_transmit_matrix(256, 7, 280, beta, range(8))
+    top = sets[-1]
+    for ops in sets:
+        assert np.array_equal(ops.P_1, top.P_1[: ops.V + 1])
+        assert np.array_equal(ops.P_2, top.P_2[: ops.V + 1])
+
+
+def test_empirical_sir_of_a_grid_matches_each_order_alone():
+    # one draw serves every order: each set must match the whole-array
+    # reference on the same seed, at the bounds of the one-set test above,
+    # and the generator must advance by exactly one (N, n_symbols) draw
+    sets = _orders_on_one_transmit_matrix(16, 7, 16, 0.5, (2, 6, 0))
+    pts = qam_constellation(16).points
+    gen = SeededRng(31).generator
+    got = empirical_sir(sets, gen, 700, points=pts)
+    assert len(got) == len(sets)
+    for ops, value in zip(sets, got):
+        ref_gen = SeededRng(31).generator
+        want = reference_empirical_sir(ops, ref_gen, 700, pts)
+        assert value == pytest.approx(want, rel=1e-8 if ops.V == 6 else 1e-12)
+    assert gen.bytes(16) == ref_gen.bytes(16)
+
+
+@pytest.mark.parametrize("other", ["beta", "rebuilt", "n_cp"])
+def test_empirical_sir_rejects_sets_off_one_transmit_matrix(other):
+    low, top = _orders_on_one_transmit_matrix(16, 7, 16, 0.0, (0, 2))
+    if other == "beta":
+        low = built_ops(16, 7, 16, 0.5, 0)[3]
+    elif other == "rebuilt":  # equal in value, but not the same transmit matrix
+        p, g, _ = built(16, 7, 16, 0.0)
+        tm = build_transmit_matrix(g, p)
+        low = build_nc_operators(tm, build_basis(g, p), p, is_unitary=True)
+    else:  # one transmit matrix, but P_2 of another CP length
+        p, g, tm = built(16, 7, 16, 0.0)
+        q = replace(p, n_cp=8)
+        low = build_nc_operators(tm, build_basis(g, q), q, is_unitary=True)
+    pts = qam_constellation(16).points
+    gen = np.random.default_rng(3)
+    with pytest.raises(ValueError, match="one transmit matrix that differ in V alone"):
+        empirical_sir([low, top], gen, 10, points=pts)
+    assert gen.bytes(8) == np.random.default_rng(3).bytes(8)  # nothing was drawn
 
 
 @pytest.mark.parametrize("n_streams", [150, 151])
@@ -412,7 +472,7 @@ def test_monte_carlo_rejects_point_counts_off_a_power_of_two(size):
     pts = np.ones(size, dtype=complex)
     gen = np.random.default_rng(3)
     with pytest.raises(ValueError, match=f"power-of-two count .*got {size}"):
-        empirical_sir(ops, gen, 10, points=pts)
+        empirical_sir([ops], gen, 10, points=pts)
     with pytest.raises(ValueError, match=f"power-of-two count .*got {size}"):
         mc_smooth_power(ops, gen, 10, 3, points=pts)
     assert gen.bytes(8) == np.random.default_rng(3).bytes(8)  # nothing was drawn
@@ -425,8 +485,11 @@ def test_monte_carlo_memory_does_not_scale_with_the_draw():
     _, _, _, ops = built_ops(256, 7, 280, 0.5, 2)
     pts = qam_constellation(16).points
     bound = ops.params.N * 4000 * 16 // 8
-    assert _traced_peak(empirical_sir, ops, SeededRng(5).generator, 4000, points=pts) < bound
+    assert _traced_peak(empirical_sir, [ops], SeededRng(5).generator, 4000, points=pts) < bound
     assert _traced_peak(mc_smooth_power, ops, SeededRng(5).generator, 4000, 1, points=pts) < bound
+    # a grid call holds the highest order's products, not one draw per order
+    sets = _orders_on_one_transmit_matrix(256, 7, 280, 0.5, (0, 2, 4, 6))
+    assert _traced_peak(empirical_sir, sets, SeededRng(5).generator, 4000, points=pts) < bound
 
 
 def test_empirical_sir_rejects_degenerate_stream():
@@ -436,7 +499,7 @@ def test_empirical_sir_rejects_degenerate_stream():
     _, _, _, ops = built_ops(8, 4, 0, 0.0, 2)
     pts = np.array([1.0 + 0.0j, 1.0 + 0.0j])
     with pytest.raises(ZeroDivisionError):
-        empirical_sir(ops, SeededRng(50).generator, 50, points=pts)
+        empirical_sir([ops], SeededRng(50).generator, 50, points=pts)
 
 
 def test_mc_smooth_power_matches_curve():
