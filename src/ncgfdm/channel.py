@@ -38,6 +38,9 @@ __all__ = [
 EVA_DELAYS_NS = (0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510.0)
 EVA_POWERS_DB = (0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9)
 N_SINUSOIDS = 32  # summed per path by JakesFadingProcess
+#: sample interval and maximum Doppler of a profile that does not set its own
+SAMPLE_INTERVAL_NS = 9.3
+DOPPLER_HZ = 100.0
 
 #: channel bin magnitude at or below which zero forcing counts as a deep fade
 ZF_MIN_GAIN = 1e-12
@@ -61,8 +64,8 @@ class ChannelProfile:
 
     delays_ns: tuple
     powers_db: tuple
-    sample_interval_ns: float = 9.3
-    doppler_hz: float = 100.0
+    sample_interval_ns: float = SAMPLE_INTERVAL_NS
+    doppler_hz: float = DOPPLER_HZ
 
     def __post_init__(self):
         d = np.asarray(self.delays_ns, dtype=float)
@@ -86,7 +89,9 @@ class ChannelProfile:
         return p / p.sum()
 
 
-def eva_profile(sample_interval_ns: float = 9.3, doppler_hz: float = 100.0) -> ChannelProfile:
+def eva_profile(
+    sample_interval_ns: float = SAMPLE_INTERVAL_NS, doppler_hz: float = DOPPLER_HZ
+) -> ChannelProfile:
     return ChannelProfile(EVA_DELAYS_NS, EVA_POWERS_DB, sample_interval_ns, doppler_hz)
 
 

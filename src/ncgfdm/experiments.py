@@ -20,6 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .channel import (
+    DOPPLER_HZ,
+    SAMPLE_INTERVAL_NS,
     ChannelProfile,
     JakesFadingProcess,
     apply_channel,
@@ -136,8 +138,8 @@ def _default_metadata() -> dict:
     return {
         "subcarrier_spacing_hz": 15_000.0,
         "carrier_frequency_hz": 2.0e9,
-        "sample_interval_ns": 9.3,
-        "doppler_hz": 100.0,
+        "sample_interval_ns": SAMPLE_INTERVAL_NS,
+        "doppler_hz": DOPPLER_HZ,
     }
 
 
@@ -282,8 +284,8 @@ class ExperimentConfig:
     def channel_profile(self) -> ChannelProfile:
         """EVA delay profile at the sample interval and Doppler in ``metadata``."""
         return eva_profile(
-            sample_interval_ns=self.metadata.get("sample_interval_ns", 9.3),
-            doppler_hz=self.metadata.get("doppler_hz", 100.0),
+            sample_interval_ns=self.metadata.get("sample_interval_ns", SAMPLE_INTERVAL_NS),
+            doppler_hz=self.metadata.get("doppler_hz", DOPPLER_HZ),
         )
 
     def to_dict(self) -> dict:
@@ -472,7 +474,7 @@ def _draw_data(rng: np.random.Generator, c: Constellation, N: int, count: int):
     """(labels, D): (count, N) labels drawn by :func:`ncgfdm.params._draw_fields`,
     one symbol after another, and their points with one symbol per column."""
     table, bits = _label_table(np.arange(c.points.size, dtype=c.labels.dtype))
-    labels = _draw_fields(rng, table, bits, N * count)[1][: N * count].reshape(count, N)
+    labels = _draw_fields(rng, table, bits, N * count)[: N * count].reshape(count, N)
     return labels, np.take(c.points, labels).T
 
 
@@ -509,7 +511,7 @@ def run_psd(cfg: ExperimentConfig) -> list:
         done = 0
         while done < cfg.n_symbols:
             nb = min(chunk, cfg.n_symbols - done)
-            D = _draw_fields(rng, table, bits, p.N * nb)[1][: p.N * nb].reshape(nb, p.N).T
+            D = _draw_fields(rng, table, bits, p.N * nb)[: p.N * nb].reshape(nb, p.N).T
             if var.smoothed:
                 X, _, carry = smooth_stream(ops, D, carry)
             else:

@@ -283,12 +283,12 @@ def _draw_units(rng: np.random.Generator, n: int, bits: int) -> np.ndarray:
 
 def _draw_fields(
     rng: np.random.Generator, table: np.ndarray, bits: int, n: int, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(units, values): ``n`` labels drawn by :func:`_draw_units`, and the entries of
-    :func:`_label_table`'s ``table`` for every field the units carry, in draw
-    order, the labels' first; written to ``out`` if given."""
+) -> np.ndarray:
+    """``n`` labels drawn by :func:`_draw_units`, as the entries of
+    :func:`_label_table`'s ``table`` for every field their units carry, in
+    draw order, the labels' first; written to ``out`` if given."""
     units = _draw_units(rng, n, bits)
     if out is None:
         out = np.empty((units.size, table.shape[1]), dtype=table.dtype)
     # every unit indexes the table, so "wrap" never wraps, but take writes to out unbuffered
-    return units, np.take(table, units, axis=0, out=out[: units.size], mode="wrap").ravel()
+    return np.take(table, units, axis=0, out=out[: units.size], mode="wrap").ravel()

@@ -323,6 +323,7 @@ def coefficient_scan(
     of a stream, whose first symbol is sent unsmoothed (b_0 = 0).  P1D and
     P2D are (V+1, count) for one stream or (V+1, count, S) for S parallel
     streams; returns B of the same shape and the carry for the next chunk.
+    An empty chunk (count 0) returns an empty B and ``carry`` as given.
 
     Written as b_i = S b_{i-1} + v_i with S = P_f^{-1} G, the recursion is a
     linear scan, solved in blocks of ``_SCAN_BLOCK`` symbols (Blelloch 1990).
@@ -337,11 +338,13 @@ def coefficient_scan(
     P2D = np.asarray(P2D, dtype=np.complex128)
     thin = P1D.shape
     V1, count = thin[:2]
+    if not count:
+        return np.zeros(thin, dtype=np.complex128), carry
     P1D = P1D.reshape(V1, count, -1)
     P2D = P2D.reshape(V1, count, -1)
     G = ops.P_1 @ ops.A_inv_Q
     S = ops.P_f_inv @ G
-    T, lift = _scan_factors(S, max(1, min(_SCAN_BLOCK, count)))
+    T, lift = _scan_factors(S, min(_SCAN_BLOCK, count))
     B = np.zeros_like(P2D)
     for _ in range(2):
         prev = np.empty_like(P2D)
@@ -351,8 +354,6 @@ def coefficient_scan(
         else:
             prev[:, 0] = np.reshape(carry, (V1, -1))
         B += _scan(T, lift, np.tensordot(ops.P_f_inv, prev - P2D, axes=1) - B)
-    if not count:
-        return B.reshape(thin), carry
     out = P1D[:, -1] + G @ B[:, -1]
     return B.reshape(thin), out.reshape(thin[:1] + thin[2:])
 

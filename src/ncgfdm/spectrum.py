@@ -39,6 +39,12 @@ __all__ = [
 ]
 
 
+def _check_oversample(oversample) -> None:
+    whole = isinstance(oversample, (int, np.integer)) and not isinstance(oversample, bool)
+    if not (whole and oversample >= 1):
+        raise ValueError(f"oversample must be an integer >= 1, got {oversample!r}")
+
+
 def psd_sample_stream(cores: np.ndarray, n_cp: int, oversample: int) -> np.ndarray:
     """Serialize symbol cores into an oversampled CP-framed stream.
 
@@ -53,10 +59,9 @@ def psd_sample_stream(cores: np.ndarray, n_cp: int, oversample: int) -> np.ndarr
     spectrum; a :class:`WelchAccumulator` given the same ``oversample``
     centres it on DC.  At oversample 1 the result is the plain CP-framed
     stream, each symbol's last ``n_cp`` samples then its core; ``n_cp``
-    must lie in [0, N).
+    must lie in [0, N) and ``oversample`` be an integer >= 1.
     """
-    if oversample < 1:
-        raise ValueError("oversample factor must be >= 1")
+    _check_oversample(oversample)
     rows = np.asarray(cores, dtype=np.complex128).T  # one symbol per row
     if rows.ndim == 1:
         rows = rows[None, :]
@@ -111,7 +116,7 @@ class WelchAccumulator:
     which moves the occupied band from [0, 1/oversample) to be symmetric
     around DC.  A periodogram drops any constant phase of its segment, so
     this equals recentring the whole stream by exp(-j pi n / oversample),
-    whatever its chunking.
+    whatever its chunking.  ``oversample`` must be an integer >= 1.
     """
 
     def __init__(self, window_len: int, overlap: int | None = None, oversample: int = 1):
@@ -121,6 +126,7 @@ class WelchAccumulator:
             overlap = window_len // 2
         if not 0 <= overlap < window_len:
             raise ValueError("overlap must lie in [0, window_len)")
+        _check_oversample(oversample)
         self.window_len = window_len
         self.step = window_len - overlap
         # periodic Hann window; the textbook 0.5 - 0.5 cos(2 pi k / n)
@@ -217,57 +223,40 @@ class SirReport:
     closed_form_db: float | None = None
 
 
-class _LowRankPowerRecursion:
-    """Shared small-matrix recursion behind the power/SIR evaluators.
+def sir_report(ops: NcOperators, n_symbols: int) -> SirReport:
+    """Theoretical power and SIR sequences over symbol indices 0..n-1.
 
     Everything reduces to (V+1) x (V+1) products once the covariance
     recursion E_i = I - P_tilde - P_tilde^H + P_tilde P_tilde^H
     + P_hat E_{i-1} P_hat^H is projected onto the low-rank factors
     P_hat = L P_1 and P_tilde = L P_2 with L = A^{-1} Q P_f^{-1}.
     """
-
-    def __init__(self, ops: NcOperators):
-        L, R, T = ops.gain, ops.P_1, ops.P_2
-        self.N = ops.params.N
-        self.LhL = L.conj().T @ L
-        self.RL = R @ L
-        self.TL = T @ L
-        RRh = R @ R.conj().T
-        TRh = T @ R.conj().T
-        self.TTh = T @ T.conj().T
-        self.base_S = (
-            RRh
-            - self.RL @ TRh
-            - TRh.conj().T @ self.RL.conj().T
-            + self.RL @ self.TTh @ self.RL.conj().T
-        )
-        self.S0 = RRh
-        # trace(P_tilde P_tilde^H): the smooth power's fixed part and a
-        # trace(E_i) piece, with trace(P_tilde)
-        self.smooth_fixed = float(np.real(np.trace(self.TTh @ self.LhL)))
-        self.tr_pt = complex(np.trace(self.TL))
-
-    def run(self, n_symbols: int) -> tuple[np.ndarray, np.ndarray]:
-        """(per_symbol_power, smooth_power) for indices 0..n_symbols-1."""
-        data_power = np.empty(n_symbols)
-        smooth_power = np.zeros(n_symbols)
-        data_power[0] = float(self.N)
-        S = self.S0.copy()
-        for i in range(1, n_symbols):
-            tr_hat = float(np.real(np.trace(S @ self.LhL)))
-            smooth_power[i] = tr_hat + self.smooth_fixed
-            data_power[i] = self.N - 2 * self.tr_pt.real + self.smooth_fixed + tr_hat
-            S = self.base_S + self.RL @ S @ self.RL.conj().T
-        return data_power, smooth_power
-
-
-def sir_report(ops: NcOperators, n_symbols: int) -> SirReport:
-    """Theoretical power and SIR sequences over symbol indices 0..n-1."""
     if n_symbols < 1:
         raise ValueError("need at least one symbol")
-    data_power, smooth_power = _LowRankPowerRecursion(ops).run(n_symbols)
+    L, R, T = ops.gain, ops.P_1, ops.P_2
+    N = ops.params.N
+    LhL = L.conj().T @ L
+    RL = R @ L
+    TL = T @ L
+    RRh = R @ R.conj().T
+    TRh = T @ R.conj().T
+    TTh = T @ T.conj().T
+    base_S = RRh - RL @ TRh - TRh.conj().T @ RL.conj().T + RL @ TTh @ RL.conj().T
+    # trace(P_tilde P_tilde^H): the smooth power's fixed part and a
+    # trace(E_i) piece, with trace(P_tilde)
+    smooth_fixed = float(np.real(np.trace(TTh @ LhL)))
+    tr_pt = complex(np.trace(TL))
+    data_power = np.empty(n_symbols)
+    smooth_power = np.zeros(n_symbols)
+    data_power[0] = float(N)
+    S = RRh
+    for i in range(1, n_symbols):
+        tr_hat = float(np.real(np.trace(S @ LhL)))
+        smooth_power[i] = tr_hat + smooth_fixed
+        data_power[i] = N - 2 * tr_pt.real + smooth_fixed + tr_hat
+        S = base_S + RL @ S @ RL.conj().T
     with np.errstate(divide="ignore"):
-        sir_db = 10.0 * np.log10(ops.params.N / smooth_power)
+        sir_db = 10.0 * np.log10(N / smooth_power)
     closed = closed_form_sir(ops.params) if ops.is_unitary else None
     return SirReport(
         per_symbol_power=data_power,
@@ -305,31 +294,27 @@ def _draw_products(
     ``_DRAW_BLOCK`` rows at a time: a full block is 8 b cols bytes, a whole
     number of the generator's 32-bit words, so the blocks concatenate to
     one (N, cols) draw.  Each block adds [P_1; P_2][:, rows] @ D[rows] in
-    one stacked product.  With ``energy``,
-    also returns the energy of columns 1.., the symbols after the
-    unsmoothed head: a histogram of the units, less the head column and the
-    fields past the last label; else None.
+    one stacked product.  With ``energy``, also returns the energy of
+    columns 1.., the symbols after the unsmoothed head, summed block by
+    block; else None.
     """
     N, V1 = ops.params.N, ops.V + 1
     table, bits = _label_table(pts)
     stacked = np.vstack([ops.P_1, ops.P_2])
     acc = np.zeros((2 * V1, cols), dtype=np.complex128)
-    hist = np.zeros(len(table), dtype=np.int64)
-    skipped = 0.0
+    sig = 0.0 if energy else None
     gathered = None  # the first block is the largest; later blocks reuse its memory
     for start in range(0, N, _DRAW_BLOCK):
         stop = min(start + _DRAW_BLOCK, N)
         n = (stop - start) * cols
-        units, flat = _draw_fields(rng, table, bits, n, gathered)
+        flat = _draw_fields(rng, table, bits, n, gathered)
         if gathered is None:
             gathered = flat.reshape(-1, table.shape[1])
         block = flat[:n].reshape(stop - start, cols)
         acc += stacked[:, start:stop] @ block
         if energy:
-            hist += np.bincount(units, minlength=len(table))
             head = block[:, 0]
-            skipped += np.vdot(head, head).real + np.vdot(flat[n:], flat[n:]).real
-    sig = float(hist @ np.sum(np.abs(table) ** 2, axis=1)) - skipped if energy else None
+            sig += np.vdot(block, block).real - np.vdot(head, head).real
     return acc[:V1], acc[V1:], sig
 
 
@@ -349,11 +334,11 @@ def empirical_sir(
     :func:`_draw_products`.  No (N, n_symbols) array is formed: the draw
     is reduced to its thin products P_1 D and P_2 D row block by row block,
     the recursion runs on them (:func:`coefficient_scan`), and the signal
-    energy of the symbols after the unsmoothed head comes from a histogram
-    of the packed label units.
+    energy of the symbols after the unsmoothed head is summed from the
+    same blocks.
 
-    ``sets`` are the operator sets of one waveform at any smoothing orders:
-    one transmit matrix, and parameters that differ in V alone (else
+    ``sets`` are one or more operator sets of one waveform at any smoothing
+    orders: one transmit matrix, and parameters that differ in V alone (else
     ValueError, before any draw).  Row v of P_1 and P_2 depends on v alone,
     so each set's products are the first V+1 rows of the highest order's,
     and all sets share one draw and one reduction.  A one-set call draws
@@ -361,6 +346,8 @@ def empirical_sir(
     ZeroDivisionError when a set's stream carries no boundary discontinuity
     to smooth (zero interference).
     """
+    if not sets:
+        raise ValueError("sets must hold at least one operator set")
     if n_symbols < 2:
         raise ValueError("need at least two symbols to observe smoothing")
     top = max(sets, key=lambda ops: ops.V)

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import reference_psd_sample_stream
 from ncgfdm import experiments
+from ncgfdm.channel import eva_profile
 from ncgfdm.cli import build_parser, load_config, main
 from ncgfdm.experiments import (
     PRESETS,
@@ -404,6 +405,15 @@ def test_from_dict_names_unknown_keys():
         ExperimentConfig.from_dict({"kind": "sir", "n_sym": 3, "bogus": 1})
     cfg = ExperimentConfig.from_dict({"kind": "sir", "v_grid": [0, 2]})
     assert cfg.v_grid == (0, 2)
+
+
+def test_eva_metadata_defaults_are_the_channel_defaults():
+    want = eva_profile()
+    cfg = ExperimentConfig(kind="ber", channel="eva")
+    assert cfg.metadata["sample_interval_ns"] == want.sample_interval_ns
+    assert cfg.metadata["doppler_hz"] == want.doppler_hz
+    assert cfg.channel_profile() == want
+    assert replace(cfg, metadata={}).channel_profile() == want
 
 
 def test_config_validation_rejects_blocks_shorter_than_eva_delay():

@@ -272,6 +272,33 @@ def test_stream_state_carries_across_chunks():
     assert np.allclose(np.concatenate([X1, X2], axis=1), X_all, atol=1e-12)
 
 
+@pytest.mark.parametrize("cut", [0, 3, 6])
+def test_empty_chunk_leaves_the_stream_unchanged(cut):
+    # an empty chunk at the head, in the middle or at the end of a stream
+    _, _, _, ops = built_ops(8, 4, 8, 0.3, 2)
+    D = random_data(ops, 6)
+    X_all, B_all, carry_all = smooth_stream(ops, D)
+    X1, B1, carry = smooth_stream(ops, D[:, :cut])
+    X0, B0, carry = smooth_stream(ops, D[:, cut:cut], carry)
+    assert X0.shape == (ops.params.N, 0) and B0.shape == (ops.V + 1, 0)
+    X2, B2, carry = smooth_stream(ops, D[:, cut:], carry)
+    assert np.allclose(np.concatenate([X1, X0, X2], axis=1), X_all, atol=1e-12)
+    assert np.allclose(np.concatenate([B1, B0, B2], axis=1), B_all, atol=1e-12)
+    assert np.allclose(carry, carry_all, atol=1e-12)
+
+
+def test_empty_chunk_of_parallel_streams_keeps_their_carry():
+    _, _, _, ops = built_ops(16, 7, 16, 0.3, 2)
+    D = np.stack([random_data(ops, 4, seed=s) for s in range(3)], axis=2)
+    B_all, carry_all = coefficient_stream(ops, D)
+    B1, carry = coefficient_stream(ops, D[:, :2])
+    B0, carry = coefficient_stream(ops, D[:, 2:2], carry)
+    assert B0.shape == (ops.V + 1, 0, 3)
+    B2, carry = coefficient_stream(ops, D[:, 2:], carry)
+    assert np.allclose(np.concatenate([B1, B0, B2], axis=1), B_all, atol=1e-12)
+    assert np.allclose(carry, carry_all, atol=1e-12)
+
+
 @pytest.mark.parametrize("K,M,n_cp,beta,V", [(4, 2, 4, 0.0, 1), (16, 7, 16, 0.5, 3)])
 def test_n_continuity_via_dft_oracle(K, M, n_cp, beta, V):
     """Consecutive smoothed blocks agree in value and V derivatives.

@@ -132,6 +132,21 @@ def test_welch_of_odd_chunks_matches_one_call_and_reference(rng, ov):
     assert np.max(np.abs(got.psd - want)) <= 1e-12 * np.max(want)
 
 
+@pytest.mark.parametrize("ov", [0, -1, 2.5, 2.0, True, "2", None])
+def test_oversample_rejects_all_but_a_whole_factor_of_at_least_one(ov):
+    cores = np.ones((8, 2), dtype=complex)
+    with pytest.raises(ValueError, match=r"^oversample must be an integer >= 1"):
+        WelchAccumulator(16, 4, oversample=ov)
+    with pytest.raises(ValueError, match=r"^oversample must be an integer >= 1"):
+        psd_sample_stream(cores, 2, ov)
+
+
+def test_oversample_accepts_a_numpy_integer():
+    cores = np.ones((8, 2), dtype=complex)
+    assert psd_sample_stream(cores, 2, np.int64(2)).size == 2 * 20
+    assert WelchAccumulator(16, 4, oversample=np.int64(2)).window.dtype == np.complex128
+
+
 @pytest.mark.parametrize(
     "sizes",
     [
@@ -412,6 +427,14 @@ def test_empirical_sir_rejects_sets_off_one_transmit_matrix(other):
     gen = np.random.default_rng(3)
     with pytest.raises(ValueError, match="one transmit matrix that differ in V alone"):
         empirical_sir([low, top], gen, 10, points=pts)
+    assert gen.bytes(8) == np.random.default_rng(3).bytes(8)  # nothing was drawn
+
+
+@pytest.mark.parametrize("sets", [[], ()])
+def test_empirical_sir_rejects_no_sets(sets):
+    gen = np.random.default_rng(3)
+    with pytest.raises(ValueError, match="^sets must hold at least one operator set"):
+        empirical_sir(sets, gen, 10, points=qam_constellation(16).points)
     assert gen.bytes(8) == np.random.default_rng(3).bytes(8)  # nothing was drawn
 
 
