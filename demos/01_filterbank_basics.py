@@ -7,19 +7,14 @@ occupies exactly M rectangular DFT bins.
 
 import numpy as np
 
-from ncgfdm import (
-    WaveformParams,
-    build_transmit_matrix,
-    prototype_filter,
-    shifted_filter,
-)
+from ncgfdm import WaveformParams, build_transmit_matrix, prototype_filter
 
 K, M = 16, 7
 for beta in (0.0, 0.1, 0.5):
     p = WaveformParams(K=K, M=M, beta=beta)
     g = prototype_filter(p)
     tm = build_transmit_matrix(g, p)
-    occupied = int(np.count_nonzero(np.abs(g.spectrum()) > 1e-9))
+    occupied = int(np.count_nonzero(np.abs(np.fft.fft(g.samples)) > 1e-9))
     unitary = np.linalg.norm(tm.A.conj().T @ tm.A - np.eye(p.N)) / np.sqrt(p.N)
     print(
         f"beta={beta:3.1f}: {occupied:2d} occupied DFT bins, "
@@ -27,10 +22,14 @@ for beta in (0.0, 0.1, 0.5):
     )
 
 # every column is the prototype, circularly shifted in time and
-# modulated in frequency
+# modulated in frequency: modulating a unit vector picks one out
 p = WaveformParams(K=K, M=M, beta=0.5)
 g = prototype_filter(p)
 tm = build_transmit_matrix(g, p)
-col = tm.A[:, 3 * K + 5]  # subcarrier 5, subsymbol 3
-direct = shifted_filter(g, 5, 3, K, M)
-print(f"column vs shifted filter: max diff {np.max(np.abs(col - direct)):.2e}")
+d = np.zeros(p.N)
+d[3 * K + 5] = 1.0  # subcarrier 5, subsymbol 3
+x = tm.modulate(d)
+n = np.arange(p.N)
+shifted = np.roll(g.samples, 3 * K) * np.exp(-2j * np.pi * 5 * n / K)
+for name, want in (("column 3K+5 of A", tm.A[:, 3 * K + 5]), ("shifted filter", shifted)):
+    print(f"modulated unit vector vs {name}: max diff {np.max(np.abs(x - want)):.2e}")

@@ -22,12 +22,10 @@ from .filterbank import (
     TransmitMatrix,
     build_transmit_matrix,
     prototype_filter,
-    shifted_filter,
 )
 from .smoothing import (
     BasisSet,
     NcOperators,
-    boundary_mismatch,
     boundary_mismatch_dft,
     build_basis,
     build_nc_operators,
@@ -62,7 +60,6 @@ from .spectrum import (
 from .experiments import (
     ExperimentConfig,
     ResultTable,
-    ValidationReport,
     apply_preset,
     run_ber,
     run_experiment,

@@ -61,7 +61,6 @@ from .transceiver import recover_iterative
 __all__ = [
     "ExperimentConfig",
     "ResultTable",
-    "ValidationReport",
     "PRESETS",
     "apply_preset",
     "code_version",
@@ -490,11 +489,16 @@ def _bit_errors(soft: np.ndarray, labels: np.ndarray, c: Constellation) -> int:
 # experiments
 
 
+def _check_kind(cfg: ExperimentConfig, kind: str) -> None:
+    """Validate ``cfg`` for the runner of ``kind``."""
+    cfg.validate()
+    if cfg.kind != kind:
+        raise ValueError(f"config kind must be {kind!r}")
+
+
 def run_psd(cfg: ExperimentConfig) -> list:
     """Welch PSD per waveform variant, normalized to 0 dB in-band mean."""
-    cfg.validate()
-    if cfg.kind != "psd":
-        raise ValueError("config kind must be 'psd'")
+    _check_kind(cfg, "psd")
     c = qam_constellation(cfg.qam_order)
     table, bits = _label_table(c.points)  # points per packed unit, so no labels are formed
     master = SeededRng(cfg.seed)
@@ -563,9 +567,7 @@ def run_ber(cfg: ExperimentConfig) -> list:
     receives and counts errors on that chunk, with its own smoothing carry
     and channel tail.  The rows keep the order (SNR point, variant).
     """
-    cfg.validate()
-    if cfg.kind != "ber":
-        raise ValueError("config kind must be 'ber'")
+    _check_kind(cfg, "ber")
     c = qam_constellation(cfg.qam_order)
     master = SeededRng(cfg.seed)
     builds = []
@@ -681,9 +683,7 @@ def _steady_sir_db(ops: NcOperators) -> tuple[float, float, float]:
 
 def run_sir(cfg: ExperimentConfig) -> list:
     """Theoretical and empirical SIR over the (beta, V) grid."""
-    cfg.validate()
-    if cfg.kind != "sir":
-        raise ValueError("config kind must be 'sir'")
+    _check_kind(cfg, "sir")
     c = qam_constellation(cfg.qam_order)
     master = SeededRng(cfg.seed)
     rows = []
@@ -717,9 +717,7 @@ def run_sir(cfg: ExperimentConfig) -> list:
 
 def run_power(cfg: ExperimentConfig) -> list:
     """Per-symbol-index power curves: recursion vs Monte-Carlo."""
-    cfg.validate()
-    if cfg.kind != "power":
-        raise ValueError("config kind must be 'power'")
+    _check_kind(cfg, "power")
     c = qam_constellation(cfg.qam_order)
     p = cfg.waveform()
     ops = _operators(*_transmit(p), p)
@@ -750,41 +748,17 @@ VALIDATION_DIMS = ((4, 2), (8, 4), (256, 7))
 VALIDATION_BETAS = (0.0, 0.1, 0.5)
 VALIDATION_ORDERS = (0, 1, 2, 4, 6)
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Per-identity residuals over the validation matrix."""
 
-    rows: tuple  # (K, M, beta, V, identity, residual, tolerance, passed)
-
-    @property
-    def passed(self) -> bool:
-        return all(r[-1] for r in self.rows)
-
-    def failures(self) -> list:
-        return [r for r in self.rows if not r[-1]]
-
-    def worst_fraction(self) -> float:
-        """Largest residual as a fraction of its tolerance."""
-        return max(r[5] / r[6] for r in self.rows)
-
-    def to_table(self, cfg: ExperimentConfig) -> ResultTable:
-        prov = _provenance(cfg, passed=self.passed)
-        return ResultTable(
-            name="validation",
-            columns=("K", "M", "beta", "V", "identity", "residual", "tolerance", "passed"),
-            rows=self.rows,
-            provenance=prov,
-        )
-
-
-def run_validation() -> ValidationReport:
+def run_validation(cfg: ExperimentConfig) -> list:
     """Evaluate every operator identity over the standard config matrix.
 
     One row per entry of :func:`operator_identity_residuals`, which decides
     the identities that apply to each set and their tolerances.  CP lengths
     are chosen as n_cp = K so the boundary Gram identity applies on
-    non-unitary configurations as well.
+    non-unitary configurations as well.  The matrix is fixed; ``cfg`` gives
+    the provenance only.
     """
+    _check_kind(cfg, "validate")
     rows = []
     for K, M in VALIDATION_DIMS:
         for beta in VALIDATION_BETAS:
@@ -796,18 +770,21 @@ def run_validation() -> ValidationReport:
                 ops = _operators(g, tm, p, check=False)
                 for name, (r, tol) in operator_identity_residuals(ops).items():
                     rows.append((K, M, beta, V, name, r, tol, r <= tol))
-    return ValidationReport(rows=tuple(rows))
+    prov = _provenance(cfg, passed=all(row[-1] for row in rows))
+    return [
+        ResultTable(
+            name="validation",
+            columns=("K", "M", "beta", "V", "identity", "residual", "tolerance", "passed"),
+            rows=tuple(rows),
+            provenance=prov,
+        )
+    ]
+
+
+#: the runner of each kind, in the order of EXPERIMENT_KINDS
+_RUNNERS = dict(zip(EXPERIMENT_KINDS, (run_psd, run_ber, run_sir, run_power, run_validation)))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
-    """Dispatch on cfg.kind; returns the result tables."""
-    cfg.validate()
-    if cfg.kind == "psd":
-        return run_psd(cfg)
-    if cfg.kind == "ber":
-        return run_ber(cfg)
-    if cfg.kind == "sir":
-        return run_sir(cfg)
-    if cfg.kind == "power":
-        return run_power(cfg)
-    return [run_validation().to_table(cfg)]
+    """The result tables of the runner that ``cfg.kind`` names."""
+    return _RUNNERS[cfg.validate().kind](cfg)

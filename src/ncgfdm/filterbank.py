@@ -19,7 +19,6 @@ __all__ = [
     "PrototypeFilter",
     "TransmitMatrix",
     "prototype_filter",
-    "shifted_filter",
     "build_transmit_matrix",
     "SingularMatrixError",
 ]
@@ -52,10 +51,6 @@ class PrototypeFilter:
     @property
     def N(self) -> int:
         return self.samples.size
-
-    def spectrum(self) -> np.ndarray:
-        """N-point DFT of the pulse."""
-        return np.fft.fft(self.samples)
 
 
 @dataclass(frozen=True)
@@ -162,17 +157,6 @@ def prototype_filter(p: WaveformParams) -> PrototypeFilter:
     g = np.fft.ifft(resp)
     g /= np.linalg.norm(g)
     return PrototypeFilter(samples=g, is_dirichlet=flat)
-
-
-def shifted_filter(g: PrototypeFilter, k: int, m: int, K: int, M: int) -> np.ndarray:
-    """Subcarrier/subsymbol shifted filter: g((n - m*K) mod N) e^{-j2pi k n / K}."""
-    if not 0 <= k < K:
-        raise IndexError(f"subcarrier index {k} out of range [0, {K})")
-    if not 0 <= m < M:
-        raise IndexError(f"subsymbol index {m} out of range [0, {M})")
-    N = g.N
-    n = np.arange(N)
-    return np.roll(g.samples, m * K) * np.exp(-2j * np.pi * k * n / K)
 
 
 def build_transmit_matrix(g: PrototypeFilter, p: WaveformParams) -> TransmitMatrix:

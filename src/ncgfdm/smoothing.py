@@ -27,7 +27,6 @@ __all__ = [
     "smooth_stream",
     "coefficient_scan",
     "coefficient_stream",
-    "boundary_mismatch",
     "boundary_mismatch_dft",
     "derivative_scales",
 ]
@@ -399,17 +398,6 @@ def smooth_stream(
 
 # ---------------------------------------------------------------------------
 # boundary diagnostics
-
-
-def boundary_mismatch(
-    ops: NcOperators, d_bar_prev: np.ndarray, d_bar_i: np.ndarray
-) -> np.ndarray:
-    """Derivative gaps (orders 0..V) between consecutive blocks.
-
-    Entry v is the order-v derivative of block i-1 at its wrap point minus
-    the order-v derivative of block i at the CP start.
-    """
-    return ops.P_1 @ d_bar_prev - ops.P_2 @ d_bar_i
 
 
 def boundary_mismatch_dft(

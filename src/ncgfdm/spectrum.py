@@ -39,10 +39,11 @@ __all__ = [
 ]
 
 
-def _check_oversample(oversample) -> None:
-    whole = isinstance(oversample, (int, np.integer)) and not isinstance(oversample, bool)
-    if not (whole and oversample >= 1):
-        raise ValueError(f"oversample must be an integer >= 1, got {oversample!r}")
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a count ``value`` that is not an integer >= ``least``, naming it."""
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (whole and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def psd_sample_stream(cores: np.ndarray, n_cp: int, oversample: int) -> np.ndarray:
@@ -59,9 +60,10 @@ def psd_sample_stream(cores: np.ndarray, n_cp: int, oversample: int) -> np.ndarr
     spectrum; a :class:`WelchAccumulator` given the same ``oversample``
     centres it on DC.  At oversample 1 the result is the plain CP-framed
     stream, each symbol's last ``n_cp`` samples then its core; ``n_cp``
-    must lie in [0, N) and ``oversample`` be an integer >= 1.
+    must be an integer in [0, N) and ``oversample`` one >= 1.
     """
-    _check_oversample(oversample)
+    _check_count("n_cp", n_cp, 0)
+    _check_count("oversample", oversample, 1)
     rows = np.asarray(cores, dtype=np.complex128).T  # one symbol per row
     if rows.ndim == 1:
         rows = rows[None, :]
@@ -120,13 +122,13 @@ class WelchAccumulator:
     """
 
     def __init__(self, window_len: int, overlap: int | None = None, oversample: int = 1):
-        if window_len < 8:
-            raise ValueError("segment length too short")
+        _check_count("window_len", window_len, 8)
         if overlap is None:
             overlap = window_len // 2
-        if not 0 <= overlap < window_len:
+        _check_count("overlap", overlap, 0)
+        if overlap >= window_len:
             raise ValueError("overlap must lie in [0, window_len)")
-        _check_oversample(oversample)
+        _check_count("oversample", oversample, 1)
         self.window_len = window_len
         self.step = window_len - overlap
         # periodic Hann window; the textbook 0.5 - 0.5 cos(2 pi k / n)
@@ -231,8 +233,7 @@ def sir_report(ops: NcOperators, n_symbols: int) -> SirReport:
     + P_hat E_{i-1} P_hat^H is projected onto the low-rank factors
     P_hat = L P_1 and P_tilde = L P_2 with L = A^{-1} Q P_f^{-1}.
     """
-    if n_symbols < 1:
-        raise ValueError("need at least one symbol")
+    _check_count("n_symbols", n_symbols, 1)
     L, R, T = ops.gain, ops.P_1, ops.P_2
     N = ops.params.N
     LhL = L.conj().T @ L
@@ -348,8 +349,7 @@ def empirical_sir(
     """
     if not sets:
         raise ValueError("sets must hold at least one operator set")
-    if n_symbols < 2:
-        raise ValueError("need at least two symbols to observe smoothing")
+    _check_count("n_symbols", n_symbols, 2)  # one smoothed symbol after the head
     top = max(sets, key=lambda ops: ops.V)
     for ops in sets:
         if ops.tm is not top.tm or replace(ops.params, V=top.V) != top.params:
@@ -387,8 +387,8 @@ def mc_smooth_power(
     (:func:`coefficient_scan`), carrying across indices; no modulation is
     performed and no (N, n_streams) array is formed.
     """
-    if n_streams < 1 or n_symbols < 1:
-        raise ValueError("need at least one stream and one symbol")
+    _check_count("n_streams", n_streams, 1)
+    _check_count("n_symbols", n_symbols, 1)
     pts = np.asarray(points, dtype=np.complex128)
     gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
     powers = np.zeros(n_symbols)

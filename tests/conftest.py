@@ -26,6 +26,17 @@ def built_ops(K, M, n_cp, beta, V):
     return p, g, tm, ops
 
 
+def shifted_filter(g, k: int, m: int, K: int) -> np.ndarray:
+    """Oracle: the subcarrier-k, subsymbol-m shifted filter, sample by sample.
+
+    g((n - m*K) mod N) e^{-j 2 pi k n / K} for n = 0..N-1: column m*K + k of A.
+    """
+    N = g.N
+    return np.array(
+        [g.samples[(n - m * K) % N] * np.exp(-2j * np.pi * k * n / K) for n in range(N)]
+    )
+
+
 def basis_signal(F0: np.ndarray, order: int, n, n_cp: int, max_order: int | None = None):
     """Oracle: the order-v basis signal at sample index n in -n_cp..N-1.
 

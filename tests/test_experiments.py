@@ -523,13 +523,8 @@ def test_noise_variance_convention():
     assert got == pytest.approx((1 + 280 / 1792) / 4 / 10.0)
 
 
-def test_run_validation_passes_and_catches_faults(monkeypatch):
-    report = run_validation()
-    assert report.passed
-    assert not report.failures()
-    assert len(report.rows) == 331
-    # every row carries the full identification tuple
-    assert all(len(r) == 8 for r in report.rows)
+def corrupt_operators(monkeypatch):
+    """Make every operator build return a set that fails the idempotence identity."""
     build = experiments.build_nc_operators
 
     def corrupted(*args, **kwargs):
@@ -538,9 +533,20 @@ def test_run_validation_passes_and_catches_faults(monkeypatch):
         return replace(ops, P_2=ops.P_2 * 1.01)
 
     monkeypatch.setattr(experiments, "build_nc_operators", corrupted)
-    bad = run_validation()
-    assert not bad.passed
-    assert any(r[4] == "idempotent" for r in bad.failures())
+
+
+def test_run_validation_passes_and_catches_faults(monkeypatch):
+    (table,) = run_validation(ExperimentConfig())
+    assert table.name == "validation"
+    assert table.provenance["passed"] is True
+    assert all(r[-1] for r in table.rows)
+    assert len(table.rows) == 331
+    # every row carries the full identification tuple
+    assert all(len(r) == len(table.columns) == 8 for r in table.rows)
+    corrupt_operators(monkeypatch)
+    (bad,) = run_validation(ExperimentConfig())
+    assert bad.provenance["passed"] is False
+    assert any(r[4] == "idempotent" for r in bad.rows if not r[-1])
 
 
 def test_run_sir_deterministic_bytes():
@@ -734,6 +740,8 @@ def test_run_experiment_dispatch():
         run_ber(small_cfg("psd"))
     with pytest.raises(ValueError):
         run_power(small_cfg("ber"))
+    with pytest.raises(ValueError, match="^config kind must be 'validate'$"):
+        run_validation(small_cfg("power"))
 
 
 def test_cli_sir_run_and_determinism(tmp_path, capsys):
@@ -766,6 +774,16 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
     assert (tmp_path / "validation.csv").exists()
+
+
+def test_cli_validate_fails_on_a_broken_identity(tmp_path, capsys, monkeypatch):
+    corrupt_operators(monkeypatch)
+    assert main(["validate", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    failed = sum(line.startswith("FAIL ") for line in captured.out.splitlines())
+    assert failed > 0
+    assert captured.err == f"{failed} identity check(s) failed\n"
+    assert "# passed: False\n" in (tmp_path / "validation.csv").read_text()
 
 
 def test_cli_config_file_and_overrides(tmp_path):

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import built
+from conftest import built, shifted_filter
 from ncgfdm.filterbank import (
     PrototypeFilter,
     SingularMatrixError,
     build_transmit_matrix,
     prototype_filter,
-    shifted_filter,
 )
 from ncgfdm.params import WaveformParams
 
@@ -51,7 +50,7 @@ def test_prototype_unit_energy():
 def test_dirichlet_occupies_exactly_m_equal_bins():
     for K, M in [(4, 3), (8, 4), (16, 7)]:
         p, g, _ = built(K, M, beta=0.0)
-        G = g.spectrum()
+        G = np.fft.fft(g.samples)
         occupied = np.abs(G) > 1e-9
         assert occupied.sum() == M
         mags = np.abs(G[occupied])
@@ -79,30 +78,23 @@ def test_dirichlet_kind_equals_beta_zero_rc():
     assert np.allclose(g_rc.samples, g_d.samples)
 
 
-def test_shifted_filter_bruteforce(rng):
+def test_shifted_filter_spectrum_is_the_moved_prototype():
+    # subcarrier k moves the prototype's DFT up k*M bins; subsymbol m delays
+    # it m*K samples, a linear phase: S(l) = G(l + k M) e^{-j 2 pi (l + k M) m K / N}
     p, g, _ = built(8, 4, beta=0.5)
     N, K, M = p.N, p.K, p.M
+    G = np.fft.fft(g.samples)
+    l = np.arange(N)
     for k, m in [(0, 0), (3, 1), (7, 3), (5, 2)]:
-        got = shifted_filter(g, k, m, K, M)
-        want = np.array(
-            [g.samples[(n - m * K) % N] * np.exp(-2j * np.pi * k * n / K) for n in range(N)]
-        )
-        assert np.allclose(got, want, atol=1e-13)
-
-
-def test_shifted_filter_index_errors():
-    _, g, _ = built(4, 2)
-    with pytest.raises(IndexError):
-        shifted_filter(g, 4, 0, 4, 2)
-    with pytest.raises(IndexError):
-        shifted_filter(g, 0, 2, 4, 2)
+        moved = G[(l + k * M) % N] * np.exp(-2j * np.pi * (l + k * M) * m * K / N)
+        assert np.allclose(np.fft.fft(shifted_filter(g, k, m, K)), moved, atol=1e-13)
 
 
 def test_transmit_matrix_columns_are_shifted_filters():
     p, g, tm = built(8, 3, beta=0.4)
     for k in range(p.K):
         for m in range(p.M):
-            assert np.allclose(tm.A[:, m * p.K + k], shifted_filter(g, k, m, p.K, p.M))
+            assert np.allclose(tm.A[:, m * p.K + k], shifted_filter(g, k, m, p.K))
 
 
 def test_transmit_matrix_unit_norm_columns():

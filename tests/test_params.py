@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import reference_labels
+from conftest import reference_labels, shifted_filter
 from ncgfdm.params import (
     DimensionError,
     SeededRng,
@@ -51,7 +51,7 @@ def test_invalid_params_rejected(kwargs):
 
 
 def test_vectorization_order_is_subcarrier_major():
-    from ncgfdm.filterbank import build_transmit_matrix, prototype_filter, shifted_filter
+    from ncgfdm.filterbank import build_transmit_matrix, prototype_filter
 
     p = WaveformParams(K=3, M=2, beta=0.5)
     g = prototype_filter(p)
@@ -61,7 +61,7 @@ def test_vectorization_order_is_subcarrier_major():
         for m in range(p.M):
             d = np.zeros(p.N)
             d[m * p.K + k] = 1.0
-            assert np.allclose(tm.modulate(d), shifted_filter(g, k, m, p.K, p.M), atol=1e-12)
+            assert np.allclose(tm.modulate(d), shifted_filter(g, k, m, p.K), atol=1e-12)
 
 
 @pytest.mark.parametrize("order", [4, 16, 64, 256, 1024])

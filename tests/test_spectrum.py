@@ -141,6 +141,27 @@ def test_oversample_rejects_all_but_a_whole_factor_of_at_least_one(ov):
         psd_sample_stream(cores, 2, ov)
 
 
+@pytest.mark.parametrize(
+    "name,least,call",
+    [
+        ("overlap", 0, lambda ops, gen, pts: WelchAccumulator(16, 4.5)),
+        ("window_len", 8, lambda ops, gen, pts: WelchAccumulator(16.0, 4)),
+        ("n_symbols", 1, lambda ops, gen, pts: sir_report(ops, 3.0)),
+        ("n_symbols", 2, lambda ops, gen, pts: empirical_sir([ops], gen, 10.0, pts)),
+        ("n_streams", 1, lambda ops, gen, pts: mc_smooth_power(ops, gen, 3.0, 2, pts)),
+        ("n_cp", 0, lambda ops, gen, pts: psd_sample_stream(np.ones((8, 2)), 2.0, 1)),
+    ],
+    ids=["welch-overlap", "welch-window", "sir_report", "empirical_sir", "mc_smooth_power", "psd"],
+)
+def test_entry_points_reject_a_fractional_count_by_name(name, least, call):
+    _, _, _, ops = built_ops(8, 4, 8, 0.5, 2)
+    gen = SeededRng(5).generator
+    before = gen.bit_generator.state
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {least}, got [0-9.]+$"):
+        call(ops, gen, qam_constellation(16).points)
+    assert gen.bit_generator.state == before  # rejected before any draw
+
+
 def test_oversample_accepts_a_numpy_integer():
     cores = np.ones((8, 2), dtype=complex)
     assert psd_sample_stream(cores, 2, np.int64(2)).size == 2 * 20
