@@ -60,7 +60,6 @@ from .spectrum import (
 from .experiments import (
     ExperimentConfig,
     ResultTable,
-    apply_preset,
     run_ber,
     run_experiment,
     run_power,

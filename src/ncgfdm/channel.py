@@ -74,9 +74,9 @@ class ChannelProfile:
         if d.size == 0 or d[0] < 0 or np.any(np.diff(d) <= 0):
             raise ValueError("delays must be non-negative and strictly increasing")
         dt, fd = self.sample_interval_ns, self.doppler_hz
-        if not (isinstance(dt, Real) and np.isfinite(dt) and dt > 0):
+        if isinstance(dt, bool) or not (isinstance(dt, Real) and np.isfinite(dt) and dt > 0):
             raise ValueError(f"sample_interval_ns must be a finite number > 0, got {dt!r}")
-        if not (isinstance(fd, Real) and np.isfinite(fd) and fd >= 0):
+        if isinstance(fd, bool) or not (isinstance(fd, Real) and np.isfinite(fd) and fd >= 0):
             raise ValueError(f"doppler_hz must be a finite number >= 0, got {fd!r}")
 
     def tap_positions(self) -> np.ndarray:

@@ -10,14 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
-from .experiments import (
-    ExperimentConfig,
-    apply_preset,
-    run_experiment,
-    write_tables,
-)
+from .experiments import PRESETS, ExperimentConfig, run_experiment, write_tables
 
 __all__ = ["main", "build_parser"]
 
@@ -41,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output directory (default: current)")
         sp.add_argument(
             "--preset",
-            choices=("desk", "paper"),
+            choices=sorted(PRESETS),
             help="scale preset applied on top of the config",
         )
         sp.add_argument(
@@ -55,24 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
-    values = {}
-    for item in overrides:
-        key, sep, raw = item.partition("=")
-        if not sep:
-            raise SystemExit(f"bad override {item!r}; expected KEY=VALUE")
-        try:
-            values[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            values[key] = raw
-    parsed = ExperimentConfig.from_dict(values)
-    if "kind" in values:
-        raise SystemExit("--set cannot change key 'kind': the subcommand names the experiment")
-    return replace(cfg, **{key: getattr(parsed, key) for key in values})
-
-
 def load_config(args) -> ExperimentConfig:
-    """The validated config of parsed ``args``; a rejected one raises ValueError."""
+    """The validated config of parsed ``args``; a rejected one raises ValueError.
+
+    Later sources take precedence: the ``--config`` file, then the preset,
+    then each ``--set`` item (a JSON value, else the raw string), then ``--seed``.
+    """
+    values = {"kind": args.command}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -85,17 +68,21 @@ def load_config(args) -> ExperimentConfig:
             raise ValueError(f"--config file {args.config!r} does not hold a JSON object")
         if values.setdefault("kind", args.command) != args.command:
             raise ValueError(f"--config file is a {values['kind']!r} config, not {args.command!r}")
-        cfg = ExperimentConfig.from_dict(values)
-    else:
-        cfg = ExperimentConfig(kind=args.command)
     if args.preset:
-        cfg = apply_preset(cfg, args.preset)
-    cfg = _apply_overrides(cfg, args.overrides)
+        values.update(PRESETS[args.preset])
+    for item in args.overrides:
+        key, sep, raw = item.partition("=")
+        if not sep:
+            raise ValueError(f"bad override {item!r}; expected KEY=VALUE")
+        if key == "kind":
+            raise ValueError("--set cannot change key 'kind': the subcommand names the experiment")
+        try:
+            values[key] = json.loads(raw)
+        except json.JSONDecodeError:
+            values[key] = raw
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    return cfg.validate()
+        values["seed"] = args.seed
+    return ExperimentConfig.from_dict(values).validate()
 
 
 def main(argv=None) -> int:
@@ -105,7 +92,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a one-line message that names the field, no traceback
         raise SystemExit(str(exc)) from None
     tables = run_experiment(cfg)
-    paths = write_tables(cfg, tables, cfg.out_dir or ".")
+    paths = write_tables(cfg, tables, args.out or ".")
     if cfg.kind != "validate":
         print(*paths, sep="\n")
         return 0

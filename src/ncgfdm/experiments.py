@@ -62,7 +62,6 @@ __all__ = [
     "ExperimentConfig",
     "ResultTable",
     "PRESETS",
-    "apply_preset",
     "code_version",
     "run_psd",
     "run_ber",
@@ -158,7 +157,7 @@ def _finite(x) -> bool:
 #: field already has; a "dict" range is the one channel that reads it.
 _FIELDS = {
     "kind": _Field("choice", None, EXPERIMENT_KINDS),
-    **dict.fromkeys(("K", "M", "n_cp", "beta", "V", "filter_kind"), _WAVEFORM),
+    **dict.fromkeys(("K", "M", "n_cp", "beta", "V"), _WAVEFORM),
     "oversample": _Field("count", ("psd",), {"psd": 1}),
     "qam_order": _Field("existing", _RUNS, lambda _, q: qam_constellation(q)),
     "channel": _Field("choice", ("ber",), ("awgn", "eva", "none")),
@@ -174,7 +173,6 @@ _FIELDS = {
     "window_len": _Field("count", ("psd",), {"psd": 8}),
     "overlap": _Field("interval", ("psd",), (0, "window_len")),
     "seed": _Field("count", _RUNS, dict.fromkeys(_RUNS, 0)),
-    "out_dir": _Field("path", ()),  # no run reads it; the command line writes there
     "metadata": _Field("dict", ("ber",), "eva"),
 }
 _SEQUENCES = tuple(name for name, rule in _FIELDS.items() if rule.type == "list")
@@ -196,7 +194,6 @@ class ExperimentConfig:
     n_cp: int = 280
     beta: float = 0.1
     V: int = 2
-    filter_kind: str = "rc"
     oversample: int = 4
     qam_order: int = 16
     channel: str = "awgn"  # awgn | eva | none
@@ -212,7 +209,6 @@ class ExperimentConfig:
     window_len: int = 1792
     overlap: int = 448
     seed: int = 1
-    out_dir: str | None = None
     metadata: dict = field(default_factory=_default_metadata)
 
     def waveform(self, beta: float | None = None, V: int | None = None) -> WaveformParams:
@@ -222,7 +218,6 @@ class ExperimentConfig:
             n_cp=self.n_cp,
             beta=self.beta if beta is None else beta,
             V=self.V if V is None else V,
-            filter_kind=self.filter_kind,
         )
 
     def validate(self) -> "ExperimentConfig":
@@ -304,7 +299,6 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         d = self.to_dict()
-        d.pop("out_dir", None)  # where results land is not part of the experiment
         canonical = json.dumps(d, sort_keys=True, separators=(",", ":"), default=_SCALAR)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
@@ -343,12 +337,6 @@ def _check_order(name: str, V: int) -> None:
             f"{name}: smoothing order V={V} exceeds {MAX_ORDER}, the highest whose "
             f"operators pass the identity check in double precision"
         )
-
-
-def apply_preset(cfg: ExperimentConfig, preset: str) -> ExperimentConfig:
-    if preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-    return replace(cfg, **PRESETS[preset])
 
 
 # ---------------------------------------------------------------------------

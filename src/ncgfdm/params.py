@@ -31,6 +31,13 @@ class DimensionError(ValueError):
     """A waveform parameter combination violates a dimensional invariant."""
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a count ``value`` that is not an integer >= ``least``, naming it."""
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (whole and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WaveformParams:
     """Dimensional and filter parameters of one waveform configuration.

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .filterbank import prototype_filter
-from .params import WaveformParams, _draw_fields, _label_table
+from .params import WaveformParams, _check_count, _draw_fields, _label_table
 from .smoothing import NcOperators, coefficient_scan
 from .smoothing import coefficient_stream  # noqa: F401  (timed here by perfbench/trace.py)
 
@@ -37,13 +37,6 @@ __all__ = [
     "empirical_sir",
     "mc_smooth_power",
 ]
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Reject a count ``value`` that is not an integer >= ``least``, naming it."""
-    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (whole and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def psd_sample_stream(cores: np.ndarray, n_cp: int, oversample: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import Constellation, hard_decision
+from .params import Constellation, _check_count, hard_decision
 from .smoothing import NcOperators
 
 __all__ = ["recover_iterative"]
@@ -43,8 +43,7 @@ def recover_iterative(ops: NcOperators, y: np.ndarray, c: Constellation, n_iter:
     later round would repeat the same arithmetic on the same inputs, so the
     block's estimate is still round ``n_iter``'s.
     """
-    if n_iter < 1:
-        raise ValueError("at least one recovery iteration is required")
+    _check_count("n_iter", n_iter, 1)  # at least one recovery iteration
     z = ops.tm.demodulate(y)  # A^{-1} y, reused every round
     rows = np.ascontiguousarray(np.atleast_2d(z.T))  # one symbol per row
     pf_p2 = (ops.P_f_inv @ ops.P_2).T

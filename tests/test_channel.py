@@ -40,6 +40,13 @@ def test_profile_validation():
         ChannelProfile((), ())
 
 
+@pytest.mark.parametrize("name", ["sample_interval_ns", "doppler_hz"])
+def test_profile_rejects_a_boolean_setting_by_name(name):
+    # bool is a Real, but True is neither a sample interval nor a Doppler shift
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number >=? 0, got True$"):
+        eva_profile(**{name: True})
+
+
 def test_apply_channel_matches_direct_circular_convolution(rng):
     N = 32
     taps = np.zeros(N, dtype=complex)

@@ -16,7 +16,6 @@ from ncgfdm.cli import build_parser, load_config, main
 from ncgfdm.experiments import (
     PRESETS,
     ExperimentConfig,
-    apply_preset,
     code_version,
     git_describe,
     noise_variance,
@@ -67,7 +66,6 @@ FIELD_REJECTIONS = {
     "n_cp": [dict(SMALL, kind="sir", n_cp=112)],
     "beta": [dict(SMALL, kind="power", beta=1.5)],
     "V": [dict(SMALL, kind="power", V=2.5)],
-    "filter_kind": [dict(SMALL, kind="psd", filter_kind="gauss")],
     "oversample": [dict(SMALL, kind="psd", oversample=0)],
     "qam_order": [dict(SMALL, kind="ber", qam_order=8), dict(SMALL, kind="sir", qam_order=16.0)],
     "channel": [dict(kind="ber", channel="rician")],
@@ -87,7 +85,6 @@ FIELD_REJECTIONS = {
     "window_len": [dict(SMALL, kind="psd", window_len=4)],
     "overlap": [dict(SMALL, kind="psd", overlap=-1)],
     "seed": [dict(SMALL, kind="sir", seed=-1)],
-    "out_dir": [dict(SMALL, kind="power", out_dir=math.nan)],
     "metadata": [
         dict(SMALL, **EVA_OK, kind="ber", metadata=None),
         dict(SMALL, **EVA_OK, kind="ber", metadata=[("doppler_hz", 100.0)]),
@@ -296,8 +293,14 @@ def test_cli_rejects_bad_settings_before_any_work(tmp_path, kind, setting, messa
         (["--config", "{path}"], "[1, 2]", "--config file '{path}' does not hold a JSON object"),
         (["--config", "{path}"], '{"n_bits": \n', "--config file '{path}' is not valid JSON: "
          "Expecting value: line 2 column 1 (char 12)"),
+        # the pulse is set by beta alone, and --out names the output directory
+        (["--set", 'filter_kind="dirichlet"'], None, "unknown config key(s): filter_kind"),
+        (["--set", "out_dir=x"], None, "unknown config key(s): out_dir"),
+        (["--config", "{path}"], '{"filter_kind": "rc", "out_dir": "x"}',
+         "unknown config key(s): filter_kind, out_dir"),
     ],
-    ids=["scalar-snr_db", "missing-config-file", "config-file-not-an-object", "malformed-config-file"],
+    ids=["scalar-snr_db", "missing-config-file", "config-file-not-an-object", "malformed-config-file",
+         "set-filter_kind", "set-out_dir", "config-file-filter_kind-out_dir"],
 )
 def test_cli_exits_on_a_rejected_config_with_one_line_and_no_traceback(
     tmp_path, args, content, message
@@ -476,18 +479,23 @@ def test_code_version_is_known_when_run_from_source(tmp_path, monkeypatch):
     assert code_version.__wrapped__() == ncgfdm.__version__
 
 
-def test_presets():
-    cfg = apply_preset(ExperimentConfig(), "paper")
-    assert cfg.n_symbols == PRESETS["paper"]["n_symbols"]
-    assert cfg.window_len == 7168
-    with pytest.raises(ValueError):
-        apply_preset(cfg, "bench")
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_presets(tmp_path, preset):
+    # a preset overrides the --config file; --set overrides the preset, and --seed --set
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_symbols": 3, "overlap": 5, "oversample": 2, "seed": 2}))
+    argv = ["psd", "--config", str(path), "--preset", preset, "--set", "overlap=64",
+            "--set", "seed=3", "--seed", "4"]
+    cfg = load_config(build_parser().parse_args(argv))
+    want = dict(PRESETS[preset], kind="psd", overlap=64, oversample=2, seed=4)
+    assert cfg == ExperimentConfig(**want)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["psd", "--preset", "bench"])
 
 
-def test_config_hash_stable_and_ignores_out_dir():
+def test_config_hash_is_stable():
     a = ExperimentConfig(seed=7)
-    b = ExperimentConfig(seed=7, out_dir="/somewhere/else")
-    assert a.config_hash() == b.config_hash()
+    assert a.config_hash() == ExperimentConfig(seed=7).config_hash()
     assert a.config_hash() != ExperimentConfig(seed=8).config_hash()
     assert len(a.config_hash()) == 16
 
@@ -764,6 +772,8 @@ def test_cli_sir_run_and_determinism(tmp_path, capsys):
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0
     assert (out1 / "sir.csv").read_bytes() == (out2 / "sir.csv").read_bytes()
+    # the sidecar records the config, not the directory it was written to
+    assert (out1 / "sir.provenance.json").read_bytes() == (out2 / "sir.provenance.json").read_bytes()
     sidecar = json.loads((out1 / "sir.provenance.json").read_text())
     assert sidecar["seed"] == 9
     assert sidecar["config"]["K"] == 16

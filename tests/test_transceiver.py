@@ -200,10 +200,16 @@ def test_recovery_stops_at_the_fixed_point(qam16, monkeypatch):
     assert len(calls) <= k * blocks
 
 
-def test_recovery_requires_positive_iterations(qam16):
+@pytest.mark.parametrize("n_iter", [0, 2.5, True])
+def test_recovery_requires_an_integer_count_of_iterations(qam16, monkeypatch, n_iter):
     p, _, _, ops = built_ops(8, 4, 8, 0.3, 2)
-    with pytest.raises(ValueError):
-        recover_iterative(ops, np.zeros(p.N), qam16, n_iter=0)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("demodulation started before n_iter was checked")
+
+    monkeypatch.setattr(type(ops.tm), "demodulate", no_work)
+    with pytest.raises(ValueError, match=rf"^n_iter must be an integer >= 1, got {n_iter}$"):
+        recover_iterative(ops, np.zeros(p.N), qam16, n_iter=n_iter)
 
 
 def test_full_chain_over_fading_channel(qam16):
