@@ -82,7 +82,7 @@ def load_config(args) -> ExperimentConfig:
             values[key] = raw
     if args.seed is not None:
         values["seed"] = args.seed
-    return ExperimentConfig.from_dict(values).validate()
+    return ExperimentConfig.from_dict(values)
 
 
 def main(argv=None) -> int:

@@ -11,9 +11,10 @@ import functools
 import hashlib
 import json
 import math
+import os
 import subprocess
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from numbers import Real
 from pathlib import Path
 
@@ -130,22 +131,12 @@ def code_version() -> str:
     return base if commit is None else f"{base}+{commit}"
 
 
-def _default_metadata() -> dict:
-    # the carrier and subcarrier spacing are recorded for traceability only;
-    # the sample interval and Doppler set the EVA channel (channel_profile)
-    return {
-        "subcarrier_spacing_hz": 15_000.0,
-        "carrier_frequency_hz": 2.0e9,
-        "sample_interval_ns": SAMPLE_INTERVAL_NS,
-        "doppler_hz": DOPPLER_HZ,
-    }
-
-
 _RUNS = ("psd", "ber", "sir", "power")  # the kinds that run a waveform
 _Field = namedtuple("_Field", "type kinds range", defaults=(None,))
 _SCALAR = np.generic.item  # json's default: a numpy scalar as its Python value
 _STRICT_JSON = json.JSONEncoder(allow_nan=False, sort_keys=True, default=_SCALAR)
 _WAVEFORM = _Field("existing", _RUNS, lambda cfg, _: cfg.waveform())
+_CHANNEL = _Field("existing", ("ber",), lambda cfg, _: cfg.channel_profile())
 
 
 def _finite(x) -> bool:
@@ -154,7 +145,7 @@ def _finite(x) -> bool:
 
 #: Every field of ExperimentConfig: (type, the kinds that read it or None for
 #: all, range), read by _check_field.  An "existing" range is the check the
-#: field already has; a "dict" range is the one channel that reads it.
+#: field already has; neighbouring fields that share one are checked together.
 _FIELDS = {
     "kind": _Field("choice", None, EXPERIMENT_KINDS),
     **dict.fromkeys(("K", "M", "n_cp", "beta", "V"), _WAVEFORM),
@@ -173,7 +164,7 @@ _FIELDS = {
     "window_len": _Field("count", ("psd",), {"psd": 8}),
     "overlap": _Field("interval", ("psd",), (0, "window_len")),
     "seed": _Field("count", _RUNS, dict.fromkeys(_RUNS, 0)),
-    "metadata": _Field("dict", ("ber",), "eva"),
+    **dict.fromkeys(("sample_interval_ns", "doppler_hz"), _CHANNEL),
 }
 _SEQUENCES = tuple(name for name, rule in _FIELDS.items() if rule.type == "list")
 
@@ -186,6 +177,10 @@ class ExperimentConfig:
     smoothing), ``td-nc-ofdm[:V]`` (M=1, beta=0, smoothed), ``gfdm`` (the
     configured waveform, no smoothing), ``nc-gfdm[:V]`` (smoothed).  The
     optional ``:V`` suffix overrides the derivative order.
+
+    A config is checked when it is made, by :meth:`validate`, and so again by
+    ``dataclasses.replace``; a list given for a sequence field is stored as
+    a tuple, and no field holds another list or dict, so a config is hashable.
     """
 
     kind: str = "validate"
@@ -209,7 +204,16 @@ class ExperimentConfig:
     window_len: int = 1792
     overlap: int = 448
     seed: int = 1
-    metadata: dict = field(default_factory=_default_metadata)
+    # the EVA channel's, read by ber over eva
+    sample_interval_ns: float = SAMPLE_INTERVAL_NS
+    doppler_hz: float = DOPPLER_HZ
+
+    def __post_init__(self):
+        for name in _SEQUENCES:
+            value = getattr(self, name)
+            if isinstance(value, list):
+                object.__setattr__(self, name, tuple(value))
+        self.validate()
 
     def waveform(self, beta: float | None = None, V: int | None = None) -> WaveformParams:
         return WaveformParams(
@@ -222,9 +226,11 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Check each field by :data:`_FIELDS`, then the rules that span fields."""
+        prev = None
         for name, rule in _FIELDS.items():
-            if rule is not _WAVEFORM or name == "K":  # the waveform fields share one check
+            if rule is not prev:
                 _check_field(self, name, rule, getattr(self, name))
+            prev = rule
         if self.kind == "ber" and self.channel == "eva":
             # a block's response is its N-point DFT, and a path past the CP
             # reaches back one block only, so every path delay must fall
@@ -269,18 +275,19 @@ class ExperimentConfig:
                 except DimensionError as exc:
                     raise ValueError(f"beta_grid entry {beta}: {exc}") from exc
         for name in _FIELDS:  # every kind records every field in its provenance
+            value = getattr(self, name)
+            entries = value if name in _SEQUENCES else (value,)
+            if any(isinstance(x, (list, tuple, dict)) for x in entries):  # so hash(self) works
+                raise ValueError(f"{name} must hold scalars, got {value!r}")
             try:
-                _STRICT_JSON.encode(getattr(self, name))
+                _STRICT_JSON.encode(value)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{name} has no strict JSON form: {exc}") from None
         return self
 
     def channel_profile(self) -> ChannelProfile:
-        """EVA delay profile at the sample interval and Doppler in ``metadata``."""
-        return eva_profile(
-            sample_interval_ns=self.metadata.get("sample_interval_ns", SAMPLE_INTERVAL_NS),
-            doppler_hz=self.metadata.get("doppler_hz", DOPPLER_HZ),
-        )
+        """EVA delay profile at the config's sample interval and Doppler."""
+        return eva_profile(self.sample_interval_ns, self.doppler_hz)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -290,11 +297,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """The config of JSON values ``d``; a list for a sequence field becomes a tuple."""
+        """The config of JSON values ``d``; a key that is not a field raises ValueError."""
         unknown = sorted(set(d) - set(_FIELDS))
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        d = {k: tuple(v) if k in _SEQUENCES and isinstance(v, list) else v for k, v in d.items()}
         return cls(**d)
 
     def config_hash(self) -> str:
@@ -304,14 +310,12 @@ class ExperimentConfig:
 
 
 def _check_field(cfg: ExperimentConfig, name: str, rule: _Field, value) -> None:
-    if rule.type == "list" and not isinstance(value, (tuple, list)):  # in every provenance
+    if rule.type == "list" and not isinstance(value, tuple):  # in every provenance
         raise ValueError(f"{name} must be a list or tuple, got {value!r}")
     if rule.kinds is not None and cfg.kind not in rule.kinds:
         return
     if rule.type == "choice" and value not in rule.range:
         raise ValueError(f"unknown {name} {value!r}; choose from {', '.join(rule.range)}")
-    if rule.type == "dict" and cfg.channel == rule.range and not isinstance(value, dict):
-        raise ValueError(f"{name} must be a dict, got {value!r}")
     if rule.type == "existing":
         rule.range(cfg, value)
     if rule.type == "list" and len(value) == 0:
@@ -360,8 +364,6 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
     def write(self, out_dir) -> str:
-        import os
-
         path = os.path.join(out_dir, f"{self.name}.csv")
         with open(path, "w") as fh:
             fh.write(self.to_csv())
@@ -387,8 +389,6 @@ def _provenance(cfg: ExperimentConfig, **extra) -> dict:
 
 def write_tables(cfg: ExperimentConfig, tables, out_dir) -> list:
     """Write every table plus one JSON provenance sidecar; returns paths."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     paths = [t.write(out_dir) for t in tables]
     sidecar = {
@@ -478,8 +478,7 @@ def _bit_errors(soft: np.ndarray, labels: np.ndarray, c: Constellation) -> int:
 
 
 def _check_kind(cfg: ExperimentConfig, kind: str) -> None:
-    """Validate ``cfg`` for the runner of ``kind``."""
-    cfg.validate()
+    """Reject ``cfg`` unless the runner of ``kind`` runs it."""
     if cfg.kind != kind:
         raise ValueError(f"config kind must be {kind!r}")
 
@@ -775,4 +774,4 @@ _RUNNERS = dict(zip(EXPERIMENT_KINDS, (run_psd, run_ber, run_sir, run_power, run
 
 def run_experiment(cfg: ExperimentConfig) -> list:
     """The result tables of the runner that ``cfg.kind`` names."""
-    return _RUNNERS[cfg.validate().kind](cfg)
+    return _RUNNERS[cfg.kind](cfg)

@@ -43,22 +43,12 @@ def small_cfg(kind, **kw):
     return ExperimentConfig(**base)
 
 
-def forbid_work(monkeypatch):
-    """Make every build and data draw of the runners raise."""
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the config was rejected")
-
-    for name in ("_transmit", "_draw_data", "empirical_sir"):
-        monkeypatch.setattr(experiments, name, no_work)
-
-
-#: per config field, configs that validate() rejects with a message naming
-#: that field.  The first cases of kind, channel, snr_db, n_symbols and
+#: per config field, configs that are rejected when made, with a message
+#: naming that field.  The first cases of kind, channel, snr_db, n_symbols and
 #: variants, at the default size, are the five cases of the former
 #: test_config_validation.  A case of a kind that does not read the field
 #: rejects a value with no strict JSON form, since every kind writes every
-#: field into its provenance.
+#: field into its provenance, or a list or dict, which no made config holds.
 FIELD_REJECTIONS = {
     "kind": [dict(kind="spectrogram")],
     "K": [dict(SMALL, kind="psd", K=0)],
@@ -76,20 +66,27 @@ FIELD_REJECTIONS = {
     ],
     "n_symbols": [dict(kind="psd", n_symbols=0), dict(SMALL, kind="ber", n_symbols=math.inf)],
     "n_streams": [dict(SMALL, kind="power", n_streams=0)],
-    "n_bits": [dict(SMALL, kind="ber", n_bits=0)],
+    "n_bits": [dict(SMALL, kind="ber", n_bits=0), dict(SMALL, kind="psd", n_bits=[1])],
     "n_indices": [dict(SMALL, kind="power", n_indices=0)],
     "recovery_iterations": [dict(SMALL, kind="ber", recovery_iterations=0)],
     "variants": [dict(kind="psd", variants=()), dict(SMALL, kind="sir", variants="gfdm")],
-    "beta_grid": [dict(SMALL, kind="sir", beta_grid=()), dict(SMALL, kind="ber", beta_grid=(math.nan,))],
+    "beta_grid": [
+        dict(SMALL, kind="sir", beta_grid=()),
+        dict(SMALL, kind="ber", beta_grid=(math.nan,)),
+        dict(kind="validate", beta_grid=[[0.1]]),
+    ],
     "v_grid": [dict(SMALL, kind="sir", v_grid=()), dict(SMALL, kind="psd", v_grid=(math.inf,))],
     "window_len": [dict(SMALL, kind="psd", window_len=4)],
     "overlap": [dict(SMALL, kind="psd", overlap=-1)],
     "seed": [dict(SMALL, kind="sir", seed=-1)],
-    "metadata": [
-        dict(SMALL, **EVA_OK, kind="ber", metadata=None),
-        dict(SMALL, **EVA_OK, kind="ber", metadata=[("doppler_hz", 100.0)]),
-        dict(SMALL, kind="psd", metadata={"doppler_hz": math.inf}),
-        dict(SMALL, kind="ber", metadata={"carrier_frequency_hz": math.nan}),
+    "sample_interval_ns": [
+        dict(SMALL, **EVA_OK, kind="ber", sample_interval_ns=None),
+        dict(SMALL, kind="psd", sample_interval_ns=math.nan),
+    ],
+    "doppler_hz": [
+        dict(SMALL, **EVA_OK, kind="ber", doppler_hz=-1.0),
+        dict(SMALL, kind="ber", doppler_hz="fast"),
+        dict(SMALL, kind="psd", doppler_hz=math.inf),
     ],
 }
 
@@ -100,26 +97,23 @@ def test_field_table_lists_every_config_field_in_order():
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
-def test_every_config_field_has_a_rejection_that_names_it(monkeypatch, name):
+def test_every_config_field_has_a_rejection_that_names_it(name):
     # a new field fails here until it has a table entry and a rejected value
     assert name in experiments._FIELDS
-    forbid_work(monkeypatch)
     for kw in FIELD_REJECTIONS[name]:
-        cfg = ExperimentConfig(**kw)
-        for check in (cfg.validate, lambda: run_experiment(cfg)):
+        for make in (lambda: ExperimentConfig(**kw), lambda: ExperimentConfig.from_dict(kw),
+                     lambda: replace(ExperimentConfig(), **kw)):
             with pytest.raises(ValueError) as exc:
-                check()
+                make()
             assert name in str(exc.value), (kw, str(exc.value))
 
 
 @pytest.mark.parametrize(
     "overrides",
-    [dict(kind="validate"), dict(SMALL, kind="power", qam_order=np.int64(16)),
-     dict(SMALL, kind="psd", metadata=None), dict(SMALL, kind="ber", metadata=None)],
-    ids=["default", "numpy-qam_order", "psd-no-metadata", "awgn-no-metadata"],
+    [dict(kind="validate"), dict(SMALL, kind="power", qam_order=np.int64(16))],
+    ids=["default", "numpy-qam_order"],
 )
 def test_config_validation_accepts(overrides):
-    # metadata is read over the EVA channel only
     cfg = ExperimentConfig(**overrides)
     assert cfg.validate() is cfg
 
@@ -129,7 +123,7 @@ def test_oversample_is_checked_only_for_the_psd_run_that_reads_it(kind):
     cfg = ExperimentConfig(kind=kind, oversample=0)
     assert cfg.validate() is cfg
     with pytest.raises(ValueError, match=r"psd experiments need an integer oversample >= 1, got 0"):
-        replace(cfg, kind="psd").validate()
+        replace(cfg, kind="psd")
 
 
 @pytest.mark.parametrize(
@@ -165,16 +159,12 @@ def test_oversample_is_checked_only_for_the_psd_run_that_reads_it(kind):
          "scalar-beta_grid", "scalar-v_grid", "scalar-snr_db", "text-beta"],
 )
 def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
-    monkeypatch, kind, overrides, message
+    kind, overrides, message
 ):
-    # each of these passed validate() before, then failed or dropped grid
-    # cells only once the operators were built
-    cfg = small_cfg(kind, **overrides)
+    # each of these once failed or dropped grid cells only once the operators
+    # were built
     with pytest.raises(ValueError, match=message):
-        cfg.validate()
-    forbid_work(monkeypatch)
-    with pytest.raises(ValueError, match=message):
-        run_experiment(cfg)
+        small_cfg(kind, **overrides)
 
 
 @pytest.mark.parametrize(
@@ -193,13 +183,13 @@ def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
          r"variant 'nc-gfdm:x': smoothing order 'x' is not an integer"),
         ("ber", dict(variants=("gfdm", "nc-gfdm:-1")),
          r"variant 'nc-gfdm:-1': highest derivative order must be >= 0, got -1"),
-        ("ber", dict(EVA_OK, metadata={"sample_interval_ns": 0.0}),
+        ("ber", dict(EVA_OK, sample_interval_ns=0.0),
          r"sample_interval_ns must be a finite number > 0, got 0.0"),
-        ("ber", dict(EVA_OK, metadata={"sample_interval_ns": -9.3}),
+        ("ber", dict(EVA_OK, sample_interval_ns=-9.3),
          r"sample_interval_ns must be a finite number > 0, got -9.3"),
-        ("ber", dict(EVA_OK, metadata={"doppler_hz": math.nan}),
+        ("ber", dict(EVA_OK, doppler_hz=math.nan),
          r"doppler_hz must be a finite number >= 0, got nan"),
-        ("ber", dict(EVA_OK, metadata={"doppler_hz": "fast"}),
+        ("ber", dict(EVA_OK, doppler_hz="fast"),
          r"doppler_hz must be a finite number >= 0, got 'fast'"),
         ("ber", dict(snr_db=(math.nan,)), r"snr_db entries must be finite numbers, got nan"),
         ("ber", dict(snr_db=("x",)), r"snr_db entries must be finite numbers, got 'x'"),
@@ -227,48 +217,39 @@ def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
          "text-beta", "bool-beta"],
 )
 def test_config_validation_rejects_ber_and_psd_configs_that_fail_mid_run(
-    monkeypatch, kind, overrides, message
+    kind, overrides, message
 ):
-    # each of these passed validate() before: the Welch and stream-length
-    # cases failed only after the builds, the others with a message that
-    # did not name the field
-    cfg = small_cfg(kind, **overrides)
+    # the Welch and stream-length cases once failed only after the builds,
+    # the others with a message that did not name the field
     with pytest.raises(ValueError, match=message):
-        cfg.validate()
-    forbid_work(monkeypatch)
-    with pytest.raises(ValueError, match=message):
-        run_experiment(cfg)
+        small_cfg(kind, **overrides)
 
 
 @pytest.mark.parametrize(
-    "runner,kind,field,values,message",
+    "kind,field,values,message",
     [
-        (run_sir, "sir", "v_grid", lambda V: (0, 2, V), r"v_grid entry: smoothing order V=8"),
-        (run_ber, "ber", "variants", lambda V: ("gfdm", f"nc-gfdm:{V}"),
+        ("sir", "v_grid", lambda V: (0, 2, V), r"v_grid entry: smoothing order V=8"),
+        ("ber", "variants", lambda V: ("gfdm", f"nc-gfdm:{V}"),
          r"variant 'nc-gfdm:8': smoothing order V=8"),
     ],
     ids=["v_grid", "variant"],
 )
 def test_config_validation_rejects_smoothing_order_whose_build_fails(
-    monkeypatch, runner, kind, field, values, message
+    kind, field, values, message
 ):
-    # V=8 passed validate() before; the run then drew data for the earlier
-    # cells and failed in build_nc_operators on the idempotent residual
+    # V=8 was once accepted; the run then drew data for the earlier cells
+    # and failed in build_nc_operators on the idempotent residual
     cfg = ExperimentConfig(kind=kind, K=256, M=7, n_cp=280, beta=0.1)
     top = experiments.MAX_ORDER
     # the highest accepted order builds; the next one fails the identity check
     p = cfg.waveform(V=top)
     experiments._operators(*experiments._transmit(p), p)
-    replace(cfg, **{field: values(top)}).validate()
+    replace(cfg, **{field: values(top)})
     p = cfg.waveform(V=top + 1)
     with pytest.raises(AssertionError, match="idempotent residual"):
         experiments._operators(*experiments._transmit(p), p)
-    cfg = replace(cfg, **{field: values(top + 1)})
     with pytest.raises(ValueError, match=message):
-        cfg.validate()
-    forbid_work(monkeypatch)
-    with pytest.raises(ValueError, match=message):
-        runner(cfg)
+        replace(cfg, **{field: values(top + 1)})
 
 
 @pytest.mark.parametrize(
@@ -298,9 +279,14 @@ def test_cli_rejects_bad_settings_before_any_work(tmp_path, kind, setting, messa
         (["--set", "out_dir=x"], None, "unknown config key(s): out_dir"),
         (["--config", "{path}"], '{"filter_kind": "rc", "out_dir": "x"}',
          "unknown config key(s): filter_kind, out_dir"),
+        # the EVA settings are the fields sample_interval_ns and doppler_hz
+        (["--set", 'metadata={{"doppler_hz": 5.0}}'], None, "unknown config key(s): metadata"),
+        (["--config", "{path}"], '{"channel": "eva", "metadata": {"dopler_hz": 5.0}}',
+         "unknown config key(s): metadata"),
     ],
     ids=["scalar-snr_db", "missing-config-file", "config-file-not-an-object", "malformed-config-file",
-         "set-filter_kind", "set-out_dir", "config-file-filter_kind-out_dir"],
+         "set-filter_kind", "set-out_dir", "config-file-filter_kind-out_dir", "set-metadata",
+         "config-file-metadata"],
 )
 def test_cli_exits_on_a_rejected_config_with_one_line_and_no_traceback(
     tmp_path, args, content, message
@@ -354,7 +340,8 @@ def test_cli_rejects_a_config_file_of_another_kind(tmp_path):
 )
 @pytest.mark.parametrize("source", ["--config", "--set"])
 def test_cli_config_file_and_set_convert_values_alike(tmp_path, source, kind, key, value, message):
-    # both turn a JSON list into a tuple and leave anything else to validate()
+    # both hand their values to the config, which turns a list into a tuple
+    # and checks the rest when it is made
     if source == "--config":
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({key: value}))
@@ -408,15 +395,30 @@ def test_from_dict_names_unknown_keys():
         ExperimentConfig.from_dict({"kind": "sir", "n_sym": 3, "bogus": 1})
     cfg = ExperimentConfig.from_dict({"kind": "sir", "v_grid": [0, 2]})
     assert cfg.v_grid == (0, 2)
+    # a misspelt EVA setting once ran at the default Doppler without a word
+    eva = dict(EVA_OK, kind="ber", variants=list(EVA_OK["variants"]))
+    with pytest.raises(ValueError, match=r"^unknown config key\(s\): metadata$"):
+        ExperimentConfig.from_dict(dict(eva, metadata={"dopler_hz": 5.0}))
 
 
-def test_eva_metadata_defaults_are_the_channel_defaults():
+def test_config_is_checked_and_fixed_when_made():
+    cfg = ExperimentConfig(kind="ber", snr_db=[4.0, 8.0])
+    assert cfg.snr_db == (4.0, 8.0)  # a tuple, so the checked values cannot change
+    assert hash(cfg) == hash(ExperimentConfig(kind="ber", snr_db=(4.0, 8.0)))
+    with pytest.raises(ValueError, match=r"^ber experiments need an integer n_bits >= 1, got 0$"):
+        replace(cfg, n_bits=0)
+
+
+def test_eva_defaults_are_the_channel_defaults():
     want = eva_profile()
-    cfg = ExperimentConfig(kind="ber", channel="eva")
-    assert cfg.metadata["sample_interval_ns"] == want.sample_interval_ns
-    assert cfg.metadata["doppler_hz"] == want.doppler_hz
+    cfg = ExperimentConfig(kind="ber", **EVA_OK)
+    assert (cfg.sample_interval_ns, cfg.doppler_hz) == (want.sample_interval_ns, want.doppler_hz)
     assert cfg.channel_profile() == want
-    assert replace(cfg, metadata={}).channel_profile() == want
+
+
+def test_eva_doppler_reaches_the_channel():
+    cfg = small_cfg("ber", **EVA_OK, snr_db=(20.0,), n_bits=20_000, seed=4)
+    assert run_ber(replace(cfg, doppler_hz=0.0))[0].rows != run_ber(cfg)[0].rows
 
 
 def test_config_validation_rejects_blocks_shorter_than_eva_delay():

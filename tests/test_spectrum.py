@@ -18,7 +18,7 @@ from conftest import (
     reference_welch,
 )
 from ncgfdm.filterbank import build_transmit_matrix
-from ncgfdm.params import SeededRng, _draw_units, _label_table, qam_constellation
+from ncgfdm.params import SeededRng, _draw_fields, _draw_units, _label_table, qam_constellation
 from ncgfdm.smoothing import build_basis, build_nc_operators, coefficient_stream, smooth_stream
 from ncgfdm.spectrum import (
     PsdEstimate,
@@ -508,6 +508,27 @@ def test_drawn_labels_are_uniform(bits):
     assert counts.size == order
     stat = float(np.sum((counts - 64.0) ** 2) / 64.0)
     assert stat < scipy.stats.chi2.isf(1e-6, order - 1)
+
+
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_drawn_labels_are_the_msb_first_fields_of_the_drawn_bytes(bits):
+    # both paths, the byte units (b divides 8) and the unpacked labels; the
+    # counts end inside a byte for every odd label width
+    table, _ = _label_table(np.arange(2**bits))
+    for n in (1, 2, 3, 1001):
+        units = _draw_units(np.random.default_rng(n), n, bits)
+        if 8 % bits == 0:
+            assert units.size == -(-n * bits // 8)  # the drawn bytes
+        else:
+            assert n <= units.size < n + 8  # whole groups of labels
+        gen = np.random.default_rng(n)
+        labels = _draw_fields(gen, table, bits, n)[:n]
+        after = gen.bytes(8)
+        whole = np.random.default_rng(n)
+        stream = "".join(format(byte, "08b") for byte in whole.bytes(-(-n * bits // 8)))
+        want = [int(stream[i * bits : (i + 1) * bits], 2) for i in range(n)]
+        assert labels.tolist() == want
+        assert whole.bytes(8) == after  # the draw took exactly ceil(n b / 8) bytes
 
 
 @pytest.mark.parametrize("size", [1, 3, 6, 12])
