@@ -483,8 +483,20 @@ def _check_kind(cfg: ExperimentConfig, kind: str) -> None:
         raise ValueError(f"config kind must be {kind!r}")
 
 
+#: oversampled core samples per PSD chunk; a chunk holds
+#: max(1, _PSD_CHUNK // (N * oversample)) symbols, drawn and smoothed at once
+_PSD_CHUNK = 2_000_000
+#: oversampled stream samples per PSD sub-block; each chunk is oversampled and
+#: fed to Welch max(1, _PSD_BLOCK // ((N + n_cp) * oversample)) symbols at a time
+_PSD_BLOCK = 2**20
+
+
 def run_psd(cfg: ExperimentConfig) -> list:
-    """Welch PSD per waveform variant, normalized to 0 dB in-band mean."""
+    """Welch PSD per waveform variant, normalized to 0 dB in-band mean.
+
+    The data are drawn and smoothed a chunk at a time; only a sub-block of
+    each chunk is held oversampled at once.
+    """
     _check_kind(cfg, "psd")
     c = qam_constellation(cfg.qam_order)
     table, bits = _label_table(c.points)  # points per packed unit, so no labels are formed
@@ -498,7 +510,8 @@ def run_psd(cfg: ExperimentConfig) -> list:
         rng = master.child(vi)
         acc = WelchAccumulator(cfg.window_len, cfg.overlap, cfg.oversample)
         carry = None
-        chunk = max(1, 2_000_000 // (p.N * cfg.oversample))
+        chunk = max(1, _PSD_CHUNK // (p.N * cfg.oversample))
+        block = max(1, _PSD_BLOCK // ((p.N + p.n_cp) * cfg.oversample))
         done = 0
         while done < cfg.n_symbols:
             nb = min(chunk, cfg.n_symbols - done)
@@ -507,7 +520,8 @@ def run_psd(cfg: ExperimentConfig) -> list:
                 X, _, carry = smooth_stream(ops, D, carry)
             else:
                 X = tm.modulate(D)
-            acc.process(psd_sample_stream(X, p.n_cp, cfg.oversample))
+            for start in range(0, nb, block):
+                acc.process(psd_sample_stream(X[:, start : start + block], p.n_cp, cfg.oversample))
             done += nb
         est = normalize_inband(acc.result(), 1.0 / cfg.oversample)
         rows = tuple(zip(est.freqs.tolist(), est.db().tolist()))

@@ -4,12 +4,12 @@ The PSD path is streaming-friendly and FFT-domain throughout: symbols are
 oversampled one row at a time by DFT zero-padding, and a
 :class:`WelchAccumulator` consumes sample chunks of any length and averages
 Hann-windowed periodograms, transforming its segments in fixed-size
-batches, so long waveforms never need to be held in memory at once.  Its
-window also recentres the oversampled band on DC.  Power and SIR
-estimators run entirely on the low-rank smoothing factors; no N x N product
-is formed per symbol, and the Monte-Carlo estimators reduce their data
-draws to thin products row block by row block, so their memory does not
-grow with N times the number of symbols or streams.
+batches in one reused buffer, so long waveforms never need to be held in
+memory at once.  Its window also recentres the oversampled band on DC.
+Power and SIR estimators run entirely on the low-rank smoothing factors;
+no N x N product is formed per symbol, and the Monte-Carlo estimators
+reduce their data draws to thin products row block by row block, so their
+memory does not grow with N times the number of symbols or streams.
 """
 
 from __future__ import annotations
@@ -66,8 +66,10 @@ def psd_sample_stream(cores: np.ndarray, n_cp: int, oversample: int) -> np.ndarr
     L, cp = N * oversample, n_cp * oversample
     framed = np.empty((rows.shape[0], cp + L), dtype=np.complex128)
     if oversample > 1:
-        up = np.fft.ifft(np.fft.fft(rows, axis=1), n=L, axis=1)
-        np.multiply(up, oversample, out=framed[:, cp:])
+        # forward-normalized both ways, the round trip carries 1/N: the 1/L
+        # of a plain inverse times the gain ``oversample``
+        spec = np.fft.fft(rows, axis=1, norm="forward")
+        np.fft.ifft(spec, n=L, axis=1, norm="forward", out=framed[:, cp:])
     else:
         framed[:, cp:] = rows
     framed[:, :cp] = framed[:, L:]
@@ -87,18 +89,8 @@ class PsdEstimate:
 
 
 #: segments transformed per batch in :meth:`WelchAccumulator.process`; bounds
-#: its working memory to two arrays of this many windows
+#: its working memory to one reused buffer of this many windows
 _WELCH_BLOCK = 64
-
-
-def _stacked_rows(first: np.ndarray, second: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of ``first`` stacked on ``second``; copies only across the join."""
-    n = len(first)
-    if stop <= n:
-        return first[start:stop]
-    if start >= n:
-        return second[start - n : stop - n]
-    return np.concatenate([first[start:], second[: stop - n]])
 
 
 class WelchAccumulator:
@@ -133,13 +125,15 @@ class WelchAccumulator:
         self._acc = np.zeros(window_len)
         self._count = 0
         self._tail = np.zeros(0, dtype=np.complex128)
+        self._batch = np.empty((_WELCH_BLOCK, window_len), dtype=np.complex128)
 
     def process(self, chunk: np.ndarray) -> None:
         """Add every whole segment of the held tail plus ``chunk``; keep the rest.
 
         Only the tail and the first ``window_len - 1`` samples of the chunk
         are joined; the segments that start inside the chunk are views into
-        it, so the chunk itself is never copied.
+        it, so the chunk itself is never copied.  Each batch of segments is
+        windowed into one reused buffer and transformed there in place.
         """
         chunk = np.asarray(chunk, dtype=np.complex128).ravel()
         held, W, step = self._tail.size, self.window_len, self.step
@@ -153,9 +147,19 @@ class WelchAccumulator:
             if count > n_head:
                 body = sliding_window_view(chunk, W)[n_head * step - held :: step]
             for start in range(0, count, _WELCH_BLOCK):
-                batch = _stacked_rows(head, body, start, min(start + _WELCH_BLOCK, count))
-                spec = np.fft.fft(batch * self.window, axis=1)
-                self._acc += np.sum(spec.real**2 + spec.imag**2, axis=0)
+                stop = min(start + _WELCH_BLOCK, count)
+                batch = self._batch[: stop - start]
+                mid = min(max(n_head, start), stop)  # segments before mid start in the tail
+                k = mid - start
+                np.multiply(head[start:mid], self.window, out=batch[:k])
+                np.multiply(body[mid - n_head : stop - n_head], self.window, out=batch[k:])
+                np.fft.fft(batch, axis=1, out=batch)
+                # |X|^2 summed over the batch: the squares of the interleaved
+                # real and imaginary parts, reduced in one pass
+                parts = batch.view(np.float64)
+                power = np.einsum("ij,ij->j", parts, parts)
+                self._acc += power[0::2]
+                self._acc += power[1::2]
         self._count += count
         used = count * step - held  # samples of the chunk no later segment needs
         if used >= 0:

@@ -646,8 +646,9 @@ def test_run_psd_output(tmp_path):
 
 
 def test_run_psd_chunks_match_one_stream(monkeypatch):
-    # N + n_cp odd, three chunks of 279 symbols: the recentring must not
-    # flip sign at the chunk boundaries
+    # N + n_cp odd, three chunks of 279 symbols, each oversampled in
+    # sub-blocks of 126, 126 and 27: the recentring must not flip sign at the
+    # chunk or sub-block boundaries
     cores = []
     original = experiments.psd_sample_stream
 
@@ -661,7 +662,11 @@ def test_run_psd_chunks_match_one_stream(monkeypatch):
         window_len=1792, overlap=448, variants=("nc-gfdm:2",), n_symbols=837, seed=5,
     )
     (table,) = run_psd(cfg)
-    assert [X.shape[1] for X in cores] == [279, 279, 279]
+    sizes = [X.shape[1] for X in cores]
+    assert sizes == [126, 126, 27] * 3
+    # no sub-block crosses a join between two chunks of the draw
+    starts = np.cumsum([0] + sizes[:-1])
+    assert all(s // 279 == (s + n - 1) // 279 for s, n in zip(starts, sizes))
     stream = reference_psd_sample_stream(np.hstack(cores), cfg.n_cp, cfg.oversample)
     acc = WelchAccumulator(cfg.window_len, cfg.overlap)
     acc.process(stream)
@@ -672,6 +677,26 @@ def test_run_psd_chunks_match_one_stream(monkeypatch):
     # linear PSD relative to the 0 dB in-band mean; a phase flip at each chunk
     # boundary moves some bins by ~1e-3
     assert np.max(np.abs(10 ** (got[:, 1] / 10) - want.psd)) <= 1e-10
+
+
+def test_run_psd_holds_a_bounded_piece_of_the_oversampled_stream():
+    # a 279-symbol chunk oversampled whole is 35 MiB per array, and a run
+    # that oversamples whole chunks peaks near 89 MiB; in sub-blocks of 126
+    # symbols it peaks near 39 MiB
+    import tracemalloc
+
+    cfg = ExperimentConfig(
+        kind="psd", K=256, M=7, n_cp=280, beta=0.1, V=2, oversample=4,
+        window_len=1792, overlap=448, variants=("nc-gfdm:2",), n_symbols=300, seed=1,
+    )
+    run_psd(cfg)  # the first call fills what a process caches once (code version)
+    tracemalloc.start()
+    try:
+        run_psd(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 def test_run_ber_noiseless_channel_none():

@@ -114,16 +114,28 @@ def test_psd_sample_stream_matches_column_reference(rng, N, n_cp, count, ov, rec
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        # every chunk holds an odd number of symbols
+        [1, 3, 5, 7, 11, 13, 5],
+        # 64 or more segments (a full batch of the reused buffer, then a
+        # short one), then a short batch alone, then an empty chunk, which
+        # yields none, then a short batch again
+        [71, 7, 0, 3],
+    ],
+)
 @pytest.mark.parametrize("ov", [2, 3, 4])
-def test_welch_of_odd_chunks_matches_one_call_and_reference(rng, ov):
-    # N + n_cp = 15 is odd and every chunk holds an odd number of symbols:
-    # a phase that restarts on each chunk would flip sign at the joins
+def test_welch_of_odd_chunks_matches_one_call_and_reference(rng, ov, sizes):
+    # N + n_cp = 15 is odd: a phase that restarts on each chunk of an odd
+    # number of symbols would flip sign at the joins
     N, n_cp, window_len, overlap = 12, 3, 40, 10
-    cores = rng.standard_normal((N, 45)) + 1j * rng.standard_normal((N, 45))
+    n = sum(sizes)
+    cores = rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n))
     one = WelchAccumulator(window_len, overlap, oversample=ov)
     one.process(psd_sample_stream(cores, n_cp, ov))
     chunked = WelchAccumulator(window_len, overlap, oversample=ov)
-    for part in np.split(cores, [1, 4, 9, 16, 27, 40], axis=1):
+    for part in np.split(cores, np.cumsum(sizes)[:-1], axis=1):
         chunked.process(psd_sample_stream(part, n_cp, ov))
     want, segments = _welch_of_reference(cores, n_cp, ov, window_len, overlap)
     got, whole = chunked.result(), one.result()
