@@ -9,7 +9,6 @@ after that is corrected against its predecessor.
 import numpy as np
 
 from ncgfdm import (
-    SeededRng,
     WaveformParams,
     boundary_mismatch_dft,
     build_basis,
@@ -27,7 +26,7 @@ tm = build_transmit_matrix(g, p)
 ops = build_nc_operators(tm, build_basis(g, p), p, is_unitary=g.is_dirichlet)
 
 c = qam_constellation(16)
-rng = SeededRng(7).generator
+rng = np.random.default_rng(7)
 D = c.points[rng.integers(0, 16, size=(p.N, 5))]
 
 X_plain = tm.modulate(D)

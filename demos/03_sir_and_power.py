@@ -9,7 +9,6 @@ closed-form SIR of KM / (2V + 2).
 import numpy as np
 
 from ncgfdm import (
-    SeededRng,
     WaveformParams,
     build_basis,
     build_nc_operators,
@@ -36,7 +35,7 @@ print("steady smooth power and SIR at beta = 0:")
 for V in (0, 2, 4, 6):
     p, ops = operators(0.0, V)
     curve = sir_report(ops, 40).smooth_power
-    emp = empirical_sir([ops], SeededRng(V).generator, 5000, points=c.points)[0]
+    emp = empirical_sir([ops], np.random.default_rng(V), 5000, points=c.points)[0]
     print(
         f"  V={V}: power {curve[-1]:.4f} (closed form {2 * (V + 1)}), "
         f"SIR {10 * np.log10(emp):.2f} dB empirical vs "
@@ -46,6 +45,6 @@ for V in (0, 2, 4, 6):
 print("\nrecursion vs Monte-Carlo per symbol index (beta = 0.5, V = 2):")
 p, ops = operators(0.5, 2)
 theory = sir_report(ops, 8).smooth_power
-mc = mc_smooth_power(ops, SeededRng(99).generator, 3000, 8, points=c.points)
+mc = mc_smooth_power(ops, np.random.default_rng(99), 3000, 8, points=c.points)
 for i in range(8):
     print(f"  index {i}: theory {theory[i]:.4f}  monte-carlo {mc[i]:.4f}")

@@ -176,7 +176,8 @@ class ExperimentConfig:
     ``variants`` name the waveforms to compare: ``ofdm`` (M=1, beta=0, no
     smoothing), ``td-nc-ofdm[:V]`` (M=1, beta=0, smoothed), ``gfdm`` (the
     configured waveform, no smoothing), ``nc-gfdm[:V]`` (smoothed).  The
-    optional ``:V`` suffix overrides the derivative order.
+    optional ``:V`` suffix, in ASCII digits, overrides the derivative order.
+    No two variants of one run may share a table label.
 
     A config is checked when it is made, by :meth:`validate`, and so again by
     ``dataclasses.replace``; a list given for a sequence field is stored as
@@ -238,8 +239,14 @@ class ExperimentConfig:
             # simulated as inter-symbol interference
             profile = self.channel_profile()
             tap = int(profile.tap_positions().max())
+        labels = {}
         for spec in self.variants if self.kind in ("ber", "psd") else ():
             var = resolve_variant(self, spec)
+            if var.label in labels:
+                raise ValueError(
+                    f"variants {labels[var.label]!r} and {spec!r} share the label {var.label!r}"
+                )
+            labels[var.label] = spec
             p = var.params
             if var.smoothed:
                 _check_order(f"variant {spec!r}", p.V)
@@ -426,15 +433,17 @@ def resolve_variant(cfg: ExperimentConfig, spec: str) -> Variant:
     spacing but emit M times more block boundaries per unit time; their
     CP shrinks by M to preserve the overhead ratio.
     """
-    base, _, suffix = spec.partition(":")
+    base, colon, suffix = spec.partition(":")
     if base not in ("ofdm", "td-nc-ofdm", "gfdm", "nc-gfdm"):
         raise ValueError(f"unknown variant {spec!r}")
-    try:
-        V = int(suffix) if suffix else cfg.V
-    except ValueError:
+    smoothed = base in ("td-nc-ofdm", "nc-gfdm")
+    if colon and not smoothed:
+        raise ValueError(f"variant {spec!r}: only td-nc-ofdm and nc-gfdm variants take a :V suffix")
+    if colon and not (suffix.isascii() and suffix.isdigit()):
         raise ValueError(
-            f"variant {spec!r}: smoothing order {suffix!r} is not an integer"
-        ) from None
+            f"variant {spec!r}: smoothing order {suffix!r} is not an integer >= 0 in ASCII digits"
+        )
+    V = int(suffix) if colon else cfg.V
     try:
         if base.endswith("ofdm"):
             p = WaveformParams(K=cfg.K, M=1, n_cp=cfg.n_cp // cfg.M, V=V)
@@ -443,7 +452,7 @@ def resolve_variant(cfg: ExperimentConfig, spec: str) -> Variant:
     except DimensionError as exc:
         raise ValueError(f"variant {spec!r}: {exc}") from None
     label = spec.replace(":", "_v").replace("-", "_")
-    return Variant(name=spec, label=label, params=p, smoothed=base in ("td-nc-ofdm", "nc-gfdm"))
+    return Variant(name=spec, label=label, params=p, smoothed=smoothed)
 
 
 def _transmit(p: WaveformParams):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DIRICHLET, WaveformParams
+from .params import WaveformParams
 
 __all__ = [
     "PrototypeFilter",
@@ -47,10 +47,6 @@ class PrototypeFilter:
 
     samples: np.ndarray
     is_dirichlet: bool = False
-
-    @property
-    def N(self) -> int:
-        return self.samples.size
 
 
 @dataclass(frozen=True)
@@ -151,8 +147,7 @@ def _rc_frequency_response(N: int, M: int, beta: float) -> np.ndarray:
 
 def prototype_filter(p: WaveformParams) -> PrototypeFilter:
     """Build the unit-energy prototype pulse of ``p``."""
-    beta = 0.0 if p.filter_kind == DIRICHLET else p.beta
-    resp = _rc_frequency_response(p.N, p.M, beta)
+    resp = _rc_frequency_response(p.N, p.M, p.beta)
     flat = bool(np.all((resp == 0.0) | (resp == 1.0)))
     g = np.fft.ifft(resp)
     g /= np.linalg.norm(g)

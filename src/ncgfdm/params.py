@@ -8,7 +8,7 @@ subcarrier ``k`` of subsymbol ``m`` (see :class:`ncgfdm.filterbank.TransmitMatri
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
@@ -22,9 +22,6 @@ __all__ = [
     "hard_decision",
     "demap_symbols",
 ]
-
-RAISED_COSINE = "rc"
-DIRICHLET = "dirichlet"
 
 
 class DimensionError(ValueError):
@@ -42,6 +39,9 @@ def _check_count(name: str, value, least: int) -> None:
 class WaveformParams:
     """Dimensional and filter parameters of one waveform configuration.
 
+    The prototype is a raised cosine, set by ``beta`` alone: ``beta = 0`` is
+    the Dirichlet pulse.
+
     Making one, also by ``dataclasses.replace``, raises :class:`DimensionError`
     on a combination that violates an invariant, so every instance is valid.
 
@@ -51,8 +51,6 @@ class WaveformParams:
         n_cp: cyclic prefix length in samples, 0 <= n_cp < N.
         beta: prototype roll-off factor in [0, 1].
         V: highest derivative order kept continuous by the smoother.
-        filter_kind: "rc" or "dirichlet" ("rc" with beta=0 degenerates to
-            the Dirichlet pulse).
         oversample: time-domain oversampling factor; no builder reads it
             (the PSD experiment takes its factor from its config).
     """
@@ -62,12 +60,16 @@ class WaveformParams:
     n_cp: int = 0
     beta: float = 0.0
     V: int = 0
-    filter_kind: str = RAISED_COSINE
     oversample: int = 1
 
     @property
     def N(self) -> int:
         return self.K * self.M
+
+    @property
+    def filter_kind(self) -> str:
+        """Always ``"rc"``, the raised cosine; kept for callers that key builds on it."""
+        return "rc"
 
     def __post_init__(self):
         for name in ("K", "M", "n_cp", "V", "oversample"):
@@ -88,8 +90,6 @@ class WaveformParams:
             )
         if not 0 <= self.n_cp < self.N:
             raise DimensionError(f"CP length must satisfy 0 <= n_cp < N, got {self.n_cp}")
-        if self.filter_kind not in (RAISED_COSINE, DIRICHLET):
-            raise DimensionError(f"unknown filter_kind {self.filter_kind!r}")
         if self.oversample < 1:
             raise DimensionError(f"oversample factor must be >= 1, got {self.oversample}")
 
@@ -217,23 +217,15 @@ def demap_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
 # seeded randomness and the one data draw of every experiment
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeededRng:
-    """Reproducible random source; children derive deterministically.
+    """Master seed of a run; its children are the run's random streams.
 
-    Uses numpy's PCG64 generator.  ``child(i)`` spawns an independent stream
-    for trial ``i`` from (seed, i), so parallel trials never share state.
+    ``child(i)`` is numpy's PCG64 generator spawned for trial ``i`` from
+    (seed, i), so parallel trials never share state.
     """
 
     seed: int
-    _gen: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._gen = np.random.default_rng(np.random.SeedSequence(self.seed))
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
 
     def child(self, index: int) -> "np.random.Generator":
         return np.random.default_rng(

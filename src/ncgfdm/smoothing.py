@@ -119,10 +119,6 @@ class NcOperators:
     pf_cond: float
 
     @property
-    def Q(self) -> np.ndarray:
-        return self.basis.Q
-
-    @property
     def V(self) -> int:
         return self.params.V
 

@@ -54,6 +54,14 @@ def psd_sample_stream(cores: np.ndarray, n_cp: int, oversample: int) -> np.ndarr
     centres it on DC.  At oversample 1 the result is the plain CP-framed
     stream, each symbol's last ``n_cp`` samples then its core; ``n_cp``
     must be an integer in [0, N) and ``oversample`` one >= 1.
+
+    The cores are read fastest with one symbol per contiguous row, i.e. as
+    the transpose of a C-ordered (count, N) array, which is how
+    :meth:`~ncgfdm.filterbank.TransmitMatrix.modulate` and
+    :func:`~ncgfdm.smoothing.smooth_stream` return them.  A C-ordered
+    (N, count) array is read through a strided gather, and its spectra
+    inherit that layout: the forward FFT of 126 symbols of N = 1792 took
+    4.5 ms against 2.8 ms for contiguous rows (2-vCPU Xeon VM).
     """
     _check_count("n_cp", n_cp, 0)
     _check_count("oversample", oversample, 1)

@@ -10,9 +10,9 @@ from ncgfdm.smoothing import build_basis, build_nc_operators
 
 
 @functools.lru_cache(maxsize=32)
-def built(K, M, n_cp=0, beta=0.0, V=0, filter_kind="rc"):
+def built(K, M, n_cp=0, beta=0.0, V=0):
     """Cached (params, filter, transmit matrix) for a configuration."""
-    p = WaveformParams(K=K, M=M, n_cp=n_cp, beta=beta, V=V, filter_kind=filter_kind)
+    p = WaveformParams(K=K, M=M, n_cp=n_cp, beta=beta, V=V)
     g = prototype_filter(p)
     return p, g, build_transmit_matrix(g, p)
 
@@ -31,7 +31,7 @@ def shifted_filter(g, k: int, m: int, K: int) -> np.ndarray:
 
     g((n - m*K) mod N) e^{-j 2 pi k n / K} for n = 0..N-1: column m*K + k of A.
     """
-    N = g.N
+    N = g.samples.size
     return np.array(
         [g.samples[(n - m * K) % N] * np.exp(-2j * np.pi * k * n / K) for n in range(N)]
     )
@@ -69,7 +69,7 @@ def reference_smooth(ops, D):
             b = np.zeros(ops.V + 1, dtype=complex)
         else:
             b = ops.P_f_inv @ (ops.P_1 @ D_bar[-1] - ops.P_2 @ d)
-        w = ops.Q @ b
+        w = ops.basis.Q @ b
         X_bar.append(A @ d + w)
         D_bar.append(d + A_inv @ w)
     return np.stack(X_bar, axis=1), np.stack(D_bar, axis=1)
@@ -199,12 +199,12 @@ def dense_taps(h):
 
 def dense_p_tilde(ops):
     """P_tilde = A^-1 Q P_f^-1 P_2 as a dense N x N matrix (small N only)."""
-    return np.linalg.inv(ops.tm.A) @ ops.Q @ ops.P_f_inv @ ops.P_2
+    return np.linalg.inv(ops.tm.A) @ ops.basis.Q @ ops.P_f_inv @ ops.P_2
 
 
 def dense_p_hat(ops):
     """P_hat = A^-1 Q P_f^-1 P_1 as a dense N x N matrix (small N only)."""
-    return np.linalg.inv(ops.tm.A) @ ops.Q @ ops.P_f_inv @ ops.P_1
+    return np.linalg.inv(ops.tm.A) @ ops.basis.Q @ ops.P_f_inv @ ops.P_1
 
 
 @pytest.fixture(scope="session")

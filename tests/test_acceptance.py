@@ -62,7 +62,7 @@ def test_criterion_2_n_continuity():
     for K, M, n_cp, beta, V in configs:
         p, _, _, ops = built_ops(K, M, n_cp, beta, V)
         c = qam_constellation(16)
-        gen = SeededRng(1001).generator
+        gen = np.random.default_rng(1001)
         for _ in range(100):
             D = c.points[gen.integers(0, 16, size=(p.N, 3))]
             X, _, _ = smooth_stream(ops, D)
@@ -111,7 +111,7 @@ def test_criterion_4_smooth_power_recursion():
     c = qam_constellation(16)
     # unitary case: steady mean against the 2(V+1) closed form
     _, _, _, ops = built_ops(256, 7, 280, 0.0, 2)
-    D = c.points[SeededRng(1003).generator.integers(0, 16, size=(ops.params.N, 10_000))]
+    D = c.points[np.random.default_rng(1003).integers(0, 16, size=(ops.params.N, 10_000))]
     B, _ = coefficient_stream(ops, D)
     gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
     powers = np.real(np.einsum("vi,vw,wi->i", B.conj(), gram, B))
@@ -126,7 +126,7 @@ def test_criterion_4_smooth_power_recursion():
     for beta in (0.1, 0.5):
         _, _, _, ops_rc = built_ops(256, 7, 280, beta, 2)
         theory = sir_report(ops_rc, 21).smooth_power
-        mc = mc_smooth_power(ops_rc, SeededRng(1004).generator, 8_000, 21, points=c.points)
+        mc = mc_smooth_power(ops_rc, np.random.default_rng(1004), 8_000, 21, points=c.points)
         rel = np.abs(mc[1:] - theory[1:]) / theory[1:]
         ok &= bool(np.all(rel <= 0.03))
         worst[beta] = rel.max()
@@ -146,7 +146,7 @@ def test_criterion_5_noiseless_recovery():
     # beta=0.1 quantizes to the Dirichlet pulse; beta=0.5 gives a non-unitary A
     for beta, V in [(0.1, 0), (0.1, 2), (0.1, 4), (0.5, 0), (0.5, 2), (0.5, 4)]:
         _, _, _, ops = built_ops(256, 7, 280, beta, V)
-        D = c.points[SeededRng(1005 + V).generator.integers(0, 16, size=(ops.params.N, 1000))]
+        D = c.points[np.random.default_rng(1005 + V).integers(0, 16, size=(ops.params.N, 1000))]
         X, _, _ = smooth_stream(ops, D)
         soft = recover_iterative(ops, X, c, n_iter=8)
         tx = demap_symbols(D.reshape(-1, order="F"), c)

@@ -69,7 +69,13 @@ FIELD_REJECTIONS = {
     "n_bits": [dict(SMALL, kind="ber", n_bits=0), dict(SMALL, kind="psd", n_bits=[1])],
     "n_indices": [dict(SMALL, kind="power", n_indices=0)],
     "recovery_iterations": [dict(SMALL, kind="ber", recovery_iterations=0)],
-    "variants": [dict(kind="psd", variants=()), dict(SMALL, kind="sir", variants="gfdm")],
+    "variants": [
+        dict(kind="psd", variants=()),
+        dict(SMALL, kind="sir", variants="gfdm"),
+        dict(SMALL, kind="psd", variants=("gfdm", "gfdm")),
+        dict(SMALL, kind="ber", variants=("nc-gfdm:2", "gfdm", "nc-gfdm:2")),
+        dict(SMALL, kind="ber", variants=("gfdm", "ofdm:3")),
+    ],
     "beta_grid": [
         dict(SMALL, kind="sir", beta_grid=()),
         dict(SMALL, kind="ber", beta_grid=(math.nan,)),
@@ -182,7 +188,20 @@ def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
         ("ber", dict(variants=("gfdm", "nc-gfdm:x")),
          r"variant 'nc-gfdm:x': smoothing order 'x' is not an integer"),
         ("ber", dict(variants=("gfdm", "nc-gfdm:-1")),
-         r"variant 'nc-gfdm:-1': highest derivative order must be >= 0, got -1"),
+         r"variant 'nc-gfdm:-1': smoothing order '-1' is not an integer >= 0"),
+        # int() once read each of these four suffixes
+        ("psd", dict(variants=("nc-gfdm: 2",)),
+         r"variant 'nc-gfdm: 2': smoothing order ' 2' is not an integer >= 0 in ASCII digits"),
+        ("ber", dict(variants=("nc-gfdm:+2",)),
+         r"variant 'nc-gfdm:\+2': smoothing order '\+2' is not an integer >= 0"),
+        ("ber", dict(variants=("gfdm", "nc-gfdm:")),
+         r"variant 'nc-gfdm:': smoothing order '' is not an integer >= 0"),
+        ("psd", dict(variants=("gfdm", "ofdm:3")),
+         r"variant 'ofdm:3': only td-nc-ofdm and nc-gfdm variants take a :V suffix"),
+        ("psd", dict(variants=("gfdm", "nc-gfdm:2", "gfdm")),
+         r"variants 'gfdm' and 'gfdm' share the label 'gfdm'"),
+        ("ber", dict(variants=("td-nc-ofdm:2", "td-nc-ofdm:2")),
+         r"variants 'td-nc-ofdm:2' and 'td-nc-ofdm:2' share the label 'td_nc_ofdm_v2'"),
         ("ber", dict(EVA_OK, sample_interval_ns=0.0),
          r"sample_interval_ns must be a finite number > 0, got 0.0"),
         ("ber", dict(EVA_OK, sample_interval_ns=-9.3),
@@ -209,7 +228,9 @@ def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
     ],
     ids=["recovery_iterations", "window_len", "negative-overlap", "whole-window-overlap",
          "ofdm-stream-short", "gfdm-stream-short", "qam_order-8", "qam_order-0",
-         "variant-suffix", "variant-negative-order", "eva-zero-sample-interval",
+         "variant-suffix", "variant-negative-order", "variant-spaced-order",
+         "variant-signed-order", "variant-empty-order", "variant-ofdm-order",
+         "psd-duplicate-variant", "ber-duplicate-variant", "eva-zero-sample-interval",
          "eva-negative-sample-interval", "eva-nan-doppler", "eva-text-doppler", "nan-snr", "text-snr",
          "fractional-psd-n_symbols", "fractional-window_len", "fractional-overlap",
          "fractional-recovery_iterations", "negative-n_bits", "negative-seed",
@@ -523,6 +544,8 @@ def test_resolve_variant_parsing():
     assert nc.label == "nc_gfdm_v6"
     plain = resolve_variant(cfg, "gfdm")
     assert not plain.smoothed and plain.params.V == 2
+    own = resolve_variant(cfg, "nc-gfdm")
+    assert own.smoothed and own.params.V == 2 and own.label == "nc_gfdm"
     with pytest.raises(ValueError):
         resolve_variant(cfg, "fbmc")
 

@@ -72,12 +72,6 @@ def test_small_rolloff_degenerates_to_dirichlet():
     assert not gw.is_dirichlet
 
 
-def test_dirichlet_kind_equals_beta_zero_rc():
-    _, g_rc, _ = built(8, 4, beta=0.0, filter_kind="rc")
-    _, g_d, _ = built(8, 4, beta=0.7, filter_kind="dirichlet")
-    assert np.allclose(g_rc.samples, g_d.samples)
-
-
 def test_shifted_filter_spectrum_is_the_moved_prototype():
     # subcarrier k moves the prototype's DFT up k*M bins; subsymbol m delays
     # it m*K samples, a linear phase: S(l) = G(l + k M) e^{-j 2 pi (l + k M) m K / N}

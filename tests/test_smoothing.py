@@ -5,7 +5,7 @@ import pytest
 
 from conftest import basis_signal, built, built_ops, dense_p_tilde, reference_smooth, shifted_filter
 from ncgfdm.filterbank import SingularMatrixError
-from ncgfdm.params import SeededRng, qam_constellation
+from ncgfdm.params import qam_constellation
 from ncgfdm.smoothing import (
     BasisSet,
     boundary_mismatch_dft,
@@ -22,7 +22,7 @@ from ncgfdm.smoothing import (
 
 def random_data(ops, count, seed=0):
     c = qam_constellation(16)
-    gen = SeededRng(seed).generator
+    gen = np.random.default_rng(seed)
     return c.points[gen.integers(0, 16, size=(ops.params.N, count))]
 
 
@@ -220,7 +220,7 @@ def test_coefficient_stream_matches_smooth_stream():
     X_bar, B_smooth, _ = smooth_stream(ops, D)
     assert np.array_equal(B_smooth, B)
     # the structured modulation inside smooth_stream against the dense A
-    assert np.allclose(X_bar, ops.tm.A @ D + ops.Q @ B, atol=1e-11)
+    assert np.allclose(X_bar, ops.tm.A @ D + ops.basis.Q @ B, atol=1e-11)
 
 
 def test_coefficient_stream_runs_parallel_streams():
@@ -244,10 +244,10 @@ def test_coefficient_stream_matches_reference_at_v6(K, M, n_cp, beta):
     D = random_data(ops, 300, seed=11)
     want_x, _ = reference_smooth(ops, D)
     B, _ = coefficient_stream(ops, D)
-    assert np.max(np.abs(ops.tm.modulate(D) + ops.Q @ B - want_x)) <= 5e-8
+    assert np.max(np.abs(ops.tm.modulate(D) + ops.basis.Q @ B - want_x)) <= 5e-8
     B1, carry = coefficient_stream(ops, D[:, :100])
     B2, _ = coefficient_stream(ops, D[:, 100:], carry)
-    X_split = ops.tm.modulate(D) + ops.Q @ np.concatenate([B1, B2], axis=1)
+    X_split = ops.tm.modulate(D) + ops.basis.Q @ np.concatenate([B1, B2], axis=1)
     assert np.max(np.abs(X_split - want_x)) <= 5e-8
 
 
@@ -258,7 +258,8 @@ def test_coefficient_stream_parallel_streams_over_several_blocks():
     B, carry = coefficient_stream(ops, D)
     for s in range(3):
         want_x, want_d = reference_smooth(ops, D[:, :, s])
-        assert np.allclose(ops.tm.modulate(D[:, :, s]) + ops.Q @ B[:, :, s], want_x, atol=1e-11)
+        got_x = ops.tm.modulate(D[:, :, s]) + ops.basis.Q @ B[:, :, s]
+        assert np.allclose(got_x, want_x, atol=1e-11)
         assert np.allclose(carry[:, s], ops.P_1 @ want_d[:, -1], atol=1e-11)
 
 

@@ -167,7 +167,7 @@ def test_oversample_rejects_all_but_a_whole_factor_of_at_least_one(ov):
 )
 def test_entry_points_reject_a_fractional_count_by_name(name, least, call):
     _, _, _, ops = built_ops(8, 4, 8, 0.5, 2)
-    gen = SeededRng(5).generator
+    gen = np.random.default_rng(5)
     before = gen.bit_generator.state
     with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {least}, got [0-9.]+$"):
         call(ops, gen, qam_constellation(16).points)
@@ -380,10 +380,10 @@ def test_empirical_sir_tracks_theory():
     _, _, _, ops = built_ops(16, 7, 16, 0.0, 2)
     want = 16 * 7 / (2 * (ops.V + 1))
     pts = qam_constellation(16).points
-    got_qam = empirical_sir([ops], SeededRng(22).generator, 5000, points=pts)[0]
+    got_qam = empirical_sir([ops], np.random.default_rng(22), 5000, points=pts)[0]
     assert got_qam == pytest.approx(want, rel=0.05)
     with pytest.raises(ValueError):
-        empirical_sir([ops], SeededRng(21).generator, 1, points=pts)
+        empirical_sir([ops], np.random.default_rng(21), 1, points=pts)
 
 
 @pytest.mark.parametrize(
@@ -401,8 +401,8 @@ def test_empirical_sir_matches_whole_array_reference(K, M, V, rel, order, n_symb
     # the bound
     _, _, _, ops = built_ops(K, M, K, 0.5, V)
     pts = qam_constellation(order).points
-    got = empirical_sir([ops], SeededRng(31).generator, n_symbols, points=pts)[0]
-    want = reference_empirical_sir(ops, SeededRng(31).generator, n_symbols, pts)
+    got = empirical_sir([ops], np.random.default_rng(31), n_symbols, points=pts)[0]
+    want = reference_empirical_sir(ops, np.random.default_rng(31), n_symbols, pts)
     assert got == pytest.approx(want, rel=rel)
 
 
@@ -433,11 +433,11 @@ def test_empirical_sir_of_a_grid_matches_each_order_alone():
     # and the generator must advance by exactly one (N, n_symbols) draw
     sets = _orders_on_one_transmit_matrix(16, 7, 16, 0.5, (2, 6, 0))
     pts = qam_constellation(16).points
-    gen = SeededRng(31).generator
+    gen = np.random.default_rng(31)
     got = empirical_sir(sets, gen, 700, points=pts)
     assert len(got) == len(sets)
     for ops, value in zip(sets, got):
-        ref_gen = SeededRng(31).generator
+        ref_gen = np.random.default_rng(31)
         want = reference_empirical_sir(ops, ref_gen, 700, pts)
         assert value == pytest.approx(want, rel=1e-8 if ops.V == 6 else 1e-12)
     assert gen.bytes(16) == ref_gen.bytes(16)
@@ -475,8 +475,8 @@ def test_empirical_sir_rejects_no_sets(sets):
 def test_mc_smooth_power_matches_whole_array_draw(n_streams):
     _, _, _, ops = built_ops(16, 7, 16, 0.5, 2)
     pts = qam_constellation(16).points
-    got = mc_smooth_power(ops, SeededRng(8).generator, n_streams, 4, points=pts)
-    gen = SeededRng(8).generator
+    got = mc_smooth_power(ops, np.random.default_rng(8), n_streams, 4, points=pts)
+    gen = np.random.default_rng(8)
     shape = (ops.params.N, n_streams)
     D = np.stack([pts[reference_labels(gen, 16, shape)] for _ in range(4)], axis=1)
     B, _ = coefficient_stream(ops, D)
@@ -562,11 +562,11 @@ def test_monte_carlo_memory_does_not_scale_with_the_draw():
     _, _, _, ops = built_ops(256, 7, 280, 0.5, 2)
     pts = qam_constellation(16).points
     bound = ops.params.N * 4000 * 16 // 8
-    assert _traced_peak(empirical_sir, [ops], SeededRng(5).generator, 4000, points=pts) < bound
-    assert _traced_peak(mc_smooth_power, ops, SeededRng(5).generator, 4000, 1, points=pts) < bound
+    assert _traced_peak(empirical_sir, [ops], np.random.default_rng(5), 4000, points=pts) < bound
+    assert _traced_peak(mc_smooth_power, ops, np.random.default_rng(5), 4000, 1, points=pts) < bound
     # a grid call holds the highest order's products, not one draw per order
     sets = _orders_on_one_transmit_matrix(256, 7, 280, 0.5, (0, 2, 4, 6))
-    assert _traced_peak(empirical_sir, sets, SeededRng(5).generator, 4000, points=pts) < bound
+    assert _traced_peak(empirical_sir, sets, np.random.default_rng(5), 4000, points=pts) < bound
 
 
 def test_empirical_sir_rejects_degenerate_stream():
@@ -576,25 +576,25 @@ def test_empirical_sir_rejects_degenerate_stream():
     _, _, _, ops = built_ops(8, 4, 0, 0.0, 2)
     pts = np.array([1.0 + 0.0j, 1.0 + 0.0j])
     with pytest.raises(ZeroDivisionError):
-        empirical_sir([ops], SeededRng(50).generator, 50, points=pts)
+        empirical_sir([ops], np.random.default_rng(50), 50, points=pts)
 
 
 def test_mc_smooth_power_matches_curve():
     _, _, _, ops = built_ops(16, 7, 16, 0.1, 2)
     theory = sir_report(ops, 10).smooth_power
     pts = qam_constellation(16).points
-    mc = mc_smooth_power(ops, SeededRng(4).generator, n_streams=3000, n_symbols=10, points=pts)
+    mc = mc_smooth_power(ops, np.random.default_rng(4), n_streams=3000, n_symbols=10, points=pts)
     assert mc[0] == 0.0
     assert np.allclose(mc[1:], theory[1:], rtol=0.05)
     with pytest.raises(ValueError):
-        mc_smooth_power(ops, SeededRng(0).generator, 0, 5, points=pts)
+        mc_smooth_power(ops, np.random.default_rng(0), 0, 5, points=pts)
 
 
 def test_smoothing_suppresses_boundary_radiation():
     # the actual PSD claim: smoothed streams radiate less out of band
     p, _, _, ops = built_ops(16, 7, 16, 0.5, 4)
     c = qam_constellation(16)
-    gen = SeededRng(6).generator
+    gen = np.random.default_rng(6)
     D = c.points[gen.integers(0, 16, size=(p.N, 400))]
     X_smooth, _, _ = smooth_stream(ops, D)
     X_plain = ops.tm.A @ D

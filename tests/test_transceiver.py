@@ -4,14 +4,14 @@ import pytest
 from conftest import built, built_ops, dense_p_tilde, dense_taps, reference_recover
 from ncgfdm import transceiver
 from ncgfdm.channel import JakesFadingProcess, eva_profile, zf_equalize
-from ncgfdm.params import SeededRng, decision_labels, qam_constellation
+from ncgfdm.params import decision_labels, qam_constellation
 from ncgfdm.smoothing import smooth_stream
 from ncgfdm.spectrum import psd_sample_stream
 from ncgfdm.transceiver import recover_iterative
 
 
 def random_symbols(c, N, count, seed=0):
-    gen = SeededRng(seed).generator
+    gen = np.random.default_rng(seed)
     return c.points[gen.integers(0, c.points.size, size=(N, count))]
 
 
