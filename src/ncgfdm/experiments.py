@@ -177,7 +177,8 @@ class ExperimentConfig:
     smoothing), ``td-nc-ofdm[:V]`` (M=1, beta=0, smoothed), ``gfdm`` (the
     configured waveform, no smoothing), ``nc-gfdm[:V]`` (smoothed).  The
     optional ``:V`` suffix, in ASCII digits, overrides the derivative order.
-    No two variants of one run may share a table label.
+    No two variants of one run may share a table label or name one waveform
+    (``nc-gfdm:2`` and ``nc-gfdm`` at V = 2).
 
     A config is checked when it is made, by :meth:`validate`, and so again by
     ``dataclasses.replace``; a list given for a sequence field is stored as
@@ -239,15 +240,19 @@ class ExperimentConfig:
             # simulated as inter-symbol interference
             profile = self.channel_profile()
             tap = int(profile.tap_positions().max())
-        labels = {}
+        labels, waveforms = {}, {}
         for spec in self.variants if self.kind in ("ber", "psd") else ():
             var = resolve_variant(self, spec)
+            p = var.params
             if var.label in labels:
                 raise ValueError(
                     f"variants {labels[var.label]!r} and {spec!r} share the label {var.label!r}"
                 )
-            labels[var.label] = spec
-            p = var.params
+            if (var.smoothed, p) in waveforms:
+                raise ValueError(
+                    f"variants {waveforms[var.smoothed, p]!r} and {spec!r} name one waveform"
+                )
+            labels[var.label] = waveforms[var.smoothed, p] = spec
             if var.smoothed:
                 _check_order(f"variant {spec!r}", p.V)
             if self.kind == "psd":
@@ -695,18 +700,18 @@ def run_sir(cfg: ExperimentConfig) -> list:
     """Theoretical and empirical SIR over the (beta, V) grid."""
     _check_kind(cfg, "sir")
     c = qam_constellation(cfg.qam_order)
-    master = SeededRng(cfg.seed)
-    rows = []
-    for i, beta in enumerate(cfg.beta_grid):
-        # the orders of one roll-off share its transmit matrix, so they share one draw
+    cells = []
+    for beta in cfg.beta_grid:
+        # the orders of one roll-off share its transmit matrix
         g, tm = _transmit(cfg.waveform(beta=beta))
-        cells = [_operators(g, tm, cfg.waveform(beta=beta, V=V)) for V in cfg.v_grid]
-        emps = empirical_sir(cells, master.child(i), cfg.n_symbols, points=c.points)
-        for V, ops, emp in zip(cfg.v_grid, cells, emps):
-            theory_db, smooth_power, closed = _steady_sir_db(ops)
-            rows.append(
-                (float(beta), int(V), smooth_power, theory_db, 10.0 * np.log10(emp), closed)
-            )
+        cells += [_operators(g, tm, cfg.waveform(beta=beta, V=V)) for V in cfg.v_grid]
+    # every cell reads one data stream, so equal waveforms give equal rows
+    emps = empirical_sir(cells, SeededRng(cfg.seed).child(0), cfg.n_symbols, points=c.points)
+    rows = []
+    for ops, emp in zip(cells, emps):
+        theory_db, smooth_power, closed = _steady_sir_db(ops)
+        p = ops.params
+        rows.append((float(p.beta), int(p.V), smooth_power, theory_db, 10 * np.log10(emp), closed))
     prov = _provenance(cfg)
     return [
         ResultTable(

@@ -8,14 +8,15 @@ batches in one reused buffer, so long waveforms never need to be held in
 memory at once.  Its window also recentres the oversampled band on DC.
 Power and SIR estimators run entirely on the low-rank smoothing factors;
 no N x N product is formed per symbol, and the Monte-Carlo estimators
-reduce their data draws to thin products row block by row block, so their
-memory does not grow with N times the number of symbols or streams.
+reduce their data draws to thin products row block by row block; the SIR
+estimator reads one stream for all its operator sets, in symbol chunks, so
+its memory does not grow with N times the number of symbols or streams.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -284,34 +285,33 @@ def closed_form_sir(p: WaveformParams) -> float:
     return 10.0 * np.log10(p.K * p.M / (2.0 * (p.V + 1)))
 
 
-#: label rows drawn per block by :func:`empirical_sir` and
-#: :func:`mc_smooth_power`; bounds their working memory to a few
-#: (rows, columns) arrays, so no (N, columns) array is formed
+#: label rows drawn per block by :func:`_draw_products`, and symbols per
+#: chunk of :func:`empirical_sir`; they bound the estimators' working memory
+#: to a few (rows, columns) arrays, whatever N and the symbol count
 _DRAW_BLOCK = 64
+_SIR_CHUNK = 2048
 
 
 def _draw_products(
-    ops: NcOperators, rng: np.random.Generator, pts: np.ndarray, cols: int, energy: bool = False
-) -> tuple[np.ndarray, np.ndarray, float | None]:
-    """Thin products P_1 D and P_2 D of an (N, cols) draw of constellation points.
+    stacked: np.ndarray, rng: np.random.Generator, pts: np.ndarray, cols: int, energy: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Thin products stacked @ D of an (N, cols) draw D of constellation points.
 
+    ``stacked`` stacks thin operators, such as [P_1; P_2], over N columns.
     ``pts`` holds 2**b points (else ValueError, before any draw), and D, in
     C order, is one draw of :func:`ncgfdm.params._draw_fields` taken
     ``_DRAW_BLOCK`` rows at a time: a full block is 8 b cols bytes, a whole
     number of the generator's 32-bit words, so the blocks concatenate to
-    one (N, cols) draw.  Each block adds [P_1; P_2][:, rows] @ D[rows] in
-    one stacked product.  With ``energy``, also returns the energy of
-    columns 1.., the symbols after the unsmoothed head, summed block by
-    block; else None.
+    one (N, cols) draw.  Each block adds stacked[:, rows] @ D[rows] in one
+    product.  With ``energy``, also returns the energy of each column of D,
+    summed block by block; else None.
     """
-    N, V1 = ops.params.N, ops.V + 1
-    table, bits = _label_table(pts)
-    stacked = np.vstack([ops.P_1, ops.P_2])
-    acc = np.zeros((2 * V1, cols), dtype=np.complex128)
-    sig = 0.0 if energy else None
+    table, bits = _label_table(np.asarray(pts, dtype=np.complex128))
+    acc = np.zeros((stacked.shape[0], cols), dtype=np.complex128)
+    sig = np.zeros(2 * cols) if energy else None  # interleaved real and imaginary parts
     gathered = None  # the first block is the largest; later blocks reuse its memory
-    for start in range(0, N, _DRAW_BLOCK):
-        stop = min(start + _DRAW_BLOCK, N)
+    for start in range(0, stacked.shape[1], _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, stacked.shape[1])
         n = (stop - start) * cols
         flat = _draw_fields(rng, table, bits, n, gathered)
         if gathered is None:
@@ -319,9 +319,9 @@ def _draw_products(
         block = flat[:n].reshape(stop - start, cols)
         acc += stacked[:, start:stop] @ block
         if energy:
-            head = block[:, 0]
-            sig += np.vdot(block, block).real - np.vdot(head, head).real
-    return acc[:V1], acc[V1:], sig
+            parts = block.view(np.float64)
+            sig += np.einsum("ij,ij->j", parts, parts)
+    return acc, None if sig is None else sig[0::2] + sig[1::2]
 
 
 def empirical_sir(
@@ -336,43 +336,43 @@ def empirical_sir(
     estimate is d + A^{-1} w, so signal and interference are the data
     vectors and the data-domain smooth contributions.  Data vectors draw
     i.i.d. from ``points``, a unit-energy constellation of 2**b points
-    (else ValueError, before any draw), as one (N, n_symbols) draw of
-    :func:`_draw_products`.  No (N, n_symbols) array is formed: the draw
-    is reduced to its thin products P_1 D and P_2 D row block by row block,
-    the recursion runs on them (:func:`coefficient_scan`), and the signal
-    energy of the symbols after the unsmoothed head is summed from the
-    same blocks.
+    (else ValueError, before any draw), as one stream that every set reads.
+    It is drawn ``_SIR_CHUNK`` symbols at a time, each chunk reduced by
+    :func:`_draw_products` to its thin products P_1 D and P_2 D and its
+    signal energy, so no (N, n_symbols) array is formed; each set's
+    recursion (:func:`coefficient_scan`) carries across the chunk joins, and
+    only the stream's first, unsmoothed symbol is left out of the energy.
 
-    ``sets`` are one or more operator sets of one waveform at any smoothing
-    orders: one transmit matrix, and parameters that differ in V alone (else
-    ValueError, before any draw).  Row v of P_1 and P_2 depends on v alone,
-    so each set's products are the first V+1 rows of the highest order's,
-    and all sets share one draw and one reduction.  A one-set call draws
-    and reduces exactly as a call for that set alone.  Raises
+    ``sets`` are one or more operator sets of one block length N (else
+    ValueError, before any draw).  Row v of P_1 and P_2 depends on v, the
+    transmit matrix and the CP alone, so the sets on one transmit matrix and
+    CP read the first V+1 rows of their highest order's products.  Raises
     ZeroDivisionError when a set's stream carries no boundary discontinuity
     to smooth (zero interference).
     """
     if not sets:
         raise ValueError("sets must hold at least one operator set")
     _check_count("n_symbols", n_symbols, 2)  # one smoothed symbol after the head
-    top = max(sets, key=lambda ops: ops.V)
-    for ops in sets:
-        if ops.tm is not top.tm or replace(ops.params, V=top.V) != top.params:
-            raise ValueError(
-                "empirical_sir shares one draw only between operator sets on one "
-                f"transmit matrix that differ in V alone; got {ops.params} and {top.params}"
-            )
-    pts = np.asarray(points, dtype=np.complex128)
-    P1D, P2D, sig = _draw_products(top, rng, pts, n_symbols, energy=True)
-    out = []
-    for ops in sets:
-        B, _ = coefficient_scan(ops, P1D[: ops.V + 1], P2D[: ops.V + 1])
-        gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
-        intf = float(np.real(np.einsum("vi,vw,wi->", B[:, 1:].conj(), gram, B[:, 1:])))
-        if intf <= 0:
-            raise ZeroDivisionError("stream produced no smoothing interference")
-        out.append(sig / intf)
-    return out
+    if len(lengths := sorted({ops.params.N for ops in sets})) > 1:
+        raise ValueError(f"empirical_sir draws one stream, of one block length; got N = {lengths}")
+    keys = [(id(ops.tm), ops.params.n_cp) for ops in sets]  # (transmit matrix, CP)
+    tops = dict(sorted(zip(keys, sets), key=lambda kv: kv[1].V))  # each key's highest order
+    stacked = np.vstack([m for top in tops.values() for m in (top.P_1, top.P_2)])
+    ends = np.cumsum([2 * top.V + 2 for top in tops.values()])
+    rows = {key: slice(end - 2 * top.V - 2, end) for (key, top), end in zip(tops.items(), ends)}
+    grams = [ops.A_inv_Q.conj().T @ ops.A_inv_Q for ops in sets]
+    carries, intf, sig = [None] * len(sets), np.zeros(len(sets)), 0.0
+    for start in range(0, n_symbols, _SIR_CHUNK):
+        cols = min(_SIR_CHUNK, n_symbols - start)
+        acc, energy = _draw_products(stacked, rng, points, cols, energy=True)
+        sig += energy[1:].sum() if start == 0 else energy.sum()
+        for j, (key, ops) in enumerate(zip(keys, sets)):
+            P1D, P2D = acc[rows[key]].reshape(2, -1, cols)[:, : ops.V + 1]  # the top's, cut
+            B, carries[j] = coefficient_scan(ops, P1D, P2D, carries[j])
+            intf[j] += np.real(np.einsum("vi,vw,wi->", B.conj(), grams[j], B))
+    if intf.min() <= 0:
+        raise ZeroDivisionError("stream produced no smoothing interference")
+    return (sig / intf).tolist()
 
 
 def mc_smooth_power(
@@ -394,13 +394,13 @@ def mc_smooth_power(
     """
     _check_count("n_streams", n_streams, 1)
     _check_count("n_symbols", n_symbols, 1)
-    pts = np.asarray(points, dtype=np.complex128)
+    stacked = np.vstack([ops.P_1, ops.P_2])
     gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
     powers = np.zeros(n_symbols)
     carry = None
     for i in range(n_symbols):
-        P1D, P2D, _ = _draw_products(ops, rng, pts, n_streams)
-        B, carry = coefficient_scan(ops, P1D[:, None], P2D[:, None], carry)
+        acc, _ = _draw_products(stacked, rng, points, n_streams)
+        B, carry = coefficient_scan(ops, *acc.reshape(2, -1, 1, n_streams), carry)  # P_1 D, P_2 D
         b = B[:, 0]
         powers[i] = float(np.real(np.einsum("vi,vw,wi->", b.conj(), gram, b))) / n_streams
     return powers

@@ -107,25 +107,33 @@ def reference_labels(rng, order, shape):
     return (fields @ (1 << np.arange(bits - 1, -1, -1))).reshape(shape)
 
 
-def reference_empirical_sir(ops, rng, n_symbols, points):
-    """Oracle: Monte-Carlo SIR over the whole (N, n_symbols) draw held at once.
+def reference_empirical_sir(ops, rng, n_symbols, points, chunk=None):
+    """Oracle: Monte-Carlo SIR over whole (N, chunk) draws, one after another.
 
-    Draws every label in one call, gathers all of D, runs the smoothing
-    recursion one symbol at a time on the thin products P_1 D and P_2 D,
-    and sums |D|^2 over the columns after the unsmoothed head.
+    Draws every label of a chunk in one call and gathers all of its D, then
+    runs the smoothing recursion one symbol at a time on the thin products
+    P_1 D and P_2 D, carrying it from one chunk into the next, and sums |D|^2
+    over the symbols after the unsmoothed head.  ``chunk`` None draws the
+    whole (N, n_symbols) stream at once.
     """
     pts = np.asarray(points, dtype=np.complex128)
-    D = pts[reference_labels(rng, pts.size, (ops.params.N, n_symbols))]
-    P1D, P2D = ops.P_1 @ D, ops.P_2 @ D
+    chunk = chunk or n_symbols
     G = ops.P_1 @ ops.A_inv_Q
-    B = np.zeros((ops.V + 1, n_symbols), dtype=complex)
-    carry = P1D[:, 0]
-    for i in range(1, n_symbols):
-        B[:, i] = ops.P_f_inv @ (carry - P2D[:, i])
-        carry = P1D[:, i] + G @ B[:, i]
     gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
-    intf = float(np.real(np.einsum("vi,vw,wi->", B[:, 1:].conj(), gram, B[:, 1:])))
-    return float(np.sum(np.abs(D[:, 1:]) ** 2)) / intf
+    carry = None
+    sig = intf = 0.0
+    for start in range(0, n_symbols, chunk):
+        D = pts[reference_labels(rng, pts.size, (ops.params.N, min(chunk, n_symbols - start)))]
+        P1D, P2D = ops.P_1 @ D, ops.P_2 @ D
+        for i in range(D.shape[1]):
+            if carry is None:  # the head is sent unsmoothed
+                b = np.zeros(ops.V + 1, dtype=complex)
+            else:
+                b = ops.P_f_inv @ (carry - P2D[:, i])
+            carry = P1D[:, i] + G @ b
+            intf += float(np.real(b.conj() @ gram @ b))
+        sig += float(np.sum(np.abs(D[:, 1 if start == 0 else 0 :]) ** 2))
+    return sig / intf
 
 
 def oversample_symbol(x: np.ndarray, oversample: int) -> np.ndarray:

@@ -75,6 +75,8 @@ FIELD_REJECTIONS = {
         dict(SMALL, kind="psd", variants=("gfdm", "gfdm")),
         dict(SMALL, kind="ber", variants=("nc-gfdm:2", "gfdm", "nc-gfdm:2")),
         dict(SMALL, kind="ber", variants=("gfdm", "ofdm:3")),
+        dict(SMALL, kind="psd", variants=("nc-gfdm:2", "nc-gfdm:02", "nc-gfdm")),
+        dict(SMALL, kind="ber", variants=("td-nc-ofdm", "td-nc-ofdm:2")),
     ],
     "beta_grid": [
         dict(SMALL, kind="sir", beta_grid=()),
@@ -116,8 +118,14 @@ def test_every_config_field_has_a_rejection_that_names_it(name):
 
 @pytest.mark.parametrize(
     "overrides",
-    [dict(kind="validate"), dict(SMALL, kind="power", qam_order=np.int64(16))],
-    ids=["default", "numpy-qam_order"],
+    [
+        dict(kind="validate"),
+        dict(SMALL, kind="power", qam_order=np.int64(16)),
+        # order 0 smooths nothing, but a smoothed variant is not its unsmoothed one
+        dict(SMALL, kind="psd", variants=("gfdm", "nc-gfdm:0", "ofdm", "td-nc-ofdm:0")),
+        dict(SMALL, kind="ber", variants=("gfdm", "nc-gfdm:0", "ofdm", "td-nc-ofdm:0")),
+    ],
+    ids=["default", "numpy-qam_order", "psd-order-0-variants", "ber-order-0-variants"],
 )
 def test_config_validation_accepts(overrides):
     cfg = ExperimentConfig(**overrides)
@@ -202,6 +210,11 @@ def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
          r"variants 'gfdm' and 'gfdm' share the label 'gfdm'"),
         ("ber", dict(variants=("td-nc-ofdm:2", "td-nc-ofdm:2")),
          r"variants 'td-nc-ofdm:2' and 'td-nc-ofdm:2' share the label 'td_nc_ofdm_v2'"),
+        # one waveform under three labels: V = 2 is the config's order
+        ("psd", dict(variants=("nc-gfdm:2", "nc-gfdm:02", "nc-gfdm")),
+         r"variants 'nc-gfdm:2' and 'nc-gfdm:02' name one waveform"),
+        ("ber", dict(variants=("gfdm", "nc-gfdm", "nc-gfdm:2")),
+         r"variants 'nc-gfdm' and 'nc-gfdm:2' name one waveform"),
         ("ber", dict(EVA_OK, sample_interval_ns=0.0),
          r"sample_interval_ns must be a finite number > 0, got 0.0"),
         ("ber", dict(EVA_OK, sample_interval_ns=-9.3),
@@ -230,7 +243,8 @@ def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
          "ofdm-stream-short", "gfdm-stream-short", "qam_order-8", "qam_order-0",
          "variant-suffix", "variant-negative-order", "variant-spaced-order",
          "variant-signed-order", "variant-empty-order", "variant-ofdm-order",
-         "psd-duplicate-variant", "ber-duplicate-variant", "eva-zero-sample-interval",
+         "psd-duplicate-variant", "ber-duplicate-variant", "psd-one-waveform-twice",
+         "ber-one-waveform-twice", "eva-zero-sample-interval",
          "eva-negative-sample-interval", "eva-nan-doppler", "eva-text-doppler", "nan-snr", "text-snr",
          "fractional-psd-n_symbols", "fractional-window_len", "fractional-overlap",
          "fractional-recovery_iterations", "negative-n_bits", "negative-seed",
@@ -606,6 +620,39 @@ def test_run_sir_contents():
     assert by_key[(0.0, 2)][3] < by_key[(0.0, 0)][3]
     for r in rows:
         assert abs(r[3] - r[4]) < 0.5
+
+
+def test_run_sir_gives_equal_waveforms_equal_rows():
+    # at K=256, M=7 a roll-off of 0.1 is too narrow to shape a DFT bin, so
+    # beta 0 and 0.1 are both the Dirichlet pulse; every cell reads one data
+    # stream, so their rows must be equal in every column but beta
+    cfg = ExperimentConfig(kind="sir", K=256, M=7, n_cp=280, beta_grid=(0.0, 0.1),
+                           v_grid=(0, 2), n_symbols=300, seed=1)
+    rows = run_sir(cfg)[0].rows
+    assert [r[0] for r in rows] == [0.0, 0.0, 0.1, 0.1]
+    assert [r[1:] for r in rows[:2]] == [r[1:] for r in rows[2:]]
+
+
+def test_run_sir_memory_does_not_grow_with_the_symbol_count():
+    # the stream is drawn _SIR_CHUNK symbols at a time, so four chunks peak
+    # where one does; a draw held whole grows by about 1.5 KiB a symbol
+    import tracemalloc
+
+    from ncgfdm.spectrum import _SIR_CHUNK
+
+    def peak(n_symbols):
+        cfg = ExperimentConfig(kind="sir", K=256, M=7, n_cp=280, beta_grid=(0.0, 0.5),
+                               v_grid=(0, 6), n_symbols=n_symbols, seed=1)
+        tracemalloc.start()
+        try:
+            run_sir(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # the first call fills what a process caches once (code version)
+    one, four = peak(_SIR_CHUNK), peak(4 * _SIR_CHUNK)
+    assert four <= 1.1 * one, (one, four)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5])

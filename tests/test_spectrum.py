@@ -17,7 +17,7 @@ from conftest import (
     reference_psd_sample_stream,
     reference_welch,
 )
-from ncgfdm.filterbank import build_transmit_matrix
+from ncgfdm import spectrum
 from ncgfdm.params import SeededRng, _draw_fields, _draw_units, _label_table, qam_constellation
 from ncgfdm.smoothing import build_basis, build_nc_operators, coefficient_stream, smooth_stream
 from ncgfdm.spectrum import (
@@ -387,23 +387,35 @@ def test_empirical_sir_tracks_theory():
 
 
 @pytest.mark.parametrize(
-    "K,M,V,rel,order,n_symbols",
-    [(16, 7, 2, 1e-12, 16, 700), (16, 7, 6, 1e-8, 16, 700)]
-    + [(15, 5, 2, 1e-12, order, 101) for order in (4, 16, 64, 256, 1024, 4096)],
-    ids=["2-1e-12", "6-1e-8"] + [f"qam{order}-odd" for order in (4, 16, 64, 256, 1024, 4096)],
+    "K,M,V,rel,order,n_symbols,chunk",
+    [(16, 7, 2, 1e-12, 16, 700, None), (16, 7, 6, 1e-8, 16, 700, None)]
+    + [(15, 5, 2, 1e-12, order, 101, None) for order in (4, 16, 64, 256, 1024, 4096)]
+    + [(16, 7, 2, 1e-12, 16, 401, 150), (16, 7, 6, 1e-8, 16, 401, 150),
+       (15, 5, 2, 1e-12, 4096, 101, 37)],
+    ids=["2-1e-12", "6-1e-8"] + [f"qam{order}-odd" for order in (4, 16, 64, 256, 1024, 4096)]
+    + ["chunks-2-1e-12", "chunks-6-1e-8", "chunks-qam4096-odd"],
 )
-def test_empirical_sir_matches_whole_array_reference(K, M, V, rel, order, n_symbols):
+def test_empirical_sir_matches_whole_array_reference(
+    monkeypatch, K, M, V, rel, order, n_symbols, chunk
+):
     # N = 112 and N = 75 are not multiples of the 64-row draw block, so the
     # last block is partial, and at N = 75 with an odd symbol count it ends
     # inside a byte; the same seed must give the same labels as one whole
     # draw.  At V=6 (pf_cond 2.5e8) the summation order of the products
     # alone moves the SIR by up to 6.5e-9 relative over 30 seeds, so 1e-8 is
-    # the bound
+    # the bound.  With a small chunk the stream crosses two chunk joins and
+    # ends in a partial chunk; each chunk is one whole draw, and at N = 75
+    # with odd chunks each ends inside a byte
+    if chunk:
+        monkeypatch.setattr(spectrum, "_SIR_CHUNK", chunk)
     _, _, _, ops = built_ops(K, M, K, 0.5, V)
     pts = qam_constellation(order).points
-    got = empirical_sir([ops], np.random.default_rng(31), n_symbols, points=pts)[0]
-    want = reference_empirical_sir(ops, np.random.default_rng(31), n_symbols, pts)
+    gen = np.random.default_rng(31)
+    got = empirical_sir([ops], gen, n_symbols, points=pts)[0]
+    ref_gen = np.random.default_rng(31)
+    want = reference_empirical_sir(ops, ref_gen, n_symbols, pts, chunk=chunk)
     assert got == pytest.approx(want, rel=rel)
+    assert gen.bytes(16) == ref_gen.bytes(16)
 
 
 def _orders_on_one_transmit_matrix(K, M, n_cp, beta, orders):
@@ -443,23 +455,34 @@ def test_empirical_sir_of_a_grid_matches_each_order_alone():
     assert gen.bytes(16) == ref_gen.bytes(16)
 
 
-@pytest.mark.parametrize("other", ["beta", "rebuilt", "n_cp"])
-def test_empirical_sir_rejects_sets_off_one_transmit_matrix(other):
-    low, top = _orders_on_one_transmit_matrix(16, 7, 16, 0.0, (0, 2))
-    if other == "beta":
-        low = built_ops(16, 7, 16, 0.5, 0)[3]
-    elif other == "rebuilt":  # equal in value, but not the same transmit matrix
-        p, g, _ = built(16, 7, 16, 0.0)
-        tm = build_transmit_matrix(g, p)
-        low = build_nc_operators(tm, build_basis(g, p), p, is_unitary=True)
-    else:  # one transmit matrix, but P_2 of another CP length
-        p, g, tm = built(16, 7, 16, 0.0)
-        q = replace(p, n_cp=8)
-        low = build_nc_operators(tm, build_basis(g, q), q, is_unitary=True)
+def test_empirical_sir_of_sets_on_several_transmit_matrices_matches_each_set_alone(monkeypatch):
+    # one stream serves sets of two roll-offs and two CP lengths at one N,
+    # in chunks with a partial last one; each set must give its one-set
+    # value on the same seed, and the generator must advance by that stream
+    monkeypatch.setattr(spectrum, "_SIR_CHUNK", 150)
+    sets = _orders_on_one_transmit_matrix(16, 7, 16, 0.0, (0, 2))
+    sets += _orders_on_one_transmit_matrix(16, 7, 16, 0.5, (6, 2))
+    p, g, tm = built(16, 7, 16, 0.5)
+    q = replace(p, n_cp=8, V=2)  # on the beta = 0.5 transmit matrix, another CP
+    sets.append(build_nc_operators(tm, build_basis(g, q), q, is_unitary=g.is_dirichlet))
+    assert sets[2].tm is tm and sets[0].tm is not tm
+    pts = qam_constellation(16).points
+    gen = np.random.default_rng(31)
+    got = empirical_sir(sets, gen, 401, points=pts)
+    assert len(got) == len(sets)
+    for ops, value in zip(sets, got):
+        one_gen = np.random.default_rng(31)
+        want = empirical_sir([ops], one_gen, 401, points=pts)[0]
+        assert value == pytest.approx(want, rel=1e-8 if ops.V == 6 else 1e-12)
+    assert gen.bytes(16) == one_gen.bytes(16)
+
+
+def test_empirical_sir_rejects_sets_of_another_block_length():
+    sets = [built_ops(16, 7, 16, 0.0, 2)[3], built_ops(8, 4, 8, 0.0, 2)[3]]
     pts = qam_constellation(16).points
     gen = np.random.default_rng(3)
-    with pytest.raises(ValueError, match="one transmit matrix that differ in V alone"):
-        empirical_sir([low, top], gen, 10, points=pts)
+    with pytest.raises(ValueError, match=r"one stream, of one block length; got N = \[32, 112\]"):
+        empirical_sir(sets, gen, 10, points=pts)
     assert gen.bytes(8) == np.random.default_rng(3).bytes(8)  # nothing was drawn
 
 
@@ -493,15 +516,14 @@ def test_row_blocked_draw_is_one_whole_draw(order):
     _, _, _, ops = built_ops(15, 5, 15, 0.5, 2)
     pts = np.exp(2j * np.pi * np.arange(order) / order) * (1 + np.arange(order) / order)
     gen = np.random.default_rng(order)
-    P1D, P2D, sig = _draw_products(ops, gen, pts, 7, energy=True)
+    stacked = np.vstack([ops.P_1, ops.P_2])
+    products, energy = _draw_products(stacked, gen, pts, 7, energy=True)
     after = gen.bytes(16)
     whole = np.random.default_rng(order)
     D = pts[reference_labels(whole, order, (ops.params.N, 7))]
     assert whole.bytes(16) == after  # the blocks consumed exactly one whole draw
-    scale = np.abs(ops.P_1).sum() + np.abs(ops.P_2).sum()
-    assert np.allclose(P1D, ops.P_1 @ D, rtol=0, atol=1e-13 * scale)
-    assert np.allclose(P2D, ops.P_2 @ D, rtol=0, atol=1e-13 * scale)
-    assert sig == pytest.approx(float(np.sum(np.abs(D[:, 1:]) ** 2)), rel=1e-12)
+    assert np.allclose(products, stacked @ D, rtol=0, atol=1e-13 * np.abs(stacked).sum())
+    assert np.allclose(energy, np.sum(np.abs(D) ** 2, axis=0), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("bits", range(1, 13))
