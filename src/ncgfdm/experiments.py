@@ -286,6 +286,9 @@ class ExperimentConfig:
                     replace(base, beta=beta)
                 except DimensionError as exc:
                     raise ValueError(f"beta_grid entry {beta}: {exc}") from exc
+            for name, grid in (("beta_grid", self.beta_grid), ("v_grid", self.v_grid)):
+                if repeated := [x for i, x in enumerate(grid) if x in grid[:i]]:
+                    raise ValueError(f"{name} repeats the entry {repeated[0]!r}")
         for name in _FIELDS:  # every kind records every field in its provenance
             value = getattr(self, name)
             entries = value if name in _SEQUENCES else (value,)
@@ -697,21 +700,33 @@ def _steady_sir_db(ops: NcOperators) -> tuple[float, float, float]:
 
 
 def run_sir(cfg: ExperimentConfig) -> list:
-    """Theoretical and empirical SIR over the (beta, V) grid."""
+    """Theoretical and empirical SIR over the (beta, V) grid.
+
+    Roll-offs whose pulses are equal sample for sample (at K=256, M=7, beta
+    0 and 0.1 both give the Dirichlet pulse) share one transmit matrix and
+    one operator set per V, so each distinct waveform is built and scanned
+    once; every row reports its own grid beta.
+    """
     _check_kind(cfg, "sir")
     c = qam_constellation(cfg.qam_order)
-    cells = []
+    cells, first, starts = [], {}, []  # first: pulse bytes -> index of its first set
     for beta in cfg.beta_grid:
-        # the orders of one roll-off share its transmit matrix
-        g, tm = _transmit(cfg.waveform(beta=beta))
-        cells += [_operators(g, tm, cfg.waveform(beta=beta, V=V)) for V in cfg.v_grid]
-    # every cell reads one data stream, so equal waveforms give equal rows
+        p = cfg.waveform(beta=beta)
+        g = prototype_filter(p)
+        key = g.samples.tobytes()
+        if key not in first:
+            first[key] = len(cells)
+            # the orders of one pulse share its transmit matrix
+            tm = build_transmit_matrix(g, p)
+            cells += [_operators(g, tm, cfg.waveform(beta=beta, V=V)) for V in cfg.v_grid]
+        starts.append(first[key])
+    # every set reads one data stream
     emps = empirical_sir(cells, SeededRng(cfg.seed).child(0), cfg.n_symbols, points=c.points)
+    results = [(*_steady_sir_db(ops), 10 * np.log10(emp)) for ops, emp in zip(cells, emps)]
     rows = []
-    for ops, emp in zip(cells, emps):
-        theory_db, smooth_power, closed = _steady_sir_db(ops)
-        p = ops.params
-        rows.append((float(p.beta), int(p.V), smooth_power, theory_db, 10 * np.log10(emp), closed))
+    for beta, start in zip(cfg.beta_grid, starts):
+        for V, (theory_db, smooth_power, closed, emp_db) in zip(cfg.v_grid, results[start:]):
+            rows.append((float(beta), int(V), smooth_power, theory_db, emp_db, closed))
     prov = _provenance(cfg)
     return [
         ResultTable(

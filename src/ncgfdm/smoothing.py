@@ -266,42 +266,21 @@ def build_nc_operators(
 # smoothing recursion
 
 
-#: symbols per block of :func:`coefficient_scan`; one block-Toeplitz product
-#: of this many (V+1) x (V+1) blocks solves every block of a stream at once
-_SCAN_BLOCK = 64
-
-
-def _scan_factors(S: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """The block-Toeplitz matrix [S^(j-m)]_{j>=m} and the stacked S^1..S^L."""
-    V1 = S.shape[0]
-    powers = [np.eye(V1, dtype=np.complex128)]
-    for _ in range(L):
-        powers.append(S @ powers[-1])
-    powers = np.stack(powers)
-    T = np.zeros((L, V1, L, V1), dtype=np.complex128)
-    for j in range(L):
-        T[j, :, : j + 1] = powers[j::-1].transpose(1, 0, 2)
-    return T.reshape(L * V1, L * V1), powers[1:].reshape(L * V1, V1)
-
-
-def _scan(T: np.ndarray, lift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _scan(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve b_i = S b_{i-1} + v_i from b_{-1} = 0; rhs is v, (V+1, count, cols).
 
-    Inside a block of L symbols, b_{kL+j} = sum_{m<=j} S^{j-m} v_{kL+m}
-    + S^{j+1} b_{kL-1}: the first term is one product with T for all blocks,
-    the second a short loop over blocks with ``lift`` (see _scan_factors).
+    Recursive doubling: after the step of shift h, b_i holds
+    sum_{m < 2h, m <= i} S^m v_{i-m}, so ceil(log2 count) steps, each one
+    product of S^h with the whole stream, solve every symbol at once.  A
+    C-contiguous rhs is overwritten with the solution.
     """
     V1, count, cols = rhs.shape
-    L = lift.shape[0] // V1
-    n_blocks = -(-count // L)
-    padded = np.zeros((V1, n_blocks * L, cols), dtype=np.complex128)
-    padded[:, :count] = rhs
-    # (V+1, blocks, L, cols) -> rows (L, V+1), columns (blocks, cols)
-    cols_by_block = padded.reshape(V1, n_blocks, L, cols).transpose(2, 0, 1, 3)
-    out = (T @ cols_by_block.reshape(L * V1, -1)).reshape(L, V1, n_blocks, cols)
-    for k in range(1, n_blocks):
-        out[:, :, k] += (lift @ out[L - 1, :, k - 1]).reshape(L, V1, cols)
-    return out.transpose(1, 2, 0, 3).reshape(V1, n_blocks * L, cols)[:, :count]
+    flat = rhs.reshape(V1, count * cols)  # symbol i is columns i*cols..(i+1)*cols-1
+    power, shift = S, cols
+    while shift < count * cols:
+        flat[:, shift:] += power @ flat[:, :-shift]
+        power, shift = power @ power, 2 * shift
+    return flat.reshape(V1, count, cols)
 
 
 def coefficient_scan(
@@ -321,12 +300,15 @@ def coefficient_scan(
     An empty chunk (count 0) returns an empty B and ``carry`` as given.
 
     Written as b_i = S b_{i-1} + v_i with S = P_f^{-1} G, the recursion is a
-    linear scan, solved in blocks of ``_SCAN_BLOCK`` symbols (Blelloch 1990).
-    The scan adds S b_{i-1} and v_i after P_f^{-1} has amplified each, which
-    costs digits when P_f is ill conditioned, so the solve is followed by
-    exactly one round of iterative refinement (Higham 2002, ch. 12): the
-    residual of each step is formed as the step itself forms it, difference
-    first, and its own scan is added to B.  Starting from B = 0, the first
+    linear scan, solved by recursive doubling (Hillis and Steele 1986): the
+    step of shift h adds S^h b_{i-h} to every b_i at once, and S^h is
+    squared between steps, so ceil(log2 count) products of the whole chunk
+    solve it and no factor is built or held across calls.  The scan adds
+    S b_{i-1} and v_i after P_f^{-1} has amplified each, which costs digits
+    when P_f is ill conditioned, so the solve is followed by exactly one
+    round of iterative refinement (Higham 2002, ch. 12): the residual of
+    each step is formed as the step itself forms it, difference first, and
+    its own scan is added to B.  Starting from B = 0, the first
     residual is v itself, so solve and refinement are the same round.
     """
     P1D = np.asarray(P1D, dtype=np.complex128)
@@ -339,7 +321,6 @@ def coefficient_scan(
     P2D = P2D.reshape(V1, count, -1)
     G = ops.P_1 @ ops.A_inv_Q
     S = ops.P_f_inv @ G
-    T, lift = _scan_factors(S, min(_SCAN_BLOCK, count))
     B = np.zeros_like(P2D)
     for _ in range(2):
         prev = np.empty_like(P2D)
@@ -348,7 +329,7 @@ def coefficient_scan(
             prev[:, :1] = P2D[:, :1]  # b_0 = 0: no residual at the head
         else:
             prev[:, 0] = np.reshape(carry, (V1, -1))
-        B += _scan(T, lift, np.tensordot(ops.P_f_inv, prev - P2D, axes=1) - B)
+        B += _scan(S, np.tensordot(ops.P_f_inv, prev - P2D, axes=1) - B)
     out = P1D[:, -1] + G @ B[:, -1]
     return B.reshape(thin), out.reshape(thin[:1] + thin[2:])
 

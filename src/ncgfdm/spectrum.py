@@ -9,8 +9,10 @@ memory at once.  Its window also recentres the oversampled band on DC.
 Power and SIR estimators run entirely on the low-rank smoothing factors;
 no N x N product is formed per symbol, and the Monte-Carlo estimators
 reduce their data draws to thin products row block by row block; the SIR
-estimator reads one stream for all its operator sets, in symbol chunks, so
-its memory does not grow with N times the number of symbols or streams.
+estimator reads one stream for all its operator sets, in symbol chunks, and
+scans each chunk by recursive doubling with no factor held across chunks;
+it frees a chunk's products before the next draw, so its memory does not
+grow with N times the number of symbols or streams.
 """
 
 from __future__ import annotations
@@ -370,6 +372,7 @@ def empirical_sir(
             P1D, P2D = acc[rows[key]].reshape(2, -1, cols)[:, : ops.V + 1]  # the top's, cut
             B, carries[j] = coefficient_scan(ops, P1D, P2D, carries[j])
             intf[j] += np.real(np.einsum("vi,vw,wi->", B.conj(), grams[j], B))
+        del acc, energy, P1D, P2D, B  # freed before the next chunk's draw
     if intf.min() <= 0:
         raise ZeroDivisionError("stream produced no smoothing interference")
     return (sig / intf).tolist()

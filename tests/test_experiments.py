@@ -82,8 +82,13 @@ FIELD_REJECTIONS = {
         dict(SMALL, kind="sir", beta_grid=()),
         dict(SMALL, kind="ber", beta_grid=(math.nan,)),
         dict(kind="validate", beta_grid=[[0.1]]),
+        dict(SMALL, kind="sir", beta_grid=(0.1, 0.1), v_grid=(1, 1)),
     ],
-    "v_grid": [dict(SMALL, kind="sir", v_grid=()), dict(SMALL, kind="psd", v_grid=(math.inf,))],
+    "v_grid": [
+        dict(SMALL, kind="sir", v_grid=()),
+        dict(SMALL, kind="psd", v_grid=(math.inf,)),
+        dict(SMALL, kind="sir", v_grid=(0, 2, 0)),
+    ],
     "window_len": [dict(SMALL, kind="psd", window_len=4)],
     "overlap": [dict(SMALL, kind="psd", overlap=-1)],
     "seed": [dict(SMALL, kind="sir", seed=-1)],
@@ -124,8 +129,11 @@ def test_every_config_field_has_a_rejection_that_names_it(name):
         # order 0 smooths nothing, but a smoothed variant is not its unsmoothed one
         dict(SMALL, kind="psd", variants=("gfdm", "nc-gfdm:0", "ofdm", "td-nc-ofdm:0")),
         dict(SMALL, kind="ber", variants=("gfdm", "nc-gfdm:0", "ofdm", "td-nc-ofdm:0")),
+        # two roll-offs of one pulse are two grid entries, not a repeat
+        dict(SMALL, kind="sir", beta_grid=(0.0, 0.1)),
     ],
-    ids=["default", "numpy-qam_order", "psd-order-0-variants", "ber-order-0-variants"],
+    ids=["default", "numpy-qam_order", "psd-order-0-variants", "ber-order-0-variants",
+         "sir-betas-of-one-pulse"],
 )
 def test_config_validation_accepts(overrides):
     cfg = ExperimentConfig(**overrides)
@@ -162,6 +170,9 @@ def test_oversample_is_checked_only_for_the_psd_run_that_reads_it(kind):
         ("sir", dict(v_grid=(2, None)), r"v_grid entry V=None .*V must be an integer, got None"),
         ("sir", dict(beta_grid=0.1), r"beta_grid must be a list or tuple, got 0.1"),
         ("sir", dict(v_grid=2), r"v_grid must be a list or tuple, got 2"),
+        # a repeated entry would write the same rows twice
+        ("sir", dict(beta_grid=(0.1, 0.1)), r"beta_grid repeats the entry 0.1"),
+        ("sir", dict(v_grid=(2, 0, 2)), r"v_grid repeats the entry 2"),
         # every kind hashes snr_db into its provenance
         ("sir", dict(snr_db=5.0), r"snr_db must be a list or tuple, got 5.0"),
         ("power", dict(beta="0.1"), r"roll-off beta must be a real number, got '0.1'"),
@@ -170,7 +181,8 @@ def test_oversample_is_checked_only_for_the_psd_run_that_reads_it(kind):
          "v_grid-too-large", "beta_grid-out-of-range", "v_grid-negative", "v_grid-fractional",
          "fractional-V", "fractional-n_indices", "fractional-sir-n_symbols", "negative-seed",
          "fractional-seed", "text-beta_grid", "none-beta_grid", "none-v_grid",
-         "scalar-beta_grid", "scalar-v_grid", "scalar-snr_db", "text-beta"],
+         "scalar-beta_grid", "scalar-v_grid", "repeated-beta_grid", "repeated-v_grid",
+         "scalar-snr_db", "text-beta"],
 )
 def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
     kind, overrides, message
@@ -631,6 +643,25 @@ def test_run_sir_gives_equal_waveforms_equal_rows():
     rows = run_sir(cfg)[0].rows
     assert [r[0] for r in rows] == [0.0, 0.0, 0.1, 0.1]
     assert [r[1:] for r in rows[:2]] == [r[1:] for r in rows[2:]]
+
+
+def test_run_sir_builds_and_scans_each_distinct_pulse_once(monkeypatch):
+    # at K=16, M=7 a roll-off of 0.1 gives the Dirichlet pulse (see
+    # test_run_sir_contents), so beta 0 and 0.1 share one operator set per V
+    build, calls = experiments.build_nc_operators, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].beta)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_nc_operators", counted)
+    cfg = small_cfg("sir", n_symbols=300, beta_grid=(0.0, 0.1, 0.5), v_grid=(0, 2), seed=1)
+    rows = run_sir(cfg)[0].rows
+    assert calls == [0.0, 0.0, 0.5, 0.5]  # the 0.1 rows read the beta 0 sets
+    assert [(r[0], r[1]) for r in rows] == [(b, V) for b in cfg.beta_grid for V in cfg.v_grid]
+    # each row is the row of a run of its beta alone, on the same seed
+    alone = [r for b in cfg.beta_grid for r in run_sir(replace(cfg, beta_grid=(b,)))[0].rows]
+    assert np.allclose(rows, alone, rtol=1e-12, atol=0, equal_nan=True)
 
 
 def test_run_sir_memory_does_not_grow_with_the_symbol_count():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import basis_signal, built, built_ops, dense_p_tilde, reference_smooth, shifted_filter
+from ncgfdm import smoothing
 from ncgfdm.filterbank import SingularMatrixError
 from ncgfdm.params import qam_constellation
 from ncgfdm.smoothing import (
@@ -238,8 +239,8 @@ def test_coefficient_stream_runs_parallel_streams():
 @pytest.mark.parametrize("K,M,n_cp,beta", [(8, 4, 8, 0.1), (16, 7, 16, 0.5)])
 def test_coefficient_stream_matches_reference_at_v6(K, M, n_cp, beta):
     # pf_cond is about 2.5e8 at V=6; the symbol-by-symbol loop reaches
-    # 5-7e-9 here and a blocked scan without its refinement round 4e-7
-    # to 1.9e-6, so the bound separates the two
+    # 5-7e-9 here, the doubling scan 7-9e-9 and the scan without its
+    # refinement round 4.6e-7 to 1.7e-6, so the bound separates the two
     _, _, _, ops = built_ops(K, M, n_cp, beta, 6)
     D = random_data(ops, 300, seed=11)
     want_x, _ = reference_smooth(ops, D)
@@ -252,7 +253,8 @@ def test_coefficient_stream_matches_reference_at_v6(K, M, n_cp, beta):
 
 
 def test_coefficient_stream_parallel_streams_over_several_blocks():
-    # 150 symbols span three scan blocks, the last one partial
+    # 150 symbols take eight doubling steps; the last, of shift 128,
+    # reaches only the last 22 symbols
     _, _, _, ops = built_ops(16, 7, 16, 0.5, 3)
     D = np.stack([random_data(ops, 150, seed=s) for s in range(3)], axis=2)
     B, carry = coefficient_stream(ops, D)
@@ -261,6 +263,53 @@ def test_coefficient_stream_parallel_streams_over_several_blocks():
         got_x = ops.tm.modulate(D[:, :, s]) + ops.basis.Q @ B[:, :, s]
         assert np.allclose(got_x, want_x, atol=1e-11)
         assert np.allclose(carry[:, s], ops.P_1 @ want_d[:, -1], atol=1e-11)
+
+
+#: symbol counts on both sides of a power of two
+SCAN_COUNTS = [1, 2, 3, 63, 64, 65, 129, 1000]
+
+
+@pytest.mark.parametrize("count", SCAN_COUNTS)
+def test_doubling_scan_needs_every_step(count):
+    # the smoothing operators' S decays so fast that a scan one step short
+    # still passes, through the refinement round, the tests against
+    # reference_smooth; an S of spectral radius 0.99 needs every step
+    gen = np.random.default_rng(count)
+    S = gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3))
+    S *= 0.99 / np.max(np.abs(np.linalg.eigvals(S)))
+    v = gen.standard_normal((3, count, 2)) + 1j * gen.standard_normal((3, count, 2))
+    want, b = np.empty_like(v), np.zeros((3, 2), dtype=complex)
+    for i in range(count):
+        b = want[:, i] = S @ b + v[:, i]
+    got = smoothing._scan(S, v.copy())
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("count", SCAN_COUNTS)
+@pytest.mark.parametrize("V,tol", [(2, 1e-12), (6, 5e-8)])
+def test_coefficient_stream_matches_reference_around_powers_of_two(count, V, tol):
+    # the doubling scan runs ceil(log2 count) steps, so counts on both sides
+    # of a power of two end on a step that reaches one symbol or all but
+    # one; three parallel streams, each stream alone, and each stream split
+    # with its carry at 3 count // 5 (600 of 1000, not a power of two)
+    _, _, _, ops = built_ops(16, 7, 16, 0.5, V)
+    D = np.stack([random_data(ops, count, seed=s) for s in range(3)], axis=2)
+    B, carry = coefficient_stream(ops, D)
+    cut = 3 * count // 5
+    for s in range(3):
+        want_x, want_d = reference_smooth(ops, D[:, :, s])
+        want_carry = ops.P_1 @ want_d[:, -1]
+        B1, carry1 = coefficient_stream(ops, D[:, :cut, s])
+        B2, carry2 = coefficient_stream(ops, D[:, cut:, s], carry1)
+        runs = [
+            (B[:, :, s], carry[:, s]),
+            coefficient_stream(ops, D[:, :, s]),
+            (np.concatenate([B1, B2], axis=1), carry2),
+        ]
+        for got_B, got_carry in runs:
+            got_x = ops.tm.modulate(D[:, :, s]) + ops.basis.Q @ got_B
+            assert np.max(np.abs(got_x - want_x)) <= tol
+            assert np.max(np.abs(got_carry - want_carry)) <= tol * np.max(np.abs(want_carry))
 
 
 def test_stream_state_carries_across_chunks():
