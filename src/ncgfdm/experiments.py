@@ -474,6 +474,27 @@ def _operators(g, tm, p: WaveformParams, check: bool = True) -> NcOperators:
     return build_nc_operators(tm, build_basis(g, p), p, is_unitary=g.is_dirichlet, check=check)
 
 
+def _variant_groups(cfg: ExperimentConfig) -> tuple[list, dict]:
+    """(builds, groups): (variant, transmit matrix, operator set or None) per
+    variant of ``cfg``, and the indices of the builds per (N, n_cp)."""
+    builds, groups = [], {}
+    for i, spec in enumerate(cfg.variants):
+        var = resolve_variant(cfg, spec)
+        g, tm = _transmit(var.params)
+        builds.append((var, tm, _operators(g, tm, var.params) if var.smoothed else None))
+        groups.setdefault((var.params.N, var.params.n_cp), []).append(i)
+    return builds, groups
+
+
+def _send(tm, ops: NcOperators | None, D: np.ndarray, carry):
+    """(cores, carry) of the symbols D: smoothed by ``ops`` from ``carry``, or
+    modulated by ``tm`` when ``ops`` is None, which passes ``carry`` on."""
+    if ops is None:
+        return tm.modulate(D), carry
+    X, _, carry = smooth_stream(ops, D, carry)
+    return X, carry
+
+
 def _draw_data(rng: np.random.Generator, c: Constellation, N: int, count: int):
     """(labels, D): (count, N) labels drawn by :func:`ncgfdm.params._draw_fields`,
     one symbol after another, and their points with one symbol per column."""
@@ -500,46 +521,38 @@ def _check_kind(cfg: ExperimentConfig, kind: str) -> None:
         raise ValueError(f"config kind must be {kind!r}")
 
 
-#: oversampled core samples per PSD chunk; a chunk holds
-#: max(1, _PSD_CHUNK // (N * oversample)) symbols, drawn and smoothed at once
-_PSD_CHUNK = 2_000_000
-#: oversampled stream samples per PSD sub-block; each chunk is oversampled and
-#: fed to Welch max(1, _PSD_BLOCK // ((N + n_cp) * oversample)) symbols at a time
-_PSD_BLOCK = 2**20
+#: oversampled stream samples per PSD chunk; a chunk holds
+#: max(1, _PSD_CHUNK // ((N + n_cp) * oversample)) symbols, drawn, smoothed,
+#: oversampled and fed to Welch in one pass
+_PSD_CHUNK = 2**20
 
 
 def run_psd(cfg: ExperimentConfig) -> list:
     """Welch PSD per waveform variant, normalized to 0 dB in-band mean.
 
-    The data are drawn and smoothed a chunk at a time; only a sub-block of
-    each chunk is held oversampled at once.
+    Each group of variants with equal (N, n_cp) draws every chunk of the
+    data once, on ``SeededRng(seed).child(0)``, and each variant of the
+    group transmits it with its own smoothing carry, so a variant's table
+    equals that of a run with it alone.  Only one chunk is held oversampled.
     """
     _check_kind(cfg, "psd")
     c = qam_constellation(cfg.qam_order)
     table, bits = _label_table(c.points)  # points per packed unit, so no labels are formed
-    master = SeededRng(cfg.seed)
-    tables = []
-    for vi, spec in enumerate(cfg.variants):
-        var = resolve_variant(cfg, spec)
-        p = var.params
-        g, tm = _transmit(p)
-        ops = _operators(g, tm, p) if var.smoothed else None
-        rng = master.child(vi)
-        acc = WelchAccumulator(cfg.window_len, cfg.overlap, cfg.oversample)
-        carry = None
-        chunk = max(1, _PSD_CHUNK // (p.N * cfg.oversample))
-        block = max(1, _PSD_BLOCK // ((p.N + p.n_cp) * cfg.oversample))
-        done = 0
-        while done < cfg.n_symbols:
+    builds, groups = _variant_groups(cfg)
+    accs = [WelchAccumulator(cfg.window_len, cfg.overlap, cfg.oversample) for _ in builds]
+    for (N, n_cp), members in groups.items():
+        rng = SeededRng(cfg.seed).child(0)
+        carries = dict.fromkeys(members)
+        chunk = max(1, _PSD_CHUNK // ((N + n_cp) * cfg.oversample))
+        for done in range(0, cfg.n_symbols, chunk):
             nb = min(chunk, cfg.n_symbols - done)
-            D = _draw_fields(rng, table, bits, p.N * nb)[: p.N * nb].reshape(nb, p.N).T
-            if var.smoothed:
-                X, _, carry = smooth_stream(ops, D, carry)
-            else:
-                X = tm.modulate(D)
-            for start in range(0, nb, block):
-                acc.process(psd_sample_stream(X[:, start : start + block], p.n_cp, cfg.oversample))
-            done += nb
+            D = _draw_fields(rng, table, bits, N * nb)[: N * nb].reshape(nb, N).T
+            for i in members:
+                _, tm, ops = builds[i]
+                X, carries[i] = _send(tm, ops, D, carries[i])
+                accs[i].process(psd_sample_stream(X, n_cp, cfg.oversample))
+    tables = []
+    for (var, _, _), acc in zip(builds, accs):
         est = normalize_inband(acc.result(), 1.0 / cfg.oversample)
         rows = tuple(zip(est.freqs.tolist(), est.db().tolist()))
         prov = _provenance(
@@ -548,14 +561,7 @@ def run_psd(cfg: ExperimentConfig) -> list:
             segments=est.segments,
             normalization="in-band mean = 0 dB over |f| <= 1/(2*oversample)",
         )
-        tables.append(
-            ResultTable(
-                name=f"psd_{var.label}",
-                columns=("frequency", "psd_db"),
-                rows=rows,
-                provenance=prov,
-            )
-        )
+        tables.append(ResultTable(f"psd_{var.label}", ("frequency", "psd_db"), rows, prov))
     return tables
 
 
@@ -588,13 +594,7 @@ def run_ber(cfg: ExperimentConfig) -> list:
     _check_kind(cfg, "ber")
     c = qam_constellation(cfg.qam_order)
     master = SeededRng(cfg.seed)
-    builds = []
-    groups = {}
-    for i, spec in enumerate(cfg.variants):
-        var = resolve_variant(cfg, spec)
-        g, tm = _transmit(var.params)
-        builds.append((var, tm, _operators(g, tm, var.params) if var.smoothed else None))
-        groups.setdefault((var.params.N, var.params.n_cp), []).append(i)
+    builds, groups = _variant_groups(cfg)
     rows = []
     for si, snr in enumerate(cfg.snr_db):
         counts = [None] * len(builds)
@@ -654,10 +654,7 @@ def _ber_group(cfg, c, master, si: int, builds: list) -> list:
             shape = (nb, p.N) if eva else (p.N, nb)
             noise = awgn(np.broadcast_to(0j, shape), sigma2, noise_rng, per_row=eva)
         for j, (var, tm, ops) in enumerate(builds):
-            if var.smoothed:
-                X, _, carries[j] = smooth_stream(ops, D, carries[j])
-            else:
-                X = tm.modulate(D)
+            X, carries[j] = _send(tm, ops, D, carries[j])
             if eva:
                 # one block per row: X.T is contiguous (TransmitMatrix.modulate)
                 R = apply_channel(h, X.T, p.n_cp, tails[j])

@@ -271,13 +271,14 @@ def _scan(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Recursive doubling: after the step of shift h, b_i holds
     sum_{m < 2h, m <= i} S^m v_{i-m}, so ceil(log2 count) steps, each one
-    product of S^h with the whole stream, solve every symbol at once.  A
+    product of S^h with the whole stream, solve every symbol at once; once
+    S^h is exactly zero no later step adds anything, so the scan stops.  A
     C-contiguous rhs is overwritten with the solution.
     """
     V1, count, cols = rhs.shape
     flat = rhs.reshape(V1, count * cols)  # symbol i is columns i*cols..(i+1)*cols-1
     power, shift = S, cols
-    while shift < count * cols:
+    while shift < count * cols and power.any():
         flat[:, shift:] += power @ flat[:, :-shift]
         power, shift = power @ power, 2 * shift
     return flat.reshape(V1, count, cols)

@@ -747,9 +747,8 @@ def test_run_psd_output(tmp_path):
 
 
 def test_run_psd_chunks_match_one_stream(monkeypatch):
-    # N + n_cp odd, three chunks of 279 symbols, each oversampled in
-    # sub-blocks of 126, 126 and 27: the recentring must not flip sign at the
-    # chunk or sub-block boundaries
+    # N + n_cp odd, 837 symbols in chunks of 126 and a last chunk of 81: the
+    # recentring must not flip sign at the chunk boundaries
     cores = []
     original = experiments.psd_sample_stream
 
@@ -763,11 +762,7 @@ def test_run_psd_chunks_match_one_stream(monkeypatch):
         window_len=1792, overlap=448, variants=("nc-gfdm:2",), n_symbols=837, seed=5,
     )
     (table,) = run_psd(cfg)
-    sizes = [X.shape[1] for X in cores]
-    assert sizes == [126, 126, 27] * 3
-    # no sub-block crosses a join between two chunks of the draw
-    starts = np.cumsum([0] + sizes[:-1])
-    assert all(s // 279 == (s + n - 1) // 279 for s, n in zip(starts, sizes))
+    assert [X.shape[1] for X in cores] == [126] * 6 + [81]
     stream = reference_psd_sample_stream(np.hstack(cores), cfg.n_cp, cfg.oversample)
     acc = WelchAccumulator(cfg.window_len, cfg.overlap)
     acc.process(stream)
@@ -781,9 +776,9 @@ def test_run_psd_chunks_match_one_stream(monkeypatch):
 
 
 def test_run_psd_holds_a_bounded_piece_of_the_oversampled_stream():
-    # a 279-symbol chunk oversampled whole is 35 MiB per array, and a run
-    # that oversamples whole chunks peaks near 89 MiB; in sub-blocks of 126
-    # symbols it peaks near 39 MiB
+    # a 126-symbol chunk oversampled is 16 MiB per array, and the run peaks
+    # near 31 MiB; a run that oversamples 279 symbols at once (2e6 samples)
+    # peaks near 89 MiB
     import tracemalloc
 
     cfg = ExperimentConfig(
@@ -798,6 +793,30 @@ def test_run_psd_holds_a_bounded_piece_of_the_oversampled_stream():
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2**20
+
+
+def test_run_psd_shares_each_draw_across_variants(monkeypatch):
+    # two (N, n_cp) groups, 112 + 16 and 16 + 2; 50 symbols in chunks of 3
+    # (GFDM) and of 21 (OFDM): every chunk is drawn once for its group
+    variants = ("ofdm", "gfdm", "td-nc-ofdm:2", "nc-gfdm:2")
+    cfg = small_cfg(
+        "psd", n_symbols=50, window_len=64, overlap=16, variants=variants, seed=4
+    )
+    monkeypatch.setattr(experiments, "_PSD_CHUNK", 3 * 128 * cfg.oversample)
+    draws = []
+    original = experiments._draw_fields
+
+    def record(rng, table, bits, n):
+        draws.append(n)
+        return original(rng, table, bits, n)
+
+    monkeypatch.setattr(experiments, "_draw_fields", record)
+    tables = run_psd(cfg)
+    assert draws == [16 * n for n in (21, 21, 8)] + [112 * 3] * 16 + [112 * 2]
+    for spec, t in zip(variants, tables):
+        (alone,) = run_psd(replace(cfg, variants=(spec,)))
+        assert (t.name, t.rows) == (alone.name, alone.rows)
+        assert t.provenance["segments"] == alone.provenance["segments"]
 
 
 def test_run_ber_noiseless_channel_none():

@@ -273,16 +273,17 @@ SCAN_COUNTS = [1, 2, 3, 63, 64, 65, 129, 1000]
 def test_doubling_scan_needs_every_step(count):
     # the smoothing operators' S decays so fast that a scan one step short
     # still passes, through the refinement round, the tests against
-    # reference_smooth; an S of spectral radius 0.99 needs every step
+    # reference_smooth; an S of spectral radius 0.99 needs every step, and a
+    # strictly upper-triangular S, whose S^4 is exactly zero, ends the scan early
     gen = np.random.default_rng(count)
     S = gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3))
-    S *= 0.99 / np.max(np.abs(np.linalg.eigvals(S)))
     v = gen.standard_normal((3, count, 2)) + 1j * gen.standard_normal((3, count, 2))
-    want, b = np.empty_like(v), np.zeros((3, 2), dtype=complex)
-    for i in range(count):
-        b = want[:, i] = S @ b + v[:, i]
-    got = smoothing._scan(S, v.copy())
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for S in (S * 0.99 / np.max(np.abs(np.linalg.eigvals(S))), np.triu(S, 1)):
+        want, b = np.empty_like(v), np.zeros((3, 2), dtype=complex)
+        for i in range(count):
+            b = want[:, i] = S @ b + v[:, i]
+        got = smoothing._scan(S, v.copy())
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("count", SCAN_COUNTS)
