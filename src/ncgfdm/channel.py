@@ -172,25 +172,19 @@ class JakesFadingProcess:
         )
 
 
-def awgn(
-    x: np.ndarray, sigma2: float, rng: np.random.Generator, per_row: bool = False
-) -> np.ndarray:
+def awgn(x: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     """Add circular complex Gaussian noise of total variance sigma2.
 
-    The draw is all real parts, then all imaginary parts, in the C order of
-    x; with ``per_row`` it is real then imaginary parts row by row, the
-    order of one call per row.
+    The draw is real then imaginary parts, row by row along the last axis,
+    so a draw for one block per row equals one call per row.
     """
     if sigma2 < 0:
         raise ValueError("noise variance must be non-negative")
     x = np.asarray(x, dtype=np.complex128)
     if sigma2 == 0:
         return x
-    if per_row:
-        z = rng.standard_normal(x.shape[:-1] + (2, x.shape[-1]))
-        noise = z[..., 0, :] + 1j * z[..., 1, :]
-    else:
-        noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+    z = rng.standard_normal(x.shape[:-1] + (2,) + x.shape[-1:])
+    noise = z[..., 0, :] + 1j * z[..., 1, :]
     # in place, and bitwise equal to x + sqrt(sigma2 / 2) * noise
     noise *= np.sqrt(sigma2 / 2)
     noise += x

@@ -583,29 +583,64 @@ _BER_CHUNK = 4_000_000
 def run_ber(cfg: ExperimentConfig) -> list:
     """Monte-Carlo BER per SNR point and variant.
 
-    Channel, noise, and data draws are seeded per SNR point, not per
-    variant, so all variants face identical realizations.  They depend on
-    the variant only through its block length N and CP length, so each SNR
-    point draws every chunk once per (N, n_cp) group: the data labels,
-    the fading and the noise.  Each variant of the group then transmits,
-    receives and counts errors on that chunk, with its own smoothing carry
-    and channel tail.  The rows keep the order (SNR point, variant).
+    Each group of variants with equal (N, n_cp) draws every chunk once: the
+    data labels on ``SeededRng(seed).child(0)``, the fading on ``child(1)``
+    and unit-variance noise, one block per row, on ``child(2)``.  Each
+    variant of the group transmits the chunk and passes the channel once,
+    with its own smoothing carry and channel tail, and each SNR point adds
+    that noise scaled to its variance.  So a row equals that of a run with
+    its variant and its SNR point alone, and no row depends on the chunk
+    size.  The rows keep the order (SNR point, variant).
     """
     _check_kind(cfg, "ber")
     c = qam_constellation(cfg.qam_order)
-    master = SeededRng(cfg.seed)
     builds, groups = _variant_groups(cfg)
-    rows = []
-    for si, snr in enumerate(cfg.snr_db):
-        counts = [None] * len(builds)
-        for members in groups.values():
-            group = _ber_group(cfg, c, master, si, [builds[i] for i in members])
-            for i, count in zip(members, group):
-                counts[i] = count
-        rows.extend(
-            (float(snr), var.name, errors / total, total)
-            for (var, _, _), (errors, total) in zip(builds, counts)
-        )
+    errors = np.zeros((len(cfg.snr_db), len(builds)), dtype=np.int64)
+    totals = [0] * len(builds)
+    eva = cfg.channel == "eva"
+    for (N, n_cp), members in groups.items():
+        data_rng, chan_rng, noise_rng = (SeededRng(cfg.seed).child(k) for k in range(3))
+        if eva:
+            profile = cfg.channel_profile()
+            duration = (N + n_cp) * profile.sample_interval_ns * 1e-9
+            fading = JakesFadingProcess(profile, N, duration, chan_rng)
+        p = builds[members[0]][0].params
+        sigmas = [math.sqrt(noise_variance(snr, p, c.bits_per_symbol)) for snr in cfg.snr_db]
+        n_blocks = max(1, math.ceil(cfg.n_bits / (N * c.bits_per_symbol)))
+        chunk = max(1, _BER_CHUNK // N)
+        carries, tails = dict.fromkeys(members), dict.fromkeys(members)
+        for i in members:
+            totals[i] = n_blocks * N * c.bits_per_symbol
+        for done in range(0, n_blocks, chunk):
+            nb = min(chunk, n_blocks - done)
+            labels, D = _draw_data(data_rng, c, N, nb)
+            if eva:
+                h = fading.realization(np.arange(done, done + nb))
+            noise = None
+            if cfg.channel != "none":
+                noise = awgn(np.broadcast_to(0j, (nb, N)), 1.0, noise_rng)  # one block per row
+            for i in members:
+                var, tm, ops = builds[i]
+                X, carries[i] = _send(tm, ops, D, carries[i])
+                # one block per row: X.T is contiguous (TransmitMatrix.modulate)
+                R = apply_channel(h, X.T, n_cp, tails[i]) if eva else X.T
+                tails[i] = X[:, -1].copy()
+                del X  # over EVA the recovery, which sets the peak memory, needs R alone
+                for si, sigma in enumerate(sigmas):
+                    Y = R if noise is None else sigma * noise + R
+                    if eva:
+                        Y = zf_equalize(h, Y)
+                    if var.smoothed:
+                        soft = recover_iterative(ops, Y.T, c, cfg.recovery_iterations)
+                    else:
+                        soft = tm.demodulate(Y.T)
+                    errors[si, i] += _bit_errors(soft, labels, c)
+                    del Y, soft  # nor the arrays of the point before
+    rows = [
+        (float(snr), var.name, e / total, total)
+        for snr, errs in zip(cfg.snr_db, errors.tolist())
+        for (var, _, _), e, total in zip(builds, errs, totals)
+    ]
     prov = _provenance(
         cfg,
         channel=cfg.channel,
@@ -621,58 +656,6 @@ def run_ber(cfg: ExperimentConfig) -> list:
             provenance=prov,
         )
     ]
-
-
-def _ber_group(cfg, c, master, si: int, builds: list) -> list:
-    """(errors, bits) per build, at SNR point ``si``, of variants sharing N and n_cp."""
-    p = builds[0][0].params
-    snr = cfg.snr_db[si]
-    sigma2 = 0.0 if cfg.channel == "none" else noise_variance(snr, p, c.bits_per_symbol)
-    data_rng = master.child(3 * si + 0)
-    chan_rng = master.child(3 * si + 1)
-    noise_rng = master.child(3 * si + 2)
-    eva = cfg.channel == "eva"
-    if eva:
-        profile = cfg.channel_profile()
-        duration = (p.N + p.n_cp) * profile.sample_interval_ns * 1e-9
-        fading = JakesFadingProcess(profile, p.N, duration, chan_rng)
-    n_blocks = max(1, math.ceil(cfg.n_bits / (p.N * c.bits_per_symbol)))
-    chunk = max(1, _BER_CHUNK // p.N)
-    errors = [0] * len(builds)
-    carries = [None] * len(builds)
-    tails = [None] * len(builds)
-    done = 0
-    while done < n_blocks:
-        nb = min(chunk, n_blocks - done)
-        labels, D = _draw_data(data_rng, c, p.N, nb)
-        if eva:
-            h = fading.realization(np.arange(done, done + nb))
-        if cfg.channel != "none":
-            # the noise alone, drawn as awgn draws it for one block per row
-            # (EVA) or for the (N, count) cores; adding it to a variant's
-            # signal gives that variant's awgn output bitwise
-            shape = (nb, p.N) if eva else (p.N, nb)
-            noise = awgn(np.broadcast_to(0j, shape), sigma2, noise_rng, per_row=eva)
-        for j, (var, tm, ops) in enumerate(builds):
-            X, carries[j] = _send(tm, ops, D, carries[j])
-            if eva:
-                # one block per row: X.T is contiguous (TransmitMatrix.modulate)
-                R = apply_channel(h, X.T, p.n_cp, tails[j])
-                tails[j] = X[:, -1].copy()
-                R += noise
-                Y = zf_equalize(h, R).T
-                del R  # not held through the recovery, which sets peak memory
-            elif cfg.channel == "awgn":
-                Y = X + noise
-            else:
-                Y = X
-            if var.smoothed:
-                soft = recover_iterative(ops, Y, c, cfg.recovery_iterations)
-            else:
-                soft = tm.demodulate(Y)
-            errors[j] += _bit_errors(soft, labels, c)
-        done += nb
-    return [(e, n_blocks * p.N * c.bits_per_symbol) for e in errors]
 
 
 #: symbol counts after which :func:`_steady_sir_db` reads the SIR plateau

@@ -133,14 +133,12 @@ def _rc_frequency_response(N: int, M: int, beta: float) -> np.ndarray:
     residue acquires a zero eigenvalue when the decimated response repeats).
     """
     f = np.fft.fftfreq(N) * N + (0.5 if M % 2 == 0 else 0.0)
-    if beta == 0.0:
-        return (np.abs(f) < M / 2).astype(float)
     a = np.abs(f)
     flat = (1 - beta) * M / 2
     stop = (1 + beta) * M / 2
     resp = np.zeros(N)
     resp[a <= flat] = 1.0
-    roll = (a > flat) & (a < stop)
+    roll = (a > flat) & (a < stop)  # empty at beta = 0, so nothing is divided by 0
     resp[roll] = 0.5 * (1 + np.cos(np.pi * (a[roll] - flat) / (beta * M)))
     return resp
 

@@ -178,7 +178,7 @@ def test_zf_deep_fade_detection():
 
 def test_awgn_per_row_draws_match_per_row_calls():
     x = np.arange(12.0).reshape(3, 4) * (1 + 1j)
-    got = awgn(x, 0.5, np.random.default_rng(4), per_row=True)
+    got = awgn(x, 0.5, np.random.default_rng(4))
     gen = np.random.default_rng(4)
     want = np.array([awgn(row, 0.5, gen) for row in x])
     assert np.array_equal(got, want)

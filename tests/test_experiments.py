@@ -11,7 +11,7 @@ import pytest
 
 from conftest import reference_psd_sample_stream
 from ncgfdm import experiments
-from ncgfdm.channel import eva_profile
+from ncgfdm.channel import JakesFadingProcess, eva_profile
 from ncgfdm.cli import build_parser, load_config, main
 from ncgfdm.experiments import (
     PRESETS,
@@ -839,7 +839,7 @@ def test_run_ber_awgn_sanity():
     cfg = small_cfg(
         "ber",
         channel="awgn",
-        snr_db=(6.0, 14.0),
+        snr_db=(6.0, 10.0),
         n_bits=40_000,
         variants=("gfdm",),
         beta=0.0,
@@ -847,7 +847,7 @@ def test_run_ber_awgn_sanity():
     )
     rows = run_ber(cfg)[0].rows
     by_snr = {r[0]: r[2] for r in rows}
-    assert 0.0 < by_snr[14.0] < by_snr[6.0] < 0.2
+    assert 0.0 < by_snr[10.0] < by_snr[6.0] < 0.2
 
 
 @pytest.mark.parametrize("channel", ["awgn", "eva"])
@@ -862,27 +862,43 @@ def test_run_ber_shares_each_draw_across_variants(monkeypatch, channel):
         "ber", K=64, n_cp=64, beta=0.5, channel=channel, snr_db=(4.0, 10.0),
         n_bits=448 * 4 * 7, variants=variants, seed=3,
     )
+    whole = run_ber(cfg)[0].rows  # one chunk per group
     monkeypatch.setattr(experiments, "_BER_CHUNK", 3 * 448)
     draws = []
-    original = experiments._draw_data
+    original = (experiments._draw_data, experiments.awgn, JakesFadingProcess.realization)
 
-    def record(rng, c, N, count):
-        draws.append((N, count))
-        return original(rng, c, N, count)
+    def data(rng, c, N, count):
+        draws.append(("data", N, count))
+        return original[0](rng, c, N, count)
 
-    monkeypatch.setattr(experiments, "_draw_data", record)
+    def noise(x, sigma2, rng):
+        draws.append(("noise", *x.shape[::-1]))
+        return original[1](x, sigma2, rng)
+
+    def fading(self, symbol_index):
+        draws.append(("fading", self.block_len, len(symbol_index)))
+        return original[2](self, symbol_index)
+
+    monkeypatch.setattr(experiments, "_draw_data", data)
+    monkeypatch.setattr(experiments, "awgn", noise)
+    monkeypatch.setattr(JakesFadingProcess, "realization", fading)
     rows = run_ber(cfg)[0].rows
     chunks = {448: [3, 3, 1], 64: [21, 21, 7]}
+    kinds = ("data", "fading", "noise") if channel == "eva" else ("data", "noise")
+    # once per group and chunk, whatever the number of SNR points
     assert draws == [
-        (N, count)
-        for _ in cfg.snr_db
+        (kind, N, count)
         for N in dict.fromkeys(resolve_variant(cfg, v).params.N for v in variants)
         for count in chunks[N]
+        for kind in kinds
     ]
-    single = {
-        spec: iter(run_ber(replace(cfg, variants=(spec,)))[0].rows) for spec in variants
-    }
-    assert rows == tuple(next(single[spec]) for _ in cfg.snr_db for spec in variants)
+    assert rows == whole
+    alone = tuple(
+        run_ber(replace(cfg, variants=(spec,), snr_db=(snr,)))[0].rows[0]
+        for snr in cfg.snr_db
+        for spec in variants
+    )
+    assert rows == alone
     assert all(0.0 < row[2] < 0.5 for row in rows)
 
 
