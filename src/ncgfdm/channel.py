@@ -78,6 +78,12 @@ class ChannelProfile:
             raise ValueError(f"sample_interval_ns must be a finite number > 0, got {dt!r}")
         if isinstance(fd, bool) or not (isinstance(fd, Real) and np.isfinite(fd) and fd >= 0):
             raise ValueError(f"doppler_hz must be a finite number >= 0, got {fd!r}")
+        # float(max int) rounds up to 2^63, the first position that does not fit
+        if not np.rint(d[-1] / dt) < float(np.iinfo(int).max):
+            raise ValueError(
+                f"sample_interval_ns = {dt!r} puts the {d[-1]:g} ns delay at "
+                f"{d[-1] / dt:g} samples, past the integer range of tap positions"
+            )
 
     def tap_positions(self) -> np.ndarray:
         """Path delays rounded to the nearest sample."""
@@ -245,11 +251,12 @@ def zf_equalize(h: ChannelRealization, y: np.ndarray) -> np.ndarray:
     """DFT-domain division by the channel response (zero forcing), per block.
 
     Raises :class:`DeepFadeError` naming the first block, in row order,
-    whose response has a bin at or below ``ZF_MIN_GAIN``.
+    whose response has a bin that is not above ``ZF_MIN_GAIN``: at or
+    below it, or NaN.
     """
     y = np.asarray(y, dtype=np.complex128)
     _check_length(h, y)
-    faded = np.flatnonzero(np.atleast_1d(np.abs(h.H_diag).min(axis=-1)) <= ZF_MIN_GAIN)
+    faded = np.flatnonzero(~np.atleast_1d((np.abs(h.H_diag) > ZF_MIN_GAIN).all(axis=-1)))
     if faded.size:
         row = faded[0]
         mags = np.abs(np.atleast_2d(h.H_diag)[row])

@@ -241,6 +241,7 @@ class ExperimentConfig:
             profile = self.channel_profile()
             tap = int(profile.tap_positions().max())
         labels, waveforms = {}, {}
+        bits = qam_constellation(self.qam_order).bits_per_symbol if self.kind == "ber" else 0
         for spec in self.variants if self.kind in ("ber", "psd") else ():
             var = resolve_variant(self, spec)
             p = var.params
@@ -270,6 +271,16 @@ class ExperimentConfig:
                     f"tap delay of {tap} samples ({max(profile.delays_ns):g} ns at "
                     f"{profile.sample_interval_ns:g} ns per sample)"
                 )
+            for snr in self.snr_db if self.kind == "ber" else ():
+                try:
+                    n0 = noise_variance(snr, p, bits)
+                except ArithmeticError:  # 10^(snr/10) overflows, or underflows to 0
+                    n0 = math.nan
+                if not 0 < n0 < math.inf:
+                    raise ValueError(
+                        f"snr_db entry {snr!r} gives variant {spec!r} a noise variance "
+                        "that is not a finite number > 0"
+                    )
         if self.kind == "power":
             _check_order("power experiments", self.V)
         if self.kind == "sir":
@@ -585,12 +596,15 @@ def run_ber(cfg: ExperimentConfig) -> list:
 
     Each group of variants with equal (N, n_cp) draws every chunk once: the
     data labels on ``SeededRng(seed).child(0)``, the fading on ``child(1)``
-    and unit-variance noise, one block per row, on ``child(2)``.  Each
-    variant of the group transmits the chunk and passes the channel once,
-    with its own smoothing carry and channel tail, and each SNR point adds
-    that noise scaled to its variance.  So a row equals that of a run with
-    its variant and its SNR point alone, and no row depends on the chunk
-    size.  The rows keep the order (SNR point, variant).
+    and unit-variance noise n, one block per row, on ``child(2)``, which
+    over EVA is zero-forced once.  Each variant of the group transmits the
+    chunk and passes the channel once, with its own smoothing carry and
+    channel tail; its cores R are zero-forced and demodulated once, and so
+    is n.  Both maps are linear, so each distinct noise scale sigma costs one
+    axpy, z = sigma A^{-1} n + A^{-1} R, and one recovery of z if smoothed.
+    So a row equals that of a run with its variant and its SNR point alone,
+    and no row depends on the chunk size.  The rows keep the order (SNR
+    point, variant).
     """
     _check_kind(cfg, "ber")
     c = qam_constellation(cfg.qam_order)
@@ -598,6 +612,7 @@ def run_ber(cfg: ExperimentConfig) -> list:
     errors = np.zeros((len(cfg.snr_db), len(builds)), dtype=np.int64)
     totals = [0] * len(builds)
     eva = cfg.channel == "eva"
+    unit = float(cfg.channel != "none")  # the noiseless channel is noise scale 0
     for (N, n_cp), members in groups.items():
         data_rng, chan_rng, noise_rng = (SeededRng(cfg.seed).child(k) for k in range(3))
         if eva:
@@ -605,7 +620,7 @@ def run_ber(cfg: ExperimentConfig) -> list:
             duration = (N + n_cp) * profile.sample_interval_ns * 1e-9
             fading = JakesFadingProcess(profile, N, duration, chan_rng)
         p = builds[members[0]][0].params
-        sigmas = [math.sqrt(noise_variance(snr, p, c.bits_per_symbol)) for snr in cfg.snr_db]
+        sigmas = unit * np.sqrt([noise_variance(snr, p, c.bits_per_symbol) for snr in cfg.snr_db])
         n_blocks = max(1, math.ceil(cfg.n_bits / (N * c.bits_per_symbol)))
         chunk = max(1, _BER_CHUNK // N)
         carries, tails = dict.fromkeys(members), dict.fromkeys(members)
@@ -614,28 +629,27 @@ def run_ber(cfg: ExperimentConfig) -> list:
         for done in range(0, n_blocks, chunk):
             nb = min(chunk, n_blocks - done)
             labels, D = _draw_data(data_rng, c, N, nb)
-            if eva:
-                h = fading.realization(np.arange(done, done + nb))
-            noise = None
-            if cfg.channel != "none":
-                noise = awgn(np.broadcast_to(0j, (nb, N)), 1.0, noise_rng)  # one block per row
+            h = fading.realization(np.arange(done, done + nb)) if eva else None
+            noise = awgn(np.broadcast_to(0j, (nb, N)), 1.0, noise_rng)  # one block per row
+            if eva:  # once, for every variant and point
+                noise = zf_equalize(h, noise)
             for i in members:
-                var, tm, ops = builds[i]
+                _, tm, ops = builds[i]
                 X, carries[i] = _send(tm, ops, D, carries[i])
                 # one block per row: X.T is contiguous (TransmitMatrix.modulate)
-                R = apply_channel(h, X.T, n_cp, tails[i]) if eva else X.T
+                R = zf_equalize(h, apply_channel(h, X.T, n_cp, tails[i])) if eva else X.T
                 tails[i] = X[:, -1].copy()
-                del X  # over EVA the recovery, which sets the peak memory, needs R alone
-                for si, sigma in enumerate(sigmas):
-                    Y = R if noise is None else sigma * noise + R
-                    if eva:
-                        Y = zf_equalize(h, Y)
-                    if var.smoothed:
-                        soft = recover_iterative(ops, Y.T, c, cfg.recovery_iterations)
-                    else:
-                        soft = tm.demodulate(Y.T)
-                    errors[si, i] += _bit_errors(soft, labels, c)
-                    del Y, soft  # nor the arrays of the point before
+                del X
+                z = tm.demodulate(R.T)
+                del R  # the recovery, which sets the peak memory, needs z and zn alone
+                zn = tm.demodulate(noise.T)
+                for sigma in dict.fromkeys(sigmas.tolist()):  # each distinct scale once
+                    soft = sigma * zn + z
+                    if ops is not None:
+                        soft = recover_iterative(ops, soft, c, cfg.recovery_iterations)
+                    errors[sigmas == sigma, i] += _bit_errors(soft, labels, c)
+                    del soft  # nor the estimates of the scale before
+                del z, zn  # nor the arrays of the variant before
     rows = [
         (float(snr), var.name, e / total, total)
         for snr, errs in zip(cfg.snr_db, errors.tolist())

@@ -1,9 +1,10 @@
-"""Receiver: iterative recovery of the data from smoothed symbol cores.
+"""Receiver: iterative recovery of the data from demodulated smoothed cores.
 
 Modulation and zero-forcing demodulation are :meth:`TransmitMatrix.modulate`
-and :meth:`TransmitMatrix.demodulate`, smoothing is
-:func:`ncgfdm.smoothing.smooth_stream`, and CP framing is
-:func:`ncgfdm.spectrum.psd_sample_stream` at oversample 1.
+and :meth:`TransmitMatrix.demodulate`, the one way into each; recovery takes
+the demodulated cores z = A^{-1} y and only strips the smooth signal from
+them.  Smoothing is :func:`ncgfdm.smoothing.smooth_stream`, and CP framing
+is :func:`ncgfdm.spectrum.psd_sample_stream` at oversample 1.
 """
 
 from __future__ import annotations
@@ -21,18 +22,20 @@ __all__ = ["recover_iterative"]
 _RECOVER_BLOCK = 1 << 15
 
 
-def recover_iterative(ops: NcOperators, y: np.ndarray, c: Constellation, n_iter: int = 4):
-    """Strip the unknown smooth signal from equalized cores by iteration.
+def recover_iterative(ops: NcOperators, z: np.ndarray, c: Constellation, n_iter: int = 4):
+    """Strip the unknown smooth signal from demodulated cores by iteration.
 
-    Each round estimates the smooth contribution from the current hard data
-    estimate, removes it, and re-demodulates:
+    ``z = A^{-1} y`` holds the zero-forcing demodulation of the equalized
+    cores y (:meth:`TransmitMatrix.demodulate`).  Each round estimates the
+    smooth contribution from the current hard data estimate and removes its
+    image under A^{-1}:
 
-        w(r)  = Q P_f^{-1} P_2 (A^{-1} y - d_hat(r-1))
-        y(r)  = A^{-1} y - A^{-1} w(r)
+        w(r)  = Q P_f^{-1} P_2 (z - d_hat(r-1))
+        y(r)  = z - A^{-1} w(r)
         d_hat(r) = hard_decision(y(r))
 
     starting from d_hat(0) = 0.  Noiseless streams converge exactly once the
-    hard decisions are correct.  ``y`` is one core (N,) or one core per
+    hard decisions are correct.  ``z`` is one core (N,) or one core per
     column (N, count); returns the last soft estimates y(n_iter), undecided,
     in the same shape.
 
@@ -44,7 +47,6 @@ def recover_iterative(ops: NcOperators, y: np.ndarray, c: Constellation, n_iter:
     block's estimate is still round ``n_iter``'s.
     """
     _check_count("n_iter", n_iter, 1)  # at least one recovery iteration
-    z = ops.tm.demodulate(y)  # A^{-1} y, reused every round
     rows = np.ascontiguousarray(np.atleast_2d(z.T))  # one symbol per row
     pf_p2 = (ops.P_f_inv @ ops.P_2).T
     a_inv_q = ops.A_inv_Q.T

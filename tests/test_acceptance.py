@@ -148,7 +148,7 @@ def test_criterion_5_noiseless_recovery():
         _, _, _, ops = built_ops(256, 7, 280, beta, V)
         D = c.points[np.random.default_rng(1005 + V).integers(0, 16, size=(ops.params.N, 1000))]
         X, _, _ = smooth_stream(ops, D)
-        soft = recover_iterative(ops, X, c, n_iter=8)
+        soft = recover_iterative(ops, ops.tm.demodulate(X), c, n_iter=8)
         tx = demap_symbols(D.reshape(-1, order="F"), c)
         rx = demap_symbols(soft.reshape(-1, order="F"), c)
         total_errors += int(np.count_nonzero(tx != rx))

@@ -40,6 +40,15 @@ def test_profile_validation():
         ChannelProfile((), ())
 
 
+def test_profile_rejects_a_sample_interval_whose_delays_overflow_the_tap_positions():
+    # at 1e-300 ns every tap position once read -2^63, below any block length
+    for dt in (1e-300, 2.72e-16):
+        with pytest.raises(ValueError, match=rf"^sample_interval_ns = {dt!r} puts the 2510 ns"):
+            eva_profile(sample_interval_ns=dt)
+    # the smallest delays in range still give exact positions
+    assert eva_profile(sample_interval_ns=2.8e-16).tap_positions()[-1] == 8964285714285713408
+
+
 @pytest.mark.parametrize("name", ["sample_interval_ns", "doppler_hz"])
 def test_profile_rejects_a_boolean_setting_by_name(name):
     # bool is a Real, but True is neither a sample interval nor a Doppler shift
@@ -174,6 +183,12 @@ def test_zf_deep_fade_detection():
     with pytest.raises(DeepFadeError, match="bin 0 of symbol 41") as info:
         zf_equalize(h, np.ones((3, 16), dtype=complex))
     assert (info.value.bin_index, info.value.symbol_index) == (0, 41)
+    # a NaN bin compares False with ZF_MIN_GAIN either way, so it once passed
+    gains[1, 1], gains[2, 2] = 0.5, np.nan
+    h = ChannelRealization.from_paths([0, 1, 2], gains, 16, symbols=np.array([40, 41, 42]))
+    with pytest.raises(DeepFadeError, match="bin 0 of symbol 42 magnitude nan") as info:
+        zf_equalize(h, np.ones((3, 16), dtype=complex))
+    assert (info.value.bin_index, info.value.symbol_index) == (0, 42)
 
 
 def test_awgn_per_row_draws_match_per_row_calls():

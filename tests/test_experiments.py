@@ -3,15 +3,16 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import reference_psd_sample_stream
+from conftest import reference_psd_sample_stream, reference_recover
 from ncgfdm import experiments
-from ncgfdm.channel import JakesFadingProcess, eva_profile
+from ncgfdm.channel import JakesFadingProcess, eva_profile, zf_equalize
 from ncgfdm.cli import build_parser, load_config, main
 from ncgfdm.experiments import (
     PRESETS,
@@ -28,6 +29,7 @@ from ncgfdm.experiments import (
     run_validation,
     write_tables,
 )
+from ncgfdm.filterbank import TransmitMatrix
 from ncgfdm.params import WaveformParams
 from ncgfdm.spectrum import WelchAccumulator, normalize_inband
 
@@ -237,6 +239,14 @@ def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
          r"doppler_hz must be a finite number >= 0, got 'fast'"),
         ("ber", dict(snr_db=(math.nan,)), r"snr_db entries must be finite numbers, got nan"),
         ("ber", dict(snr_db=("x",)), r"snr_db entries must be finite numbers, got 'x'"),
+        # 10^(snr/10) overflowed after the builds, or underflowed to a division
+        # by zero, and -3100 dB ran on an infinite variance to a BER of 0.5
+        *(("ber", dict(snr_db=(12.0, snr), variants=("gfdm",)),
+           rf"^snr_db entry {snr} gives variant 'gfdm' a noise variance that is not a finite")
+          for snr in (4000, -4000, -3100)),
+        # every tap position once read -2^63, which passed the block-length check
+        ("ber", dict(EVA_OK, sample_interval_ns=1e-300),
+         r"^sample_interval_ns = 1e-300 puts the 2510 ns delay at 2.51e\+303 samples"),
         ("psd", dict(n_symbols=1000.0), r"integer n_symbols >= 1, got 1000.0"),
         ("psd", dict(window_len=1792.0), r"integer window_len >= 8, got 1792.0"),
         ("psd", dict(overlap=448.0), r"overlap must lie in \[0, window_len = 1792\), got 448.0"),
@@ -258,6 +268,7 @@ def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
          "psd-duplicate-variant", "ber-duplicate-variant", "psd-one-waveform-twice",
          "ber-one-waveform-twice", "eva-zero-sample-interval",
          "eva-negative-sample-interval", "eva-nan-doppler", "eva-text-doppler", "nan-snr", "text-snr",
+         "snr-overflow", "snr-underflow", "snr-infinite-variance", "eva-overflowing-taps",
          "fractional-psd-n_symbols", "fractional-window_len", "fractional-overlap",
          "fractional-recovery_iterations", "negative-n_bits", "negative-seed",
          "fractional-seed", "scalar-snr_db", "int-variant", "none-variant", "string-variants",
@@ -900,6 +911,119 @@ def test_run_ber_shares_each_draw_across_variants(monkeypatch, channel):
     )
     assert rows == alone
     assert all(0.0 < row[2] < 0.5 for row in rows)
+
+
+@pytest.mark.parametrize("channel", ["awgn", "eva", "none"])
+def test_run_ber_demodulates_once_per_variant_and_chunk(monkeypatch, channel):
+    # 7 blocks of N = 448 in chunks of 3; ZF and demodulation are linear, so
+    # the SNR points share them, and each distinct noise scale is recovered
+    # once: the repeated points here, and every point of the noiseless channel
+    variants = ("gfdm", "nc-gfdm:1", "nc-gfdm:2")
+    cfg = small_cfg(
+        "ber", K=64, n_cp=64, beta=0.5, channel=channel, n_bits=448 * 4 * 7,
+        variants=variants, seed=3,
+    )
+    monkeypatch.setattr(experiments, "_BER_CHUNK", 3 * 448)
+    calls = Counter()  # a missing name counts as zero in ==
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    demodulate = counted("demodulate", TransmitMatrix.demodulate)
+    monkeypatch.setattr(TransmitMatrix, "demodulate", demodulate)
+    for name in ("zf_equalize", "recover_iterative"):
+        monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
+    experiments._variant_groups(cfg)
+    builds = calls.pop("demodulate", 0)  # the operator builds' own
+    chunks, smoothed = 3, 2
+    for snr_db, scales in (((12.0,), 1), ((4.0, 10.0, 4.0, 16.0, 10.0), 3)):
+        calls.clear()
+        rows = run_ber(replace(cfg, snr_db=snr_db))[0].rows
+        scales = 1 if channel == "none" else scales
+        assert calls == Counter({
+            "demodulate": builds + 2 * len(variants) * chunks,
+            "zf_equalize": (1 + len(variants)) * chunks if channel == "eva" else 0,
+            "recover_iterative": scales * smoothed * chunks,
+        })
+    # a repeated point reads the rows of its first entry, and without noise
+    # every point reads those of the first point
+    points = [tuple(row[1:] for row in rows[k : k + 3]) for k in range(0, len(rows), 3)]
+    assert points[2] == points[0] and points[4] == points[1]
+    assert (points.count(points[0]) == len(points)) == (channel == "none")
+
+
+@pytest.mark.parametrize("channel", ["awgn", "eva"])
+def test_run_ber_soft_estimates_match_the_per_point_chain(monkeypatch, channel):
+    # the shared path forms sigma A^-1 ZF(n) + A^-1 ZF(R); the oracle receives
+    # sigma n + R at each point, zero-forces and recovers it from y itself
+    cfg = small_cfg(
+        "ber", K=64, n_cp=64, beta=0.5, channel=channel, snr_db=(4.0, 10.0),
+        n_bits=448 * 4 * 5, variants=("gfdm", "nc-gfdm:2"), seed=4,
+    )
+    seen = {"sent": [], "faded": [], "soft": []}
+    original = (experiments._send, experiments.apply_channel, experiments._bit_errors,
+                experiments.awgn, JakesFadingProcess.realization)
+
+    def send(tm, ops, D, carry):
+        X, carry = original[0](tm, ops, D, carry)
+        seen["sent"].append((tm, ops, X))
+        return X, carry
+
+    def channel_out(*args):
+        seen["faded"].append(original[1](*args))
+        return seen["faded"][-1]
+
+    def bit_errors(soft, labels, c):
+        seen["soft"].append(soft.copy())
+        return original[2](soft, labels, c)
+
+    def noise(*args):
+        seen["noise"] = original[3](*args)
+        return seen["noise"]
+
+    def fading(self, symbol_index):
+        seen["h"] = original[4](self, symbol_index)
+        return seen["h"]
+
+    for name, fn in (("_send", send), ("apply_channel", channel_out),
+                     ("_bit_errors", bit_errors), ("awgn", noise)):
+        monkeypatch.setattr(experiments, name, fn)
+    monkeypatch.setattr(JakesFadingProcess, "realization", fading)
+    run_ber(cfg)
+    c = experiments.qam_constellation(cfg.qam_order)
+    p = cfg.waveform()
+    sigmas = [math.sqrt(noise_variance(snr, p, c.bits_per_symbol)) for snr in cfg.snr_db]
+    got = iter(seen["soft"])
+    for i, (tm, ops, X) in enumerate(seen["sent"]):
+        R = seen["faded"][i] if channel == "eva" else X.T
+        for sigma in sigmas:
+            Y = sigma * seen["noise"] + R
+            if channel == "eva":
+                Y = zf_equalize(seen["h"], Y)
+            want = tm.demodulate(Y.T) if ops is None else reference_recover(ops, Y.T, c, 8)
+            soft = next(got)
+            assert np.max(np.abs(soft - want)) <= 1e-12 * np.max(np.abs(want))
+    assert next(got, None) is None
+
+
+def test_cli_ber_fails_on_a_nan_channel_response(tmp_path):
+    # 2 pi f_D overflows at doppler_hz = 1e308, so every path gain is NaN; the
+    # run once wrote a BER of 0.5009765625 at every point
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    out = tmp_path / "out"
+    settings = ["channel=eva", "doppler_hz=1e308", 'variants=["gfdm"]', "n_bits=20000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncgfdm.cli", "ber", *(f"--set={s}" for s in settings),
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode != 0
+    assert "DeepFadeError: channel bin 0 of symbol 0 magnitude nan" in proc.stderr
+    assert not out.exists()
 
 
 def test_run_experiment_dispatch():
