@@ -56,7 +56,11 @@ def psd_sample_stream(cores: np.ndarray, n_cp: int, oversample: int) -> np.ndarr
     spectrum; a :class:`WelchAccumulator` given the same ``oversample``
     centres it on DC.  At oversample 1 the result is the plain CP-framed
     stream, each symbol's last ``n_cp`` samples then its core; ``n_cp``
-    must be an integer in [0, N) and ``oversample`` one >= 1.
+    must be an integer in [0, N) and ``oversample`` one >= 1.  The map is
+    linear and acts on each symbol alone, so the stream of cores A D + Q B
+    is that of A D plus B^T times the framed rows of Q's columns.  Each
+    spectrum is written into the core of its framed row, zero-padded there
+    and inverse-transformed in place, so no spectrum or padded copy is held.
 
     The cores are read fastest with one symbol per contiguous row, i.e. as
     the transpose of a C-ordered (count, N) array, which is how
@@ -79,8 +83,10 @@ def psd_sample_stream(cores: np.ndarray, n_cp: int, oversample: int) -> np.ndarr
     if oversample > 1:
         # forward-normalized both ways, the round trip carries 1/N: the 1/L
         # of a plain inverse times the gain ``oversample``
-        spec = np.fft.fft(rows, axis=1, norm="forward")
-        np.fft.ifft(spec, n=L, axis=1, norm="forward", out=framed[:, cp:])
+        core = framed[:, cp:]
+        np.fft.fft(rows, axis=1, norm="forward", out=core[:, :N])
+        core[:, N:] = 0
+        np.fft.ifft(core, axis=1, norm="forward", out=core)
     else:
         framed[:, cp:] = rows
     framed[:, :cp] = framed[:, L:]

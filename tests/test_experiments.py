@@ -31,7 +31,8 @@ from ncgfdm.experiments import (
 )
 from ncgfdm.filterbank import TransmitMatrix
 from ncgfdm.params import WaveformParams
-from ncgfdm.spectrum import WelchAccumulator, normalize_inband
+from ncgfdm.smoothing import smooth_stream
+from ncgfdm.spectrum import WelchAccumulator, normalize_inband, psd_sample_stream
 
 
 SMALL = dict(K=16, M=7, n_cp=16, beta=0.1, V=2)
@@ -100,6 +101,7 @@ FIELD_REJECTIONS = {
     ],
     "doppler_hz": [
         dict(SMALL, **EVA_OK, kind="ber", doppler_hz=-1.0),
+        dict(SMALL, **EVA_OK, kind="ber", doppler_hz=1e308),
         dict(SMALL, kind="ber", doppler_hz="fast"),
         dict(SMALL, kind="psd", doppler_hz=math.inf),
     ],
@@ -244,6 +246,11 @@ def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
         *(("ber", dict(snr_db=(12.0, snr), variants=("gfdm",)),
            rf"^snr_db entry {snr} gives variant 'gfdm' a noise variance that is not a finite")
           for snr in (4000, -4000, -3100)),
+        # 2 pi f_D overflowed to inf, and inf * 0 made a NaN channel bin at
+        # symbol 0 once every operator was built
+        ("ber", dict(EVA_OK, doppler_hz=1e308, variants=("gfdm",), n_bits=20_000),
+         r"^doppler_hz = 1e\+308 gives variant 'gfdm' a fading phase 2 pi f_D t that is "
+         r"not finite over its 12 blocks$"),
         # every tap position once read -2^63, which passed the block-length check
         ("ber", dict(EVA_OK, sample_interval_ns=1e-300),
          r"^sample_interval_ns = 1e-300 puts the 2510 ns delay at 2.51e\+303 samples"),
@@ -268,7 +275,8 @@ def test_config_validation_rejects_sir_and_power_configs_that_fail_mid_run(
          "psd-duplicate-variant", "ber-duplicate-variant", "psd-one-waveform-twice",
          "ber-one-waveform-twice", "eva-zero-sample-interval",
          "eva-negative-sample-interval", "eva-nan-doppler", "eva-text-doppler", "nan-snr", "text-snr",
-         "snr-overflow", "snr-underflow", "snr-infinite-variance", "eva-overflowing-taps",
+         "snr-overflow", "snr-underflow", "snr-infinite-variance", "eva-overflowing-doppler",
+         "eva-overflowing-taps",
          "fractional-psd-n_symbols", "fractional-window_len", "fractional-overlap",
          "fractional-recovery_iterations", "negative-n_bits", "negative-seed",
          "fractional-seed", "scalar-snr_db", "int-variant", "none-variant", "string-variants",
@@ -341,10 +349,15 @@ def test_cli_rejects_bad_settings_before_any_work(tmp_path, kind, setting, messa
         (["--set", 'metadata={{"doppler_hz": 5.0}}'], None, "unknown config key(s): metadata"),
         (["--config", "{path}"], '{"channel": "eva", "metadata": {"dopler_hz": 5.0}}',
          "unknown config key(s): metadata"),
+        # once a DeepFadeError traceback on a NaN channel bin, after every build
+        (["--set", "channel=eva", "--set", "doppler_hz=1e308", "--set", "n_bits=20000",
+          "--set", 'variants=["gfdm"]'], None,
+         "doppler_hz = 1e+308 gives variant 'gfdm' a fading phase 2 pi f_D t that is not "
+         "finite over its 3 blocks"),
     ],
     ids=["scalar-snr_db", "missing-config-file", "config-file-not-an-object", "malformed-config-file",
          "set-filter_kind", "set-out_dir", "config-file-filter_kind-out_dir", "set-metadata",
-         "config-file-metadata"],
+         "config-file-metadata", "eva-overflowing-doppler"],
 )
 def test_cli_exits_on_a_rejected_config_with_one_line_and_no_traceback(
     tmp_path, args, content, message
@@ -465,6 +478,14 @@ def test_config_is_checked_and_fixed_when_made():
     assert hash(cfg) == hash(ExperimentConfig(kind="ber", snr_db=(4.0, 8.0)))
     with pytest.raises(ValueError, match=r"^ber experiments need an integer n_bits >= 1, got 0$"):
         replace(cfg, n_bits=0)
+
+
+def test_config_rejects_a_doppler_phase_that_overflows_over_the_run():
+    # 2 pi f_D t stays finite up to t = 2.86 s at 1e307 Hz; blocks of N + n_cp =
+    # 2072 samples at 9.3 ns last 19.3 us, and a block carries 7168 bits
+    cfg = ExperimentConfig(kind="ber", **dict(EVA_OK, K=256), doppler_hz=1e307, n_bits=10**9)
+    with pytest.raises(ValueError, match=r"not finite over its 279018 blocks$"):
+        replace(cfg, n_bits=2 * 10**9)
 
 
 def test_eva_defaults_are_the_channel_defaults():
@@ -757,26 +778,26 @@ def test_run_psd_output(tmp_path):
     assert f"# config_hash: {cfg.config_hash()}" in text
 
 
-def test_run_psd_chunks_match_one_stream(monkeypatch):
-    # N + n_cp odd, 837 symbols in chunks of 126 and a last chunk of 81: the
-    # recentring must not flip sign at the chunk boundaries
-    cores = []
-    original = experiments.psd_sample_stream
+def _record_smoothing(monkeypatch) -> dict:
+    """{id: (operator set, [symbol chunks])} of every smoothed variant of the
+    runs that follow, read from the calls of ``experiments.coefficient_stream``."""
+    seen = {}
+    original = experiments.coefficient_stream
 
-    def record(X, n_cp, oversample):
-        cores.append(X.copy())
-        return original(X, n_cp, oversample)
+    def record(ops, D, carry):
+        seen.setdefault(id(ops), (ops, []))[1].append(D.copy())
+        return original(ops, D, carry)
 
-    monkeypatch.setattr(experiments, "psd_sample_stream", record)
-    cfg = ExperimentConfig(
-        kind="psd", K=256, M=7, n_cp=279, beta=0.1, V=2, oversample=4,
-        window_len=1792, overlap=448, variants=("nc-gfdm:2",), n_symbols=837, seed=5,
-    )
-    (table,) = run_psd(cfg)
-    assert [X.shape[1] for X in cores] == [126] * 6 + [81]
-    stream = reference_psd_sample_stream(np.hstack(cores), cfg.n_cp, cfg.oversample)
+    monkeypatch.setattr(experiments, "coefficient_stream", record)
+    return seen
+
+
+def _assert_smoothed_psd(table, cfg, ops, chunks):
+    """``table`` equals the oracle chain: the chunks smoothed as one stream by
+    ``smooth_stream``, oversampled and framed column by column, one Welch."""
+    X, _, _ = smooth_stream(ops, np.hstack(chunks))
     acc = WelchAccumulator(cfg.window_len, cfg.overlap)
-    acc.process(stream)
+    acc.process(reference_psd_sample_stream(X, ops.params.n_cp, cfg.oversample))
     want = normalize_inband(acc.result(), 1 / cfg.oversample)
     got = np.array(table.rows)
     assert table.provenance["segments"] == want.segments
@@ -786,9 +807,103 @@ def test_run_psd_chunks_match_one_stream(monkeypatch):
     assert np.max(np.abs(10 ** (got[:, 1] / 10) - want.psd)) <= 1e-10
 
 
+def test_run_psd_chunks_match_one_stream(monkeypatch):
+    # N + n_cp odd, 837 symbols in chunks of 126 and a last chunk of 81: the
+    # recentring must not flip sign at the chunk boundaries
+    seen = _record_smoothing(monkeypatch)
+    cfg = ExperimentConfig(
+        kind="psd", K=256, M=7, n_cp=279, beta=0.1, V=2, oversample=4,
+        window_len=1792, overlap=448, variants=("nc-gfdm:2",), n_symbols=837, seed=5,
+    )
+    (table,) = run_psd(cfg)
+    ((ops, chunks),) = seen.values()
+    assert [D.shape[1] for D in chunks] == [126] * 6 + [81]
+    _assert_smoothed_psd(table, cfg, ops, chunks)
+
+
+def test_run_psd_smoothed_tables_match_the_per_variant_chain(monkeypatch):
+    # the smoothed variants share one oversampled stream per transmit matrix
+    # and add their smooth signal 16 symbols at a time: 200 symbols in chunks
+    # of 70, 70 and 60, so pieces of 16 and 6 or 12, over a non-unitary pulse
+    cfg = small_cfg(
+        "psd", K=64, n_cp=64, beta=0.5, n_symbols=200, window_len=1024, overlap=256,
+        variants=("td-nc-ofdm:2", "gfdm", "nc-gfdm:6"), seed=8,
+    )
+    frame = (448 + 64) * cfg.oversample
+    monkeypatch.setattr(experiments, "_PSD_CHUNK", 70 * frame)
+    monkeypatch.setattr(experiments, "_PSD_SMOOTH", 16 * frame)
+    seen = _record_smoothing(monkeypatch)
+    tables = run_psd(cfg)
+    (ofdm_ops, _), (ops, chunks) = seen.values()
+    assert [D.shape[1] for D in chunks] == [70, 70, 60]
+    assert ops.params.V == 6 and ofdm_ops.params.N == 64 and not ops.is_unitary
+    for table, (ops, chunks) in zip((tables[0], tables[2]), seen.values()):
+        _assert_smoothed_psd(table, cfg, ops, chunks)
+        # down to nc-gfdm:6's floor near -152 dB, in dB, against the chain that
+        # smooths before it oversamples, with the same B: 2e-8 to 5e-8 dB here,
+        # while adding B^T times the oversampled Q itself, whose terms cancel
+        # by orders of magnitude, moved the floor by 0.9e-6 to 1.9e-6 dB
+        acc = WelchAccumulator(cfg.window_len, cfg.overlap, cfg.oversample)
+        carry = None
+        for D in chunks:
+            X, _, carry = smooth_stream(ops, D, carry)
+            acc.process(psd_sample_stream(X, ops.params.n_cp, cfg.oversample))
+        want = normalize_inband(acc.result(), 1 / cfg.oversample)
+        assert np.max(np.abs(np.array(table.rows)[:, 1] - want.db())) <= 2e-7
+
+
+def test_orthonormal_factor_of_an_ill_conditioned_basis():
+    # the basis of nc-gfdm:7 at the paper's size has cond(Q) near 1.2e7
+    cfg = ExperimentConfig(kind="psd", variants=("nc-gfdm:7",))
+    ((_, _, ops),), _ = experiments._variant_groups(cfg)
+    Q = ops.basis.Q
+    U, R = experiments._orthonormal(Q)
+    assert np.max(np.abs(U.conj().T @ U - np.eye(8))) <= 1e-14
+    assert np.array_equal(R, np.triu(R))
+    assert np.max(np.abs(U @ R - Q)) <= 1e-14 * np.max(np.abs(Q))
+
+
+def test_run_psd_frames_each_chunk_once_per_transmit_matrix(monkeypatch):
+    # two (N, n_cp) groups, 16 + 2 in chunks of 21 and 112 + 16 in chunks of
+    # 3; the gfdm variants share one pulse, and so do the OFDM ones
+    variants = ("ofdm", "td-nc-ofdm:2", "gfdm", "nc-gfdm:1", "nc-gfdm:2")
+    cfg = small_cfg("psd", n_symbols=50, window_len=64, overlap=16, variants=variants, seed=4)
+    monkeypatch.setattr(experiments, "_PSD_CHUNK", 3 * 128 * cfg.oversample)
+    calls = Counter()
+    framed = []  # the (N, columns) of every stream psd_sample_stream forms
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def frame(X, n_cp, oversample):
+        framed.append(X.shape)
+        return original(X, n_cp, oversample)
+
+    original = experiments.psd_sample_stream
+    monkeypatch.setattr(experiments, "psd_sample_stream", frame)
+    monkeypatch.setattr(TransmitMatrix, "modulate", counted("modulate", TransmitMatrix.modulate))
+    monkeypatch.setattr(experiments, "build_transmit_matrix",
+                        counted("build_transmit_matrix", experiments.build_transmit_matrix))
+    builds, _ = experiments._variant_groups(cfg)
+    assert [tm for _, tm, _ in builds] == [builds[0][1]] * 2 + [builds[2][1]] * 3
+    assert calls.pop("build_transmit_matrix") == 2
+    build_modulations = calls.pop("modulate", 0)  # the operator builds' own
+    run_psd(cfg)
+    assert calls == Counter(build_transmit_matrix=2, modulate=build_modulations + 3 + 17)
+    # the basis of each smoothed variant once, then each chunk once per group
+    assert framed == [(16, 3), (112, 2), (112, 3)] + [(16, 21)] * 2 + [(16, 8)] + [
+        (112, 3)
+    ] * 16 + [(112, 2)]
+
+
 def test_run_psd_holds_a_bounded_piece_of_the_oversampled_stream():
-    # a 126-symbol chunk oversampled is 16 MiB per array, and the run peaks
-    # near 31 MiB; a run that oversamples 279 symbols at once (2e6 samples)
+    # a 126-symbol chunk oversampled is 16 MiB, and the run peaks near 29.7
+    # MiB: the chunk, one reused buffer of 15 smoothed symbols (2 MiB) and the
+    # Welch batches; a run that oversamples 279 symbols at once (2e6 samples)
     # peaks near 89 MiB
     import tracemalloc
 
@@ -1008,22 +1123,6 @@ def test_run_ber_soft_estimates_match_the_per_point_chain(monkeypatch, channel):
             soft = next(got)
             assert np.max(np.abs(soft - want)) <= 1e-12 * np.max(np.abs(want))
     assert next(got, None) is None
-
-
-def test_cli_ber_fails_on_a_nan_channel_response(tmp_path):
-    # 2 pi f_D overflows at doppler_hz = 1e308, so every path gain is NaN; the
-    # run once wrote a BER of 0.5009765625 at every point
-    src = str(Path(experiments.__file__).resolve().parents[1])
-    out = tmp_path / "out"
-    settings = ["channel=eva", "doppler_hz=1e308", 'variants=["gfdm"]', "n_bits=20000"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "ncgfdm.cli", "ber", *(f"--set={s}" for s in settings),
-         "--out", str(out)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-    )
-    assert proc.returncode != 0
-    assert "DeepFadeError: channel bin 0 of symbol 0 magnitude nan" in proc.stderr
-    assert not out.exists()
 
 
 def test_run_experiment_dispatch():
