@@ -780,15 +780,15 @@ def test_run_psd_output(tmp_path):
 
 def _record_smoothing(monkeypatch) -> dict:
     """{id: (operator set, [symbol chunks])} of every smoothed variant of the
-    runs that follow, read from the calls of ``experiments.coefficient_stream``."""
+    runs that follow, read from the calls of ``experiments._coefficients``."""
     seen = {}
-    original = experiments.coefficient_stream
+    original = experiments._coefficients
 
     def record(ops, D, carry):
         seen.setdefault(id(ops), (ops, []))[1].append(D.copy())
         return original(ops, D, carry)
 
-    monkeypatch.setattr(experiments, "coefficient_stream", record)
+    monkeypatch.setattr(experiments, "_coefficients", record)
     return seen
 
 
@@ -861,6 +861,68 @@ def test_orthonormal_factor_of_an_ill_conditioned_basis():
     assert np.max(np.abs(U.conj().T @ U - np.eye(8))) <= 1e-14
     assert np.array_equal(R, np.triu(R))
     assert np.max(np.abs(U @ R - Q)) <= 1e-14 * np.max(np.abs(Q))
+
+
+def _record_products(monkeypatch) -> list:
+    """(multiply-adds, columns) of every ``np.matmul`` call that follows."""
+    calls = []
+    original = np.matmul
+
+    def record(a, b, out=None):
+        calls.append((a.shape[0] * a.shape[1] * b.shape[1], b.shape[1]))
+        return original(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", record)
+    return calls
+
+
+def _one_thread(calls) -> bool:
+    """Every product within the multiply-adds or the columns OpenBLAS forms
+    on the calling thread."""
+    return all(macs <= experiments._PSD_BLOCK_MACS or cols < 32 for macs, cols in calls)
+
+
+@pytest.mark.parametrize(
+    "a_shape, n, widths",
+    [
+        ((7, 1792), 126, [16] * 7 + [14]),  # P_1 D of nc-gfdm:6 in a paper-size chunk
+        ((15, 7), 8288, [624] * 13 + [176]),  # the smooth signal of a 15-symbol piece
+        ((3, 1792), 3, [3]),
+        ((3, 1792), 33, [16, 17]),  # a lone last column joins the block before it
+        ((4, 64), 1000, [256] * 3 + [232]),
+    ],
+)
+def test_matmul_blocks_matches_one_product(monkeypatch, a_shape, n, widths):
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(a_shape) + 1j * rng.standard_normal(a_shape)
+    b = rng.standard_normal((a_shape[1], n)) + 1j * rng.standard_normal((a_shape[1], n))
+    want = a @ b
+    calls = _record_products(monkeypatch)
+    got = experiments._matmul_blocks(a, np.asfortranarray(b))
+    monkeypatch.undo()
+    assert [cols for _, cols in calls] == widths and _one_thread(calls)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_run_psd_forms_its_loop_products_on_one_thread(monkeypatch):
+    # at the paper's size a chunk holds 126 symbols and a piece 15; whole, the
+    # thin product P_1 D of nc-gfdm:6 has 126 columns and 7 x 1792 x 126
+    # multiply-adds, and a piece's smooth signal 8288 columns and 15 x 7 x 8288
+    cfg = ExperimentConfig(
+        kind="psd", K=256, M=7, n_cp=280, beta=0.1, V=2, oversample=4,
+        window_len=1792, overlap=448, variants=("nc-gfdm:2", "nc-gfdm:6"), n_symbols=130,
+        seed=1,
+    )
+    calls = _record_products(monkeypatch)
+    tables = run_psd(cfg)
+    monkeypatch.undo()
+    # per smoothed variant and chunk, P_1 D and P_2 D and one smooth signal a piece
+    assert len(calls) > 2 * 2 * (2 + 9) and _one_thread(calls)
+    # the same run with whole products
+    monkeypatch.setattr(experiments, "_PSD_BLOCK_MACS", 2**40)
+    for got, want in zip(tables, run_psd(cfg)):
+        got_db, want_db = np.array(got.rows)[:, 1], np.array(want.rows)[:, 1]
+        assert np.max(np.abs(10 ** (got_db / 10) - 10 ** (want_db / 10))) <= 1e-12
 
 
 def test_run_psd_frames_each_chunk_once_per_transmit_matrix(monkeypatch):
