@@ -217,7 +217,10 @@ def apply_channel(
     [x_i[N - n_cp:], x_i], the blocks back to back, and the cores are
     returned after CP removal.  Paths within the CP give each core's
     circular convolution, computed through the DFT, which is the whole
-    output when ``n_cp`` covers the largest delay.  A path d > n_cp adds,
+    output when ``n_cp`` covers the largest delay; :func:`zf_equalize` then
+    returns x exactly, up to rounding, which is why
+    :func:`ncgfdm.experiments.run_ber` sends a signal through this function
+    only when a tap of its config lies past the CP.  A path d > n_cp adds,
     over the first d - n_cp samples of a core, the previous block's last
     samples minus the core's own wrapped ones.  ``tail`` ends the framed
     stream sent before x[0] and holds at least its last max-delay samples

@@ -47,6 +47,7 @@ from .smoothing import (
     build_basis,
     build_nc_operators,
     coefficient_scan,
+    coefficient_stream,
     operator_identity_residuals,
     smooth_stream,
 )
@@ -257,6 +258,7 @@ class ExperimentConfig:
             labels[var.label] = waveforms[var.smoothed, p] = spec
             if var.smoothed:
                 _check_order(f"variant {spec!r}", p.V)
+                _check_cp(f"variant {spec!r}", self.n_cp, p.n_cp)
             if self.kind == "psd":
                 frame = (p.N + p.n_cp) * self.oversample
                 if self.n_symbols * frame < self.window_len:
@@ -292,6 +294,8 @@ class ExperimentConfig:
                         f"snr_db entry {snr!r} gives variant {spec!r} a noise variance "
                         "that is not a finite number > 0"
                     )
+        if self.kind in ("sir", "power"):
+            _check_cp(f"{self.kind} experiments", self.n_cp, self.n_cp)
         if self.kind == "power":
             _check_order("power experiments", self.V)
         if self.kind == "sir":
@@ -377,6 +381,18 @@ def _check_order(name: str, V: int) -> None:
         raise ValueError(
             f"{name}: smoothing order V={V} exceeds {MAX_ORDER}, the highest whose "
             f"operators pass the identity check in double precision"
+        )
+
+
+def _check_cp(name: str, n_cp: int, cp: int) -> None:
+    """Reject a smoothed waveform whose CP, ``cp`` samples at the config's
+    ``n_cp``, is empty: with no CP the basis is periodic over the block, the
+    recursion's spectral radius is 1, and a stream's SIR depends on its seed."""
+    if cp == 0:
+        of = "" if cp == n_cp else ", which gives it n_cp // M = 0 samples"
+        raise ValueError(
+            f"{name}: smoothing needs a CP, got n_cp = {n_cp}{of}; with no CP the "
+            "smoothing recursion is undamped (spectral radius 1)"
         )
 
 
@@ -715,11 +731,22 @@ def run_ber(cfg: ExperimentConfig) -> list:
     Each group of variants with equal (N, n_cp) draws every chunk once: the
     data labels on ``SeededRng(seed).child(0)``, the fading on ``child(1)``
     and unit-variance noise n, one block per row, on ``child(2)``, which
-    over EVA is zero-forced once.  Each variant of the group transmits the
-    chunk and passes the channel once, with its own smoothing carry and
-    channel tail; its cores R are zero-forced and demodulated once, and so
-    is n.  Both maps are linear, so each distinct noise scale sigma costs one
-    axpy, z = sigma A^{-1} n + A^{-1} R, and one recovery of z if smoothed.
+    over EVA is zero-forced once.  ZF and demodulation are linear, so a
+    variant's received cores are z + sigma A^{-1} n: its demodulated
+    signal z plus one axpy per distinct noise scale sigma, recovered once if
+    smoothed.  The noise is demodulated once per variant and chunk; the
+    noiseless channel, every scale 0, draws none.
+
+    Whether z needs the channel is decided per group from the config: when
+    every path delay is at most n_cp (AWGN, no channel, or EVA with the
+    last tap inside the CP), :func:`~ncgfdm.channel.apply_channel` adds no
+    ISI and ZF inverts each core's circular channel exactly, so
+    z = A^{-1} ZF(H (A D + Q B)) = D + A^{-1} Q B: D itself when unsmoothed,
+    and plus the smooth signal's data-domain image when smoothed, with B
+    from the variant's own carry.  With a path past the CP, each variant
+    transmits the chunk, passes the channel with its own tail, and is
+    zero-forced and demodulated.
+
     So a row equals that of a run with its variant and its SNR point alone,
     and no row depends on the chunk size.  The rows keep the order (SNR
     point, variant).
@@ -730,15 +757,18 @@ def run_ber(cfg: ExperimentConfig) -> list:
     errors = np.zeros((len(cfg.snr_db), len(builds)), dtype=np.int64)
     totals = [0] * len(builds)
     eva = cfg.channel == "eva"
-    unit = float(cfg.channel != "none")  # the noiseless channel is noise scale 0
+    noisy = cfg.channel != "none"  # the noiseless channel is noise scale 0
+    if eva:
+        profile = cfg.channel_profile()
+    last_tap = int(profile.tap_positions().max()) if eva else 0
     for (N, n_cp), members in groups.items():
         data_rng, chan_rng, noise_rng = (SeededRng(cfg.seed).child(k) for k in range(3))
         if eva:
-            profile = cfg.channel_profile()
             duration = (N + n_cp) * profile.sample_interval_ns * 1e-9
             fading = JakesFadingProcess(profile, N, duration, chan_rng)
+        circular = last_tap <= n_cp  # no path leaves the CP (apply_channel)
         p = builds[members[0]][0].params
-        sigmas = unit * np.sqrt([noise_variance(snr, p, c.bits_per_symbol) for snr in cfg.snr_db])
+        sigmas = noisy * np.sqrt([noise_variance(snr, p, c.bits_per_symbol) for snr in cfg.snr_db])
         n_blocks = _ber_blocks(cfg.n_bits, N, c.bits_per_symbol)
         chunk = max(1, _BER_CHUNK // N)
         carries, tails = dict.fromkeys(members), dict.fromkeys(members)
@@ -748,21 +778,30 @@ def run_ber(cfg: ExperimentConfig) -> list:
             nb = min(chunk, n_blocks - done)
             labels, D = _draw_data(data_rng, c, N, nb)
             h = fading.realization(np.arange(done, done + nb)) if eva else None
-            noise = awgn(np.broadcast_to(0j, (nb, N)), 1.0, noise_rng)  # one block per row
-            if eva:  # once, for every variant and point
-                noise = zf_equalize(h, noise)
+            if noisy:
+                noise = awgn(np.broadcast_to(0j, (nb, N)), 1.0, noise_rng)  # one block per row
+                if eva:  # once, for every variant and point
+                    noise = zf_equalize(h, noise)
             for i in members:
                 _, tm, ops = builds[i]
-                X, carries[i] = _send(tm, ops, D, carries[i])
-                # one block per row: X.T is contiguous (TransmitMatrix.modulate)
-                R = zf_equalize(h, apply_channel(h, X.T, n_cp, tails[i])) if eva else X.T
-                tails[i] = X[:, -1].copy()
-                del X
-                z = tm.demodulate(R.T)
-                del R  # the recovery, which sets the peak memory, needs z and zn alone
-                zn = tm.demodulate(noise.T)
+                if not circular:
+                    X, carries[i] = _send(tm, ops, D, carries[i])
+                    # one block per row: X.T is contiguous (TransmitMatrix.modulate)
+                    R = zf_equalize(h, apply_channel(h, X.T, n_cp, tails[i]))
+                    tails[i] = X[:, -1].copy()
+                    del X
+                    z = tm.demodulate(R.T)
+                    del R  # the recovery, which sets the peak memory, needs z and zn alone
+                elif ops is None:
+                    z = D
+                else:
+                    B, carries[i] = coefficient_stream(ops, D, carries[i])
+                    # A^{-1} Q B formed one symbol per row, as demodulate stores it
+                    z = (B.T @ ops.A_inv_Q.T).T
+                    z += D
+                zn = tm.demodulate(noise.T) if noisy else None
                 for sigma in dict.fromkeys(sigmas.tolist()):  # each distinct scale once
-                    soft = sigma * zn + z
+                    soft = z if zn is None else sigma * zn + z
                     if ops is not None:
                         soft = recover_iterative(ops, soft, c, cfg.recovery_iterations)
                     errors[sigmas == sigma, i] += _bit_errors(soft, labels, c)

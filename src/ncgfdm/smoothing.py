@@ -311,6 +311,10 @@ def coefficient_scan(
     each step is formed as the step itself forms it, difference first, and
     its own scan is added to B.  Starting from B = 0, the first
     residual is v itself, so solve and refinement are the same round.
+
+    With no CP (n_cp = 0) the basis is periodic over the block and the
+    spectral radius of S is exactly 1, so the recursion is undamped; the
+    experiment configs reject a smoothed waveform there.
     """
     P1D = np.asarray(P1D, dtype=np.complex128)
     P2D = np.asarray(P2D, dtype=np.complex128)

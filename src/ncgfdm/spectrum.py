@@ -89,7 +89,10 @@ def psd_sample_stream(cores: np.ndarray, n_cp: int, oversample: int) -> np.ndarr
         np.fft.ifft(core, axis=1, norm="forward", out=core)
     else:
         framed[:, cp:] = rows
-    framed[:, :cp] = framed[:, L:]
+    # row by row: the two slices of one row are disjoint, but those of the
+    # whole array span one range, and numpy would copy through a temporary
+    for row in framed:
+        row[:cp] = row[L:]
     return framed.ravel()
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import reference_psd_sample_stream, reference_recover
 from ncgfdm import experiments
-from ncgfdm.channel import JakesFadingProcess, eva_profile, zf_equalize
+from ncgfdm.channel import JakesFadingProcess, apply_channel, eva_profile, zf_equalize
 from ncgfdm.cli import build_parser, load_config, main
 from ncgfdm.experiments import (
     PRESETS,
@@ -56,7 +56,14 @@ FIELD_REJECTIONS = {
     "kind": [dict(kind="spectrogram")],
     "K": [dict(SMALL, kind="psd", K=0)],
     "M": [dict(SMALL, kind="ber", M=0)],
-    "n_cp": [dict(SMALL, kind="sir", n_cp=112)],
+    "n_cp": [
+        dict(SMALL, kind="sir", n_cp=112),
+        # a smoothed waveform with no CP: the OFDM family's is n_cp // M
+        dict(SMALL, kind="ber", n_cp=0),
+        dict(SMALL, kind="psd", n_cp=6, variants=("ofdm", "td-nc-ofdm:2")),
+        dict(SMALL, kind="sir", n_cp=0),
+        dict(SMALL, kind="power", n_cp=0),
+    ],
     "beta": [dict(SMALL, kind="power", beta=1.5)],
     "V": [dict(SMALL, kind="power", V=2.5)],
     "oversample": [dict(SMALL, kind="psd", oversample=0)],
@@ -135,9 +142,11 @@ def test_every_config_field_has_a_rejection_that_names_it(name):
         dict(SMALL, kind="ber", variants=("gfdm", "nc-gfdm:0", "ofdm", "td-nc-ofdm:0")),
         # two roll-offs of one pulse are two grid entries, not a repeat
         dict(SMALL, kind="sir", beta_grid=(0.0, 0.1)),
+        # an unsmoothed waveform needs no CP; only smoothing is undamped without one
+        dict(SMALL, kind="ber", n_cp=6, variants=("ofdm", "gfdm", "nc-gfdm:2")),
     ],
     ids=["default", "numpy-qam_order", "psd-order-0-variants", "ber-order-0-variants",
-         "sir-betas-of-one-pulse"],
+         "sir-betas-of-one-pulse", "ber-ofdm-without-cp"],
 )
 def test_config_validation_accepts(overrides):
     cfg = ExperimentConfig(**overrides)
@@ -354,10 +363,14 @@ def test_cli_rejects_bad_settings_before_any_work(tmp_path, kind, setting, messa
           "--set", 'variants=["gfdm"]'], None,
          "doppler_hz = 1e+308 gives variant 'gfdm' a fading phase 2 pi f_D t that is not "
          "finite over its 3 blocks"),
+        (["--set", "n_cp=6", "--set", 'variants=["ofdm","td-nc-ofdm:2"]'], None,
+         "variant 'td-nc-ofdm:2': smoothing needs a CP, got n_cp = 6, which gives it "
+         "n_cp // M = 0 samples; with no CP the smoothing recursion is undamped (spectral "
+         "radius 1)"),
     ],
     ids=["scalar-snr_db", "missing-config-file", "config-file-not-an-object", "malformed-config-file",
          "set-filter_kind", "set-out_dir", "config-file-filter_kind-out_dir", "set-metadata",
-         "config-file-metadata", "eva-overflowing-doppler"],
+         "config-file-metadata", "eva-overflowing-doppler", "td-nc-ofdm-without-cp"],
 )
 def test_cli_exits_on_a_rejected_config_with_one_line_and_no_traceback(
     tmp_path, args, content, message
@@ -373,6 +386,25 @@ def test_cli_exits_on_a_rejected_config_with_one_line_and_no_traceback(
     )
     assert proc.returncode == 1
     assert proc.stderr == message.format(path=path) + "\n"
+    assert not out.exists()
+
+
+def test_cli_exits_on_a_smoothed_sir_run_without_a_cp(tmp_path):
+    # this run once wrote sir_empirical_db 27.32 against the closed form's
+    # 24.75 in the same row, and nothing warned: with no CP the recursion
+    # is undamped, so one stream's time average depends on its seed
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncgfdm.cli", "sir", "--set", "n_cp=0", "--set",
+         "beta_grid=[0.0]", "--set", "v_grid=[2]", "--seed", "2", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "sir experiments: smoothing needs a CP, got n_cp = 0; with no CP the smoothing "
+        "recursion is undamped (spectral radius 1)\n"
+    )
     assert not out.exists()
 
 
@@ -1090,40 +1122,53 @@ def test_run_ber_shares_each_draw_across_variants(monkeypatch, channel):
     assert all(0.0 < row[2] < 0.5 for row in rows)
 
 
-@pytest.mark.parametrize("channel", ["awgn", "eva", "none"])
-def test_run_ber_demodulates_once_per_variant_and_chunk(monkeypatch, channel):
+def _counted(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+#: (channel, n_cp) of the BER path tests at K=64, M=7: N = 448 holds the last
+#: EVA tap, 270 samples, which n_cp = 280 holds too and n_cp = 64 does not
+BER_PATHS = [("awgn", 64), ("eva", 64), ("eva", 280), ("none", 64)]
+BER_PATH_IDS = ["awgn", "eva", "eva-within-cp", "none"]
+
+
+@pytest.mark.parametrize("channel,n_cp", BER_PATHS, ids=BER_PATH_IDS)
+def test_run_ber_demodulates_once_per_variant_and_chunk(monkeypatch, channel, n_cp):
     # 7 blocks of N = 448 in chunks of 3; ZF and demodulation are linear, so
     # the SNR points share them, and each distinct noise scale is recovered
-    # once: the repeated points here, and every point of the noiseless channel
+    # once: the repeated points here, and every point of the noiseless
+    # channel.  With every path inside the CP only the noise is demodulated,
+    # and the noiseless channel demodulates nothing
     variants = ("gfdm", "nc-gfdm:1", "nc-gfdm:2")
     cfg = small_cfg(
-        "ber", K=64, n_cp=64, beta=0.5, channel=channel, n_bits=448 * 4 * 7,
+        "ber", K=64, n_cp=n_cp, beta=0.5, channel=channel, n_bits=448 * 4 * 7,
         variants=variants, seed=3,
     )
     monkeypatch.setattr(experiments, "_BER_CHUNK", 3 * 448)
     calls = Counter()  # a missing name counts as zero in ==
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    demodulate = counted("demodulate", TransmitMatrix.demodulate)
-    monkeypatch.setattr(TransmitMatrix, "demodulate", demodulate)
+    monkeypatch.setattr(
+        TransmitMatrix, "demodulate", _counted(calls, "demodulate", TransmitMatrix.demodulate)
+    )
     for name in ("zf_equalize", "recover_iterative"):
-        monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
+        monkeypatch.setattr(experiments, name, _counted(calls, name, getattr(experiments, name)))
     experiments._variant_groups(cfg)
     builds = calls.pop("demodulate", 0)  # the operator builds' own
     chunks, smoothed = 3, 2
+    past_cp = channel == "eva" and n_cp == 64
+    per_variant = (channel != "none") + past_cp  # the noise's, and the signal's past the CP
     for snr_db, scales in (((12.0,), 1), ((4.0, 10.0, 4.0, 16.0, 10.0), 3)):
         calls.clear()
         rows = run_ber(replace(cfg, snr_db=snr_db))[0].rows
         scales = 1 if channel == "none" else scales
         assert calls == Counter({
-            "demodulate": builds + 2 * len(variants) * chunks,
-            "zf_equalize": (1 + len(variants)) * chunks if channel == "eva" else 0,
+            "demodulate": builds + per_variant * len(variants) * chunks,
+            "zf_equalize": (1 + past_cp * len(variants)) * chunks if channel == "eva" else 0,
             "recover_iterative": scales * smoothed * chunks,
         })
     # a repeated point reads the rows of its first entry, and without noise
@@ -1133,57 +1178,104 @@ def test_run_ber_demodulates_once_per_variant_and_chunk(monkeypatch, channel):
     assert (points.count(points[0]) == len(points)) == (channel == "none")
 
 
-@pytest.mark.parametrize("channel", ["awgn", "eva"])
-def test_run_ber_soft_estimates_match_the_per_point_chain(monkeypatch, channel):
-    # the shared path forms sigma A^-1 ZF(n) + A^-1 ZF(R); the oracle receives
-    # sigma n + R at each point, zero-forces and recovers it from y itself
+@pytest.mark.parametrize("channel,n_cp", BER_PATHS, ids=BER_PATH_IDS)
+def test_run_ber_sends_the_signal_through_the_channel_only_past_the_cp(
+    monkeypatch, channel, n_cp
+):
+    # with every path inside the CP, ZF undoes the channel on each core, so
+    # the signal is received in the data domain: no modulation, smoothing or
+    # tapped-delay line, and one ZF per chunk, the noise's.  A path past the
+    # CP sends each variant's cores through the channel with its own tail
+    variants = ("gfdm", "nc-gfdm:1", "nc-gfdm:2")
     cfg = small_cfg(
-        "ber", K=64, n_cp=64, beta=0.5, channel=channel, snr_db=(4.0, 10.0),
+        "ber", K=64, n_cp=n_cp, beta=0.5, channel=channel, snr_db=(4.0, 10.0),
+        n_bits=448 * 4 * 7, variants=variants, seed=3,
+    )
+    monkeypatch.setattr(experiments, "_BER_CHUNK", 3 * 448)
+    calls = Counter()
+    monkeypatch.setattr(
+        TransmitMatrix, "modulate", _counted(calls, "modulate", TransmitMatrix.modulate)
+    )
+    for name in ("apply_channel", "smooth_stream", "zf_equalize", "awgn"):
+        monkeypatch.setattr(experiments, name, _counted(calls, name, getattr(experiments, name)))
+    experiments._variant_groups(cfg)
+    assert not calls  # the builds modulate nothing
+    run_ber(cfg)
+    chunks, smoothed = 3, 2
+    noisy = channel != "none"
+    if channel == "eva" and n_cp == 64:
+        assert calls == Counter({
+            "modulate": len(variants) * chunks,  # smooth_stream modulates too
+            "smooth_stream": smoothed * chunks,
+            "apply_channel": len(variants) * chunks,
+            "zf_equalize": (1 + len(variants)) * chunks,
+            "awgn": chunks,
+        })
+    else:
+        assert calls == Counter({
+            "zf_equalize": chunks if channel == "eva" else 0,
+            "awgn": chunks if noisy else 0,
+        })
+
+
+@pytest.mark.parametrize("channel,n_cp", BER_PATHS[:3], ids=BER_PATH_IDS[:3])
+def test_run_ber_soft_estimates_match_the_per_point_chain(monkeypatch, channel, n_cp):
+    # the run forms sigma A^-1 ZF(n) + z, with z = D + A^-1 Q B when every
+    # path lies inside the CP; the oracle smooths or modulates each variant's
+    # cores with its carry, sends them through the tapped-delay line with
+    # its tail, adds sigma n at each point, zero-forces and recovers from y
+    cfg = small_cfg(
+        "ber", K=64, n_cp=n_cp, beta=0.5, channel=channel, snr_db=(4.0, 10.0),
         n_bits=448 * 4 * 5, variants=("gfdm", "nc-gfdm:2"), seed=4,
     )
-    seen = {"sent": [], "faded": [], "soft": []}
-    original = (experiments._send, experiments.apply_channel, experiments._bit_errors,
-                experiments.awgn, JakesFadingProcess.realization)
+    monkeypatch.setattr(experiments, "_BER_CHUNK", 2 * 448)  # chunks of 2, 2 and 1 blocks
+    seen = {"data": [], "noise": [], "h": [], "soft": []}
 
-    def send(tm, ops, D, carry):
-        X, carry = original[0](tm, ops, D, carry)
-        seen["sent"].append((tm, ops, X))
-        return X, carry
+    def recorded(key, fn):
+        def wrapper(*args):
+            seen[key].append(fn(*args))
+            return seen[key][-1]
 
-    def channel_out(*args):
-        seen["faded"].append(original[1](*args))
-        return seen["faded"][-1]
+        return wrapper
 
     def bit_errors(soft, labels, c):
         seen["soft"].append(soft.copy())
-        return original[2](soft, labels, c)
+        return original(soft, labels, c)
 
-    def noise(*args):
-        seen["noise"] = original[3](*args)
-        return seen["noise"]
-
-    def fading(self, symbol_index):
-        seen["h"] = original[4](self, symbol_index)
-        return seen["h"]
-
-    for name, fn in (("_send", send), ("apply_channel", channel_out),
-                     ("_bit_errors", bit_errors), ("awgn", noise)):
-        monkeypatch.setattr(experiments, name, fn)
-    monkeypatch.setattr(JakesFadingProcess, "realization", fading)
+    original = experiments._bit_errors
+    monkeypatch.setattr(experiments, "_bit_errors", bit_errors)
+    for name, key in (("_draw_data", "data"), ("awgn", "noise")):
+        monkeypatch.setattr(experiments, name, recorded(key, getattr(experiments, name)))
+    monkeypatch.setattr(
+        JakesFadingProcess, "realization", recorded("h", JakesFadingProcess.realization)
+    )
     run_ber(cfg)
+    assert len(seen["data"]) == len(seen["noise"]) == 3
     c = experiments.qam_constellation(cfg.qam_order)
-    p = cfg.waveform()
-    sigmas = [math.sqrt(noise_variance(snr, p, c.bits_per_symbol)) for snr in cfg.snr_db]
+    sigmas = [math.sqrt(noise_variance(snr, cfg.waveform(), c.bits_per_symbol))
+              for snr in cfg.snr_db]
+    sent = []
+    for spec in cfg.variants:
+        var = resolve_variant(cfg, spec)
+        g, tm = experiments._transmit(var.params)
+        sent.append((tm, experiments._operators(g, tm, var.params) if var.smoothed else None))
+    carries, tails = [None] * len(sent), [None] * len(sent)
     got = iter(seen["soft"])
-    for i, (tm, ops, X) in enumerate(seen["sent"]):
-        R = seen["faded"][i] if channel == "eva" else X.T
-        for sigma in sigmas:
-            Y = sigma * seen["noise"] + R
-            if channel == "eva":
-                Y = zf_equalize(seen["h"], Y)
-            want = tm.demodulate(Y.T) if ops is None else reference_recover(ops, Y.T, c, 8)
-            soft = next(got)
-            assert np.max(np.abs(soft - want)) <= 1e-12 * np.max(np.abs(want))
+    for (_, D), noise, h in zip(seen["data"], seen["noise"], seen["h"] or [None] * 3):
+        for i, (tm, ops) in enumerate(sent):
+            if ops is None:
+                X = tm.modulate(D)
+            else:
+                X, _, carries[i] = smooth_stream(ops, D, carries[i])
+            R = X.T if h is None else apply_channel(h, X.T, n_cp, tails[i])
+            tails[i] = X[:, -1].copy()
+            for sigma in sigmas:
+                Y = sigma * noise + R
+                if h is not None:
+                    Y = zf_equalize(h, Y)
+                want = tm.demodulate(Y.T) if ops is None else reference_recover(ops, Y.T, c, 8)
+                soft = next(got)
+                assert np.max(np.abs(soft - want)) <= 1e-12 * np.max(np.abs(want))
     assert next(got, None) is None
 
 

@@ -189,6 +189,21 @@ def test_singular_boundary_matrix_raises(fill, check):
     assert check(err.value.cond)
 
 
+@pytest.mark.parametrize(
+    "K,M,beta,V,radius", [(64, 7, 0.0, 2, 0.787), (16, 4, 0.5, 3, 0.887)]
+)
+def test_recursion_is_undamped_without_a_cp(K, M, beta, V, radius):
+    # b_i = S b_{i-1} + v_i with S = P_f^-1 P_1 A^-1 Q.  With no CP the basis
+    # is periodic over the block, so rho(S) is 1 and a correction at a
+    # block's start reaches its end undamped; one sample of CP damps it
+    def spectral_radius(n_cp):
+        ops = built_ops(K, M, n_cp, beta, V)[3]
+        return np.max(np.abs(np.linalg.eigvals(ops.P_f_inv @ ops.P_1 @ ops.A_inv_Q)))
+
+    assert spectral_radius(0) == pytest.approx(1.0, abs=1e-9)
+    assert spectral_radius(1) == pytest.approx(radius, abs=1e-3)
+
+
 def test_first_symbol_unsmoothed():
     p, _, _, ops = built_ops(8, 4, 8, 0.3, 2)
     D = random_data(ops, 1)

@@ -174,6 +174,17 @@ def test_entry_points_reject_a_fractional_count_by_name(name, least, call):
     assert gen.bit_generator.state == before  # rejected before any draw
 
 
+def test_psd_sample_stream_holds_little_beyond_its_output():
+    # one paper chunk: 126 symbols of N = 1792, n_cp = 280, oversample 4, a
+    # 15.93 MiB stream.  The call peaked at 15.94 MiB; copying the CP of all
+    # rows in one assignment made a 2.15 MiB temporary (18.09 MiB), which
+    # the bound of 1 MiB over the output rejects
+    gen = np.random.default_rng(3)
+    cores = (gen.standard_normal((126, 1792)) + 1j * gen.standard_normal((126, 1792))).T
+    out_bytes = 126 * (1792 + 280) * 4 * 16
+    assert _traced_peak(psd_sample_stream, cores, 280, 4) < out_bytes + 2**20
+
+
 def test_oversample_accepts_a_numpy_integer():
     cores = np.ones((8, 2), dtype=complex)
     assert psd_sample_stream(cores, 2, np.int64(2)).size == 2 * 20
