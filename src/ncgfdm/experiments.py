@@ -44,9 +44,9 @@ from .params import (
 from .smoothing import (
     MAX_ORDER,
     NcOperators,
+    _matmul_blocks,
     build_basis,
     build_nc_operators,
-    coefficient_scan,
     coefficient_stream,
     operator_identity_residuals,
     smooth_stream,
@@ -532,15 +532,6 @@ def _variant_groups(cfg: ExperimentConfig) -> tuple[list, dict]:
     return builds, groups
 
 
-def _send(tm, ops: NcOperators | None, D: np.ndarray, carry):
-    """(cores, carry) of the symbols D: smoothed by ``ops`` from ``carry``, or
-    modulated by ``tm`` when ``ops`` is None, which passes ``carry`` on."""
-    if ops is None:
-        return tm.modulate(D), carry
-    X, _, carry = smooth_stream(ops, D, carry)
-    return X, carry
-
-
 def _draw_data(rng: np.random.Generator, c: Constellation, N: int, count: int):
     """(labels, D): (count, N) labels drawn by :func:`ncgfdm.params._draw_fields`,
     one symbol after another, and their points with one symbol per column."""
@@ -574,41 +565,6 @@ _PSD_CHUNK = 2**20
 #: oversampled samples per piece of a smoothed variant's stream; a piece holds
 #: max(1, _PSD_SMOOTH // ((N + n_cp) * oversample)) symbols of the chunk
 _PSD_SMOOTH = 2**17
-#: multiply-adds per block of a product in the PSD loop; see _matmul_blocks
-_PSD_BLOCK_MACS = 2**16
-
-
-def _matmul_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b, formed in blocks of columns that OpenBLAS keeps on the calling thread.
-
-    OpenBLAS forms a complex product on one thread when it has at most
-    ``_PSD_BLOCK_MACS`` multiply-adds (its default GEMM_MULTITHREAD_THRESHOLD)
-    or fewer than 32 columns, too few to give two threads 16 each.  A block
-    is the wider of the two, a multiple of 16 columns, so every block starts
-    where the whole product's kernel would start a tile (with the OpenBLAS
-    0.3.31 of numpy 2.4 the result equals the whole product bit for bit); a
-    lone last column, which numpy would send to a matrix-vector routine,
-    joins the block before it.  A second thread gains nothing on these thin
-    products, and between calls it spins on a CPU of its own.
-    """
-    n = b.shape[1]
-    if out is None:
-        out = np.empty((a.shape[0], n), dtype=np.result_type(a, b))
-    width = max(16, _PSD_BLOCK_MACS // (a.shape[0] * a.shape[1]) // 16 * 16)
-    stops = list(range(width, n, width)) + [n]
-    if len(stops) > 1 and n - stops[-2] == 1:
-        del stops[-2]
-    lo = 0
-    for hi in stops:
-        np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
-        lo = hi
-    return out
-
-
-def _coefficients(ops: NcOperators, D: np.ndarray, carry) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`~ncgfdm.smoothing.coefficient_stream` of the chunk D, its thin
-    products P_1 D and P_2 D formed by :func:`_matmul_blocks`."""
-    return coefficient_scan(ops, _matmul_blocks(ops.P_1, D), _matmul_blocks(ops.P_2, D), carry)
 
 
 def _orthonormal(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -643,9 +599,10 @@ def run_psd(cfg: ExperimentConfig) -> list:
     runs its coefficient recursion with its own carry and adds its smooth
     signal Q B as (R B)^T times the framed and oversampled U of Q = U R, both
     formed once per run, a few symbols at a time in one reused buffer.  Only
-    one chunk is held oversampled.  Every product of the loop is formed in
-    blocks small enough for OpenBLAS to keep on the calling thread, so the
-    loop keeps one CPU busy, not two, and slows less when another is busy.
+    one chunk is held oversampled.  Every product of the loop, the stacked
+    [P_1; P_2] D of :func:`~ncgfdm.smoothing.coefficient_stream` included, is
+    formed in blocks that OpenBLAS keeps on the calling thread, so the loop
+    keeps one CPU busy, not two, and slows less when another is busy.
     """
     _check_kind(cfg, "psd")
     c = qam_constellation(cfg.qam_order)
@@ -682,7 +639,7 @@ def run_psd(cfg: ExperimentConfig) -> list:
                     if ops is None:
                         accs[i].process(base)
                         continue
-                    B, carries[i] = _coefficients(ops, D, carries[i])
+                    B, carries[i] = coefficient_stream(ops, D, carries[i])
                     R, U_framed = bases[i]
                     C = (R @ B).T  # coefficients on U, one symbol per row
                     for k in range(0, nb, piece):
@@ -785,7 +742,10 @@ def run_ber(cfg: ExperimentConfig) -> list:
             for i in members:
                 _, tm, ops = builds[i]
                 if not circular:
-                    X, carries[i] = _send(tm, ops, D, carries[i])
+                    if ops is None:
+                        X = tm.modulate(D)
+                    else:
+                        X, _, carries[i] = smooth_stream(ops, D, carries[i])
                     # one block per row: X.T is contiguous (TransmitMatrix.modulate)
                     R = zf_equalize(h, apply_channel(h, X.T, n_cp, tails[i]))
                     tails[i] = X[:, -1].copy()

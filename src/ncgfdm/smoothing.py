@@ -339,21 +339,57 @@ def coefficient_scan(
     return B.reshape(thin), out.reshape(thin[:1] + thin[2:])
 
 
+#: multiply-adds per column block of a thin product; see _matmul_blocks
+_BLOCK_MACS = 2**16
+
+
+def _matmul_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b, formed in blocks of columns that OpenBLAS keeps on the calling thread.
+
+    OpenBLAS forms a complex product on one thread when it has at most
+    ``_BLOCK_MACS`` multiply-adds (its default GEMM_MULTITHREAD_THRESHOLD)
+    or fewer than 32 columns, too few to give two threads 16 each.  A block
+    is the wider of the two, a multiple of 16 columns, so every block starts
+    where the whole product's kernel would start a tile; a lone last column,
+    which numpy would send to a matrix-vector routine, joins the block
+    before it.  A second thread gains nothing on these thin products, and
+    between calls it spins on a CPU of its own.
+
+    The threshold and the bit-equality with the whole product are stated
+    for OpenBLAS 0.3.31 (numpy 2.4).  Another build, such as the numpy 2.0
+    CI job's, may thread or round otherwise; the tests check the call
+    shapes and a value bound there, not the thread count or the bits.
+    """
+    n = b.shape[1]
+    if out is None:
+        out = np.empty((a.shape[0], n), dtype=np.result_type(a, b))
+    width = max(16, _BLOCK_MACS // (a.shape[0] * a.shape[1]) // 16 * 16)
+    stops = list(range(width, n, width)) + [n]
+    if len(stops) > 1 and n - stops[-2] == 1:
+        del stops[-2]
+    lo = 0
+    for hi in stops:
+        np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+        lo = hi
+    return out
+
+
 def coefficient_stream(
     ops: NcOperators, D: np.ndarray, carry: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Basis coefficients b_i = P_f^{-1}(P_1 d_bar_{i-1} - P_2 d_i) of a stream.
 
     D holds one symbol per column, (N, count), or S parallel streams,
-    (N, count, S).  Forms the two thin products P_1 D and P_2 D and runs
-    :func:`coefficient_scan` on them; see there for ``carry`` and the
-    recursion.  Returns (B, carry) with B of shape (V+1, count[, S]).
+    (N, count, S).  Forms the thin products P_1 D and P_2 D as one product
+    of the stacked rows [P_1; P_2], on the calling thread
+    (:func:`_matmul_blocks`), and runs :func:`coefficient_scan` on its two
+    halves; see there for ``carry`` and the recursion.  Returns (B, carry)
+    with B of shape (V+1, count[, S]).
     """
     D = np.asarray(D, dtype=np.complex128)
     N = D.shape[0]
-    thin = (ops.V + 1,) + D.shape[1:]
-    P1D = (ops.P_1 @ D.reshape(N, -1)).reshape(thin)
-    P2D = (ops.P_2 @ D.reshape(N, -1)).reshape(thin)
+    PD = _matmul_blocks(np.vstack((ops.P_1, ops.P_2)), D.reshape(N, -1))
+    P1D, P2D = PD.reshape((2, ops.V + 1) + D.shape[1:])
     return coefficient_scan(ops, P1D, P2D, carry)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
+from ncgfdm import smoothing
 from ncgfdm.filterbank import build_transmit_matrix, prototype_filter
 from ncgfdm.params import WaveformParams, decision_labels, qam_constellation
 from ncgfdm.smoothing import build_basis, build_nc_operators
@@ -213,6 +214,30 @@ def dense_p_tilde(ops):
 def dense_p_hat(ops):
     """P_hat = A^-1 Q P_f^-1 P_1 as a dense N x N matrix (small N only)."""
     return np.linalg.inv(ops.tm.A) @ ops.basis.Q @ ops.P_f_inv @ ops.P_1
+
+
+#: numpy's BLAS is the OpenBLAS 0.3.31 build for which column blocks are
+#: stated to give the whole product's bits (see ``smoothing._matmul_blocks``)
+BLOCKS_BITWISE = np.__config__.CONFIG["Build Dependencies"]["blas"]["version"].startswith("0.3.31")
+
+
+def record_products(monkeypatch) -> list:
+    """(rows, inner, columns) of every ``np.matmul`` call that follows."""
+    calls = []
+    original = np.matmul
+
+    def record(a, b, out=None):
+        calls.append((a.shape[0], a.shape[1], b.shape[1]))
+        return original(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", record)
+    return calls
+
+
+def one_thread(calls) -> bool:
+    """Every product within the multiply-adds or the columns OpenBLAS forms
+    on the calling thread."""
+    return all(r * k * c <= smoothing._BLOCK_MACS or c < 32 for r, k, c in calls)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import basis_signal, built, built_ops, dense_p_tilde, reference_smooth, shifted_filter
+from conftest import (
+    BLOCKS_BITWISE,
+    basis_signal,
+    built,
+    built_ops,
+    dense_p_tilde,
+    one_thread,
+    record_products,
+    reference_smooth,
+    shifted_filter,
+)
 from ncgfdm import smoothing
 from ncgfdm.filterbank import SingularMatrixError
 from ncgfdm.params import qam_constellation
@@ -12,6 +22,7 @@ from ncgfdm.smoothing import (
     boundary_mismatch_dft,
     build_basis,
     build_nc_operators,
+    coefficient_scan,
     coefficient_stream,
     derivative_scales,
     identity_tolerance,
@@ -249,6 +260,68 @@ def test_coefficient_stream_runs_parallel_streams():
         want, want_carry = coefficient_stream(ops, D[:, :, s])
         assert np.allclose(np.concatenate([B, B2], axis=1)[:, :, s], want, atol=1e-12)
         assert np.allclose(carry[:, s], want_carry, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "K, M, n_cp, beta, V, shape",
+    [
+        (256, 7, 280, 0.1, 2, (70,)),  # nc-gfdm:2 in a ber-awgn chunk
+        (256, 1, 40, 0.0, 2, (489,)),  # td-nc-ofdm:2 in a ber-awgn chunk
+        (256, 7, 280, 0.1, 6, (126,)),  # nc-gfdm:6 in a psd-oob chunk
+        (16, 7, 16, 0.3, 2, (50, 3)),  # three parallel streams
+        (256, 7, 280, 0.1, 2, (0,)),  # an empty chunk
+    ],
+)
+def test_coefficient_stream_forms_one_stacked_product_on_the_calling_thread(
+    monkeypatch, K, M, n_cp, beta, V, shape
+):
+    _, _, _, ops = built_ops(K, M, n_cp, beta, V)
+    gen = np.random.default_rng(5)
+    D = qam_constellation(16).points[gen.integers(0, 16, size=(ops.params.N,) + shape)]
+    carry = gen.standard_normal((V + 1,) + shape[1:] + (2,)) @ np.array([1, 1j])
+    calls = record_products(monkeypatch)
+    B, out = coefficient_stream(ops, D, carry)
+    monkeypatch.undo()
+    # [P_1; P_2] D in column blocks, one column per symbol of each stream
+    assert all(rows == 2 * (V + 1) for rows, _, _ in calls) and one_thread(calls)
+    assert sum(cols for _, _, cols in calls) == D[0].size
+    # the scan of the two products formed whole: bit for bit on the BLAS build
+    # _matmul_blocks states that for, else within the identity tolerance
+    flat = D.reshape(ops.params.N, -1)
+    thin = (V + 1,) + shape
+    want = coefficient_scan(
+        ops, (ops.P_1 @ flat).reshape(thin), (ops.P_2 @ flat).reshape(thin), carry
+    )
+    assert B.shape == thin
+    for got, ref in ((B, want[0]), (out, want[1])):
+        if BLOCKS_BITWISE:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.allclose(got, ref, rtol=identity_tolerance(V), atol=0)
+
+
+@pytest.mark.parametrize(
+    "a_shape, n, widths",
+    [
+        ((6, 1792), 70, [16] * 4 + [6]),  # [P_1; P_2] D of nc-gfdm:2 in a ber-awgn chunk
+        ((14, 1792), 126, [16] * 7 + [14]),  # [P_1; P_2] D of nc-gfdm:6 in a psd-oob chunk
+        ((7, 1792), 126, [16] * 7 + [14]),  # one half of the product above
+        ((15, 7), 8288, [624] * 13 + [176]),  # the smooth signal of a 15-symbol piece
+        ((3, 1792), 3, [3]),
+        ((3, 1792), 33, [16, 17]),  # a lone last column joins the block before it
+        ((4, 64), 1000, [256] * 3 + [232]),
+    ],
+)
+def test_matmul_blocks_matches_one_product(monkeypatch, a_shape, n, widths):
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(a_shape) + 1j * rng.standard_normal(a_shape)
+    b = rng.standard_normal((a_shape[1], n)) + 1j * rng.standard_normal((a_shape[1], n))
+    want = a @ b
+    calls = record_products(monkeypatch)
+    got = smoothing._matmul_blocks(a, np.asfortranarray(b))
+    monkeypatch.undo()
+    assert [cols for _, _, cols in calls] == widths and one_thread(calls)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("K,M,n_cp,beta", [(8, 4, 8, 0.1), (16, 7, 16, 0.5)])
