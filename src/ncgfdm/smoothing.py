@@ -285,19 +285,17 @@ def _scan(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def coefficient_scan(
-    ops: NcOperators,
-    P1D: np.ndarray,
-    P2D: np.ndarray,
-    carry: np.ndarray | None = None,
+    ops: NcOperators, PD: np.ndarray, carry: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Basis coefficients of a stream from its thin products P_1 D and P_2 D.
+    """Basis coefficients of a stream from its stacked thin products [P_1 D; P_2 D].
 
     The recursion is b_i = P_f^{-1}(c_{i-1} - (P_2 D)_i) with the carry
     c_i = P_1 d_bar_i = (P_1 D)_i + G b_i, G = P_1 A^{-1} Q, since
     d_bar_i = d_i + A^{-1} Q b_i.  ``carry`` is c_{-1}, or None at the start
-    of a stream, whose first symbol is sent unsmoothed (b_0 = 0).  P1D and
-    P2D are (V+1, count) for one stream or (V+1, count, S) for S parallel
-    streams; returns B of the same shape and the carry for the next chunk.
+    of a stream, whose first symbol is sent unsmoothed (b_0 = 0).  PD stacks
+    P_1 D over P_2 D, (2, V+1, count) for one stream or (2, V+1, count, S)
+    for S parallel streams; returns B of shape (V+1, count[, S]) and the
+    carry for the next chunk.
     An empty chunk (count 0) returns an empty B and ``carry`` as given.
 
     Written as b_i = S b_{i-1} + v_i with S = P_f^{-1} G, the recursion is a
@@ -316,14 +314,12 @@ def coefficient_scan(
     spectral radius of S is exactly 1, so the recursion is undamped; the
     experiment configs reject a smoothed waveform there.
     """
-    P1D = np.asarray(P1D, dtype=np.complex128)
-    P2D = np.asarray(P2D, dtype=np.complex128)
-    thin = P1D.shape
+    PD = np.asarray(PD, dtype=np.complex128)
+    thin = PD.shape[1:]
     V1, count = thin[:2]
     if not count:
         return np.zeros(thin, dtype=np.complex128), carry
-    P1D = P1D.reshape(V1, count, -1)
-    P2D = P2D.reshape(V1, count, -1)
+    P1D, P2D = PD.reshape(2, V1, count, -1)
     G = ops.P_1 @ ops.A_inv_Q
     S = ops.P_f_inv @ G
     B = np.zeros_like(P2D)
@@ -382,15 +378,13 @@ def coefficient_stream(
     D holds one symbol per column, (N, count), or S parallel streams,
     (N, count, S).  Forms the thin products P_1 D and P_2 D as one product
     of the stacked rows [P_1; P_2], on the calling thread
-    (:func:`_matmul_blocks`), and runs :func:`coefficient_scan` on its two
-    halves; see there for ``carry`` and the recursion.  Returns (B, carry)
-    with B of shape (V+1, count[, S]).
+    (:func:`_matmul_blocks`), and runs :func:`coefficient_scan` on it; see
+    there for ``carry`` and the recursion.  Returns (B, carry) with B of
+    shape (V+1, count[, S]).
     """
     D = np.asarray(D, dtype=np.complex128)
-    N = D.shape[0]
-    PD = _matmul_blocks(np.vstack((ops.P_1, ops.P_2)), D.reshape(N, -1))
-    P1D, P2D = PD.reshape((2, ops.V + 1) + D.shape[1:])
-    return coefficient_scan(ops, P1D, P2D, carry)
+    PD = _matmul_blocks(np.vstack((ops.P_1, ops.P_2)), D.reshape(D.shape[0], -1))
+    return coefficient_scan(ops, PD.reshape((2, ops.V + 1) + D.shape[1:]), carry)
 
 
 def smooth_stream(

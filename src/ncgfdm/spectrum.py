@@ -3,16 +3,15 @@
 The PSD path is streaming-friendly and FFT-domain throughout: symbols are
 oversampled one row at a time by DFT zero-padding, and a
 :class:`WelchAccumulator` consumes sample chunks of any length and averages
-Hann-windowed periodograms, transforming its segments in fixed-size
-batches in one reused buffer, so long waveforms never need to be held in
-memory at once.  Its window also recentres the oversampled band on DC.
-Power and SIR estimators run entirely on the low-rank smoothing factors;
-no N x N product is formed per symbol, and the Monte-Carlo estimators
-reduce their data draws to thin products row block by row block; the SIR
-estimator reads one stream for all its operator sets, in symbol chunks, and
-scans each chunk by recursive doubling with no factor held across chunks;
-it frees a chunk's products before the next draw, so its memory does not
-grow with N times the number of symbols or streams.
+Hann-windowed periodograms, transforming its segments in fixed-size batches
+and holding only its running sums and an unfinished segment between chunks,
+so long waveforms never need to be held in memory at once.  Its window also
+recentres the oversampled band on DC.  Power and SIR estimators run entirely
+on the low-rank smoothing factors; no N x N product is formed per symbol.
+Both Monte-Carlo estimators run one loop, :func:`_smooth_energy`: it reduces
+each chunk's data draw to thin products row block by row block, scans them
+by recursive doubling and frees them before the next draw, so memory does
+not grow with N times the number of symbols or streams.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ class PsdEstimate:
 
 
 #: segments transformed per batch in :meth:`WelchAccumulator.process`; bounds
-#: its working memory to one reused buffer of this many windows
+#: its working memory to this many windows, allocated per call
 _WELCH_BLOCK = 64
 
 
@@ -123,7 +122,9 @@ class WelchAccumulator:
     which moves the occupied band from [0, 1/oversample) to be symmetric
     around DC.  A periodogram drops any constant phase of its segment, so
     this equals recentring the whole stream by exp(-j pi n / oversample),
-    whatever its chunking.  ``oversample`` must be an integer >= 1.
+    whatever its chunking.  ``oversample`` must be an integer >= 1.  Between
+    chunks it holds only its running sums and the samples of an unfinished
+    segment; :meth:`process` allocates its batch scratch on each call.
     """
 
     def __init__(self, window_len: int, overlap: int | None = None, oversample: int = 1):
@@ -145,7 +146,6 @@ class WelchAccumulator:
         self._acc = np.zeros(window_len)
         self._count = 0
         self._tail = np.zeros(0, dtype=np.complex128)
-        self._batch = np.empty((_WELCH_BLOCK, window_len), dtype=np.complex128)
 
     def process(self, chunk: np.ndarray) -> None:
         """Add every whole segment of the held tail plus ``chunk``; keep the rest.
@@ -153,7 +153,7 @@ class WelchAccumulator:
         Only the tail and the first ``window_len - 1`` samples of the chunk
         are joined; the segments that start inside the chunk are views into
         it, so the chunk itself is never copied.  Each batch of segments is
-        windowed into one reused buffer and transformed there in place.
+        windowed into one buffer of this call and transformed there in place.
         """
         chunk = np.asarray(chunk, dtype=np.complex128).ravel()
         held, W, step = self._tail.size, self.window_len, self.step
@@ -166,9 +166,10 @@ class WelchAccumulator:
                 head = sliding_window_view(joined, W)[::step][:n_head]
             if count > n_head:
                 body = sliding_window_view(chunk, W)[n_head * step - held :: step]
+            scratch = np.empty((min(count, _WELCH_BLOCK), W), dtype=np.complex128)
             for start in range(0, count, _WELCH_BLOCK):
                 stop = min(start + _WELCH_BLOCK, count)
-                batch = self._batch[: stop - start]
+                batch = scratch[: stop - start]
                 mid = min(max(n_head, start), stop)  # segments before mid start in the tail
                 k = mid - start
                 np.multiply(head[start:mid], self.window, out=batch[:k])
@@ -335,6 +336,36 @@ def _draw_products(
     return acc, None if sig is None else sig[0::2] + sig[1::2]
 
 
+def _smooth_energy(sets, rng, points, counts, streams: int = 1, energy: bool = False):
+    """The Monte-Carlo loop over the smoothing recursion of each operator set.
+
+    Chunk k is one :func:`_draw_products` draw of ``counts[k]`` symbols of
+    ``streams`` parallel streams, and each set's :func:`coefficient_scan`
+    carries across the chunk joins.  Row v of P_1 and P_2 depends on v, the
+    transmit matrix and the CP alone, so the sets on one transmit matrix and
+    CP read the first V+1 rows of their highest order's products.  Yields
+    the drawn columns' energies (None unless ``energy``) and each set's sum
+    of ||A^{-1} Q b||^2 over the chunk, its products freed before the yield.
+    """
+    keys = [(id(ops.tm), ops.params.n_cp) for ops in sets]  # (transmit matrix, CP)
+    tops = dict(sorted(zip(keys, sets), key=lambda kv: kv[1].V))  # each key's highest order
+    stacked = np.vstack([m for top in tops.values() for m in (top.P_1, top.P_2)])
+    ends = np.cumsum([2 * top.V + 2 for top in tops.values()])
+    rows = {key: slice(end - 2 * top.V - 2, end) for (key, top), end in zip(tops.items(), ends)}
+    grams = [ops.A_inv_Q.conj().T @ ops.A_inv_Q for ops in sets]
+    carries = [None] * len(sets)
+    for count in counts:
+        acc, sig = _draw_products(stacked, rng, points, count * streams, energy)
+        intf = np.empty(len(sets))
+        for j, (key, ops) in enumerate(zip(keys, sets)):
+            PD = acc[rows[key]].reshape(2, -1, count, streams)[:, : ops.V + 1]  # the top's, cut
+            B, carries[j] = coefficient_scan(ops, PD, carries[j])
+            B = B.reshape(ops.V + 1, -1)
+            intf[j] = np.real(np.einsum("vi,vw,wi->", B.conj(), grams[j], B))
+        del acc, PD, B  # a generator's frame would hold them across the next draw
+        yield sig, intf
+
+
 def empirical_sir(
     sets: Sequence[NcOperators],
     rng: np.random.Generator,
@@ -343,45 +374,27 @@ def empirical_sir(
 ) -> list[float]:
     """Monte-Carlo SIR (linear) of each operator set over one smoothed stream's data.
 
-    Measured where it matters: at the demodulator output, where the soft
-    estimate is d + A^{-1} w, so signal and interference are the data
-    vectors and the data-domain smooth contributions.  Data vectors draw
-    i.i.d. from ``points``, a unit-energy constellation of 2**b points
-    (else ValueError, before any draw), as one stream that every set reads.
-    It is drawn ``_SIR_CHUNK`` symbols at a time, each chunk reduced by
-    :func:`_draw_products` to its thin products P_1 D and P_2 D and its
-    signal energy, so no (N, n_symbols) array is formed; each set's
-    recursion (:func:`coefficient_scan`) carries across the chunk joins, and
-    only the stream's first, unsmoothed symbol is left out of the energy.
-
-    ``sets`` are one or more operator sets of one block length N (else
-    ValueError, before any draw).  Row v of P_1 and P_2 depends on v, the
-    transmit matrix and the CP alone, so the sets on one transmit matrix and
-    CP read the first V+1 rows of their highest order's products.  Raises
-    ZeroDivisionError when a set's stream carries no boundary discontinuity
-    to smooth (zero interference).
+    Measured at the demodulator output, where the soft estimate is
+    d + A^{-1} w: signal and interference are the data vectors and the
+    data-domain smooth contributions.  The data draw i.i.d. from ``points``,
+    a unit-energy constellation of 2**b points, as one stream that every set
+    reads through :func:`_smooth_energy`, ``_SIR_CHUNK`` symbols at a time,
+    so no (N, n_symbols) array is formed; the stream's first symbol, sent
+    unsmoothed, is left out of the signal.  ``sets`` are one or more operator
+    sets of one block length N; an empty list, mixed lengths or bad points
+    raise ValueError before any draw.  A stream with no boundary
+    discontinuity to smooth raises ZeroDivisionError (zero interference).
     """
     if not sets:
         raise ValueError("sets must hold at least one operator set")
     _check_count("n_symbols", n_symbols, 2)  # one smoothed symbol after the head
     if len(lengths := sorted({ops.params.N for ops in sets})) > 1:
         raise ValueError(f"empirical_sir draws one stream, of one block length; got N = {lengths}")
-    keys = [(id(ops.tm), ops.params.n_cp) for ops in sets]  # (transmit matrix, CP)
-    tops = dict(sorted(zip(keys, sets), key=lambda kv: kv[1].V))  # each key's highest order
-    stacked = np.vstack([m for top in tops.values() for m in (top.P_1, top.P_2)])
-    ends = np.cumsum([2 * top.V + 2 for top in tops.values()])
-    rows = {key: slice(end - 2 * top.V - 2, end) for (key, top), end in zip(tops.items(), ends)}
-    grams = [ops.A_inv_Q.conj().T @ ops.A_inv_Q for ops in sets]
-    carries, intf, sig = [None] * len(sets), np.zeros(len(sets)), 0.0
-    for start in range(0, n_symbols, _SIR_CHUNK):
-        cols = min(_SIR_CHUNK, n_symbols - start)
-        acc, energy = _draw_products(stacked, rng, points, cols, energy=True)
-        sig += energy[1:].sum() if start == 0 else energy.sum()
-        for j, (key, ops) in enumerate(zip(keys, sets)):
-            P1D, P2D = acc[rows[key]].reshape(2, -1, cols)[:, : ops.V + 1]  # the top's, cut
-            B, carries[j] = coefficient_scan(ops, P1D, P2D, carries[j])
-            intf[j] += np.real(np.einsum("vi,vw,wi->", B.conj(), grams[j], B))
-        del acc, energy, P1D, P2D, B  # freed before the next chunk's draw
+    counts = [min(_SIR_CHUNK, n_symbols - start) for start in range(0, n_symbols, _SIR_CHUNK)]
+    intf, sig = np.zeros(len(sets)), 0.0
+    for k, (energy, chunk) in enumerate(_smooth_energy(sets, rng, points, counts, energy=True)):
+        sig += energy.sum() if k else energy[1:].sum()
+        intf += chunk
     if intf.min() <= 0:
         raise ZeroDivisionError("stream produced no smoothing interference")
     return (sig / intf).tolist()
@@ -397,22 +410,12 @@ def mc_smooth_power(
     """Monte-Carlo mean of ||A^{-1} w_i||^2 per symbol index over streams.
 
     Data draw i.i.d. from ``points``, a unit-energy constellation of 2**b
-    points (else ValueError, before any draw).  Each symbol index draws its
-    (N, n_streams) data as one draw of :func:`_draw_products`, reduced to
-    the thin products P_1 D and P_2 D, which advance the coefficient
-    recursion of all streams at once
-    (:func:`coefficient_scan`), carrying across indices; no modulation is
+    points (else ValueError, before any draw).  Each symbol index is one
+    chunk of :func:`_smooth_energy`, one symbol of ``n_streams`` parallel
+    streams, whose recursions carry across indices; no modulation is
     performed and no (N, n_streams) array is formed.
     """
     _check_count("n_streams", n_streams, 1)
     _check_count("n_symbols", n_symbols, 1)
-    stacked = np.vstack([ops.P_1, ops.P_2])
-    gram = ops.A_inv_Q.conj().T @ ops.A_inv_Q
-    powers = np.zeros(n_symbols)
-    carry = None
-    for i in range(n_symbols):
-        acc, _ = _draw_products(stacked, rng, points, n_streams)
-        B, carry = coefficient_scan(ops, *acc.reshape(2, -1, 1, n_streams), carry)  # P_1 D, P_2 D
-        b = B[:, 0]
-        powers[i] = float(np.real(np.einsum("vi,vw,wi->", b.conj(), gram, b))) / n_streams
-    return powers
+    chunks = _smooth_energy([ops], rng, points, [1] * n_symbols, streams=n_streams)
+    return np.array([intf[0] for _, intf in chunks]) / n_streams

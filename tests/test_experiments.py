@@ -956,25 +956,38 @@ def test_run_psd_frames_each_chunk_once_per_transmit_matrix(monkeypatch):
     ] * 16 + [(112, 2)]
 
 
-def test_run_psd_holds_a_bounded_piece_of_the_oversampled_stream():
-    # a 126-symbol chunk oversampled is 16 MiB, and the run peaks near 29.7
-    # MiB: the chunk, one reused buffer of 15 smoothed symbols (2 MiB) and the
-    # Welch batches; a run that oversamples 279 symbols at once (2e6 samples)
-    # peaks near 89 MiB
+def _psd_oob_peak(variants) -> int:
+    """Traced peak bytes of run_psd at the psd-oob settings over 300 symbols."""
     import tracemalloc
 
     cfg = ExperimentConfig(
         kind="psd", K=256, M=7, n_cp=280, beta=0.1, V=2, oversample=4,
-        window_len=1792, overlap=448, variants=("nc-gfdm:2",), n_symbols=300, seed=1,
+        window_len=1792, overlap=448, variants=variants, n_symbols=300, seed=1,
     )
     run_psd(cfg)  # the first call fills what a process caches once (code version)
     tracemalloc.start()
     try:
         run_psd(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 50 * 2**20
+
+
+def test_run_psd_holds_a_bounded_piece_of_the_oversampled_stream():
+    # a 126-symbol chunk oversampled is 16 MiB, and the run peaks near 25.8
+    # MiB: the chunk, one reused buffer of 15 smoothed symbols (2 MiB) and a
+    # Welch batch; a run that oversamples 279 symbols at once (2e6 samples)
+    # peaks near 89 MiB
+    assert _psd_oob_peak(("nc-gfdm:2",)) < 50 * 2**20
+
+
+def test_run_psd_variants_hold_no_welch_batch_between_chunks():
+    # a Welch batch of 64 windows of 1792 samples is 1.75 MiB; each of the
+    # four accumulators allocates it per call, so the run peaked at 27.97 MiB
+    # (numpy 2.4), against 34.97 MiB when each held its batch for the whole
+    # run; the bound of 31 MiB lies between the two
+    variants = ("ofdm", "gfdm", "nc-gfdm:2", "nc-gfdm:6")
+    assert _psd_oob_peak(variants) < 31 * 2**20
 
 
 def test_run_psd_shares_each_draw_across_variants(monkeypatch):

@@ -290,7 +290,7 @@ def test_coefficient_stream_forms_one_stacked_product_on_the_calling_thread(
     flat = D.reshape(ops.params.N, -1)
     thin = (V + 1,) + shape
     want = coefficient_scan(
-        ops, (ops.P_1 @ flat).reshape(thin), (ops.P_2 @ flat).reshape(thin), carry
+        ops, np.stack(((ops.P_1 @ flat).reshape(thin), (ops.P_2 @ flat).reshape(thin))), carry
     )
     assert B.shape == thin
     for got, ref in ((B, want[0]), (out, want[1])):
