@@ -32,7 +32,6 @@ from .smoothing import (
     coefficient_stream,
     derivative_scales,
     smooth_stream,
-    synthesis_waveform,
 )
 from .channel import (
     ChannelProfile,

@@ -376,11 +376,11 @@ def _check_field(cfg: ExperimentConfig, name: str, rule: _Field, value) -> None:
 
 
 def _check_order(name: str, V: int) -> None:
-    """Reject a smoothing order whose operator build would fail its identity check."""
+    """Reject a smoothing order above ``MAX_ORDER``."""
     if V > MAX_ORDER:
         raise ValueError(
-            f"{name}: smoothing order V={V} exceeds {MAX_ORDER}, the highest whose "
-            f"operators pass the identity check in double precision"
+            f"{name}: smoothing order V={V} exceeds {MAX_ORDER}; higher orders bring the "
+            "smoothing recursion's spectral radius near 1 on short blocks"
         )
 
 
@@ -567,26 +567,6 @@ _PSD_CHUNK = 2**20
 _PSD_SMOOTH = 2**17
 
 
-def _orthonormal(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(U, R) with Q = U R, R upper triangular and U's columns orthonormal.
-
-    Gram-Schmidt with each column orthogonalized twice ("twice is enough",
-    Giraud et al. 2005), for the few columns of a basis; ``np.linalg.qr``
-    maps LAPACK code that raised the peak RSS of the desk ``psd`` run by
-    1.8 MB (numpy 2.4 with OpenBLAS).
-    """
-    U = np.array(Q, dtype=np.complex128)
-    R = np.zeros((U.shape[1],) * 2, dtype=np.complex128)
-    for j in range(U.shape[1]):
-        for _ in range(2):
-            r = U[:, :j].conj().T @ U[:, j]
-            U[:, j] -= U[:, :j] @ r
-            R[:j, j] += r
-        R[j, j] = np.linalg.norm(U[:, j])
-        U[:, j] /= R[j, j]
-    return U, R
-
-
 def run_psd(cfg: ExperimentConfig) -> list:
     """Welch PSD per waveform variant, normalized to 0 dB in-band mean.
 
@@ -597,8 +577,9 @@ def run_psd(cfg: ExperimentConfig) -> list:
     transmit matrix of the group modulates, frames and oversamples the chunk
     once.  An unsmoothed variant reads that stream as it is; a smoothed one
     runs its coefficient recursion with its own carry and adds its smooth
-    signal Q B as (R B)^T times the framed and oversampled U of Q = U R, both
-    formed once per run, a few symbols at a time in one reused buffer.  Only
+    signal Q B as B^T times the framed and oversampled Q, formed once per
+    run, a few symbols at a time in one reused buffer; Q's columns are
+    orthogonal with equal norms, so its terms do not cancel.  Only
     one chunk is held oversampled.  Every product of the loop, the stacked
     [P_1; P_2] D of :func:`~ncgfdm.smoothing.coefficient_stream` included, is
     formed in blocks that OpenBLAS keeps on the calling thread, so the loop
@@ -609,15 +590,11 @@ def run_psd(cfg: ExperimentConfig) -> list:
     table, bits = _label_table(c.points)  # points per packed unit, so no labels are formed
     builds, groups = _variant_groups(cfg)
     accs = [WelchAccumulator(cfg.window_len, cfg.overlap, cfg.oversample) for _ in builds]
-    bases = {}  # smoothed variant -> (R, U framed and oversampled) of Q = U R
+    bases = {}  # smoothed variant -> its Q, framed and oversampled, one column per row
     for i, (var, _, ops) in enumerate(builds):
         if ops is not None:
-            # the terms of B^T Q^T cancel by about 3.6 orders of magnitude at
-            # V = 6, and rounding added after oversampling reaches every bin,
-            # out of band too; on the orthonormal U it stays near the sum's
-            U, R = _orthonormal(ops.basis.Q)
-            U_framed = psd_sample_stream(U, var.params.n_cp, cfg.oversample)
-            bases[i] = R, U_framed.reshape(ops.V + 1, -1)
+            Q_framed = psd_sample_stream(ops.basis.Q, var.params.n_cp, cfg.oversample)
+            bases[i] = Q_framed.reshape(ops.V + 1, -1)
     for (N, n_cp), members in groups.items():
         rng = SeededRng(cfg.seed).child(0)
         carries = dict.fromkeys(members)
@@ -640,11 +617,9 @@ def run_psd(cfg: ExperimentConfig) -> list:
                         accs[i].process(base)
                         continue
                     B, carries[i] = coefficient_stream(ops, D, carries[i])
-                    R, U_framed = bases[i]
-                    C = (R @ B).T  # coefficients on U, one symbol per row
                     for k in range(0, nb, piece):
                         out = buf[: min(piece, nb - k)]
-                        _matmul_blocks(C[k : k + len(out)], U_framed, out=out)
+                        _matmul_blocks(B.T[k : k + len(out)], bases[i], out=out)
                         out += base_rows[k : k + len(out)]
                         accs[i].process(out.ravel())
                 del base, base_rows

@@ -1,4 +1,5 @@
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,6 +54,39 @@ def basis_signal(F0: np.ndarray, order: int, n, n_cp: int, max_order: int | None
     t = np.atleast_1d(np.asarray(n)) + n_cp
     vals = (np.exp(2j * np.pi * np.outer(t, l) / N) @ fac) / N
     return vals if np.ndim(n) else vals[0]
+
+
+def synthesis_spectrum(g, p) -> np.ndarray:
+    """Oracle: the N-point DFT of the synthesis waveform, the sum of the K
+    subcarrier-shifted prototypes, sample by sample."""
+    return np.fft.fft(sum(shifted_filter(g, k, 0, p.K) for k in range(p.K)))
+
+
+def monomial_operators(p, g, tm):
+    """Oracle: the operator set in the monomial constraint rows, dense.
+
+    Row v is the order-v spectral derivative (j 2 pi l / N)^v / N, so P_1 and
+    P_2 give the derivatives of A d at the block end and at the CP start,
+    column v of Q is the order-v basis signal on the core and P_f[v, w] its
+    boundary value f_{v+w}(-n_cp), all through :func:`basis_signal` on the
+    synthesis spectrum.  Holds what :func:`reference_smooth` reads.
+    """
+    F0 = synthesis_spectrum(g, p)
+    orders = range(p.V + 1)
+    n = np.arange(p.N)
+    fac = 2j * np.pi * n / p.N
+    rows = np.stack([fac**v for v in orders]) / p.N
+    phase = np.exp(-2j * np.pi * p.n_cp * n / p.N)
+    P_f = np.array([[basis_signal(F0, v + w, -p.n_cp, p.n_cp) for w in orders] for v in orders])
+    return SimpleNamespace(
+        V=p.V,
+        tm=tm,
+        basis=SimpleNamespace(Q=np.stack([basis_signal(F0, v, n, p.n_cp) for v in orders], axis=1)),
+        P_f=P_f,
+        P_f_inv=np.linalg.inv(P_f),
+        P_1=np.fft.fft(rows, axis=1) @ tm.A,
+        P_2=np.fft.fft(rows * phase, axis=1) @ tm.A,
+    )
 
 
 def reference_smooth(ops, D):

@@ -398,25 +398,23 @@ def test_empirical_sir_tracks_theory():
 
 
 @pytest.mark.parametrize(
-    "K,M,V,rel,order,n_symbols,chunk",
-    [(16, 7, 2, 1e-12, 16, 700, None), (16, 7, 6, 1e-8, 16, 700, None)]
-    + [(15, 5, 2, 1e-12, order, 101, None) for order in (4, 16, 64, 256, 1024, 4096)]
-    + [(16, 7, 2, 1e-12, 16, 401, 150), (16, 7, 6, 1e-8, 16, 401, 150),
-       (15, 5, 2, 1e-12, 4096, 101, 37)],
-    ids=["2-1e-12", "6-1e-8"] + [f"qam{order}-odd" for order in (4, 16, 64, 256, 1024, 4096)]
-    + ["chunks-2-1e-12", "chunks-6-1e-8", "chunks-qam4096-odd"],
+    "K,M,V,order,n_symbols,chunk",
+    [(16, 7, 2, 16, 700, None), (16, 7, 6, 16, 700, None)]
+    + [(15, 5, 2, order, 101, None) for order in (4, 16, 64, 256, 1024, 4096)]
+    + [(16, 7, 2, 16, 401, 150), (16, 7, 6, 16, 401, 150), (15, 5, 2, 4096, 101, 37)],
+    ids=["v2", "v6"] + [f"qam{order}-odd" for order in (4, 16, 64, 256, 1024, 4096)]
+    + ["chunks-v2", "chunks-v6", "chunks-qam4096-odd"],
 )
 def test_empirical_sir_matches_whole_array_reference(
-    monkeypatch, K, M, V, rel, order, n_symbols, chunk
+    monkeypatch, K, M, V, order, n_symbols, chunk
 ):
     # N = 112 and N = 75 are not multiples of the 64-row draw block, so the
     # last block is partial, and at N = 75 with an odd symbol count it ends
     # inside a byte; the same seed must give the same labels as one whole
-    # draw.  At V=6 (pf_cond 2.5e8) the summation order of the products
-    # alone moves the SIR by up to 6.5e-9 relative over 30 seeds, so 1e-8 is
-    # the bound.  With a small chunk the stream crosses two chunk joins and
-    # ends in a partial chunk; each chunk is one whole draw, and at N = 75
-    # with odd chunks each ends inside a byte
+    # draw.  The summation order of the products moves the SIR by at most
+    # 7e-15 relative over 30 seeds, at V = 2 and 6.  With a small chunk the
+    # stream crosses two chunk joins and ends in a partial chunk; each chunk
+    # is one whole draw, and at N = 75 with odd chunks each ends inside a byte
     if chunk:
         monkeypatch.setattr(spectrum, "_SIR_CHUNK", chunk)
     _, _, _, ops = built_ops(K, M, K, 0.5, V)
@@ -425,7 +423,7 @@ def test_empirical_sir_matches_whole_array_reference(
     got = empirical_sir([ops], gen, n_symbols, points=pts)[0]
     ref_gen = np.random.default_rng(31)
     want = reference_empirical_sir(ops, ref_gen, n_symbols, pts, chunk=chunk)
-    assert got == pytest.approx(want, rel=rel)
+    assert got == pytest.approx(want, rel=1e-12)
     assert gen.bytes(16) == ref_gen.bytes(16)
 
 
