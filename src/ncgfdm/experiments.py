@@ -53,6 +53,8 @@ from .smoothing import (
 )
 from .spectrum import (
     WelchAccumulator,
+    _steady_smooth_power,
+    closed_form_sir,
     empirical_sir,
     mc_smooth_power,
     normalize_inband,
@@ -380,7 +382,7 @@ def _check_order(name: str, V: int) -> None:
     if V > MAX_ORDER:
         raise ValueError(
             f"{name}: smoothing order V={V} exceeds {MAX_ORDER}; higher orders bring the "
-            "smoothing recursion's spectral radius near 1 on short blocks"
+            "smoothing recursion's spectral radius near 1, the sooner the shorter the CP"
         )
 
 
@@ -764,25 +766,16 @@ def run_ber(cfg: ExperimentConfig) -> list:
     ]
 
 
-#: symbol counts after which :func:`_steady_sir_db` reads the SIR plateau
-_PLATEAU_READS = (8, 16, 32, 64, 128)
-
-
 def _steady_sir_db(ops: NcOperators) -> tuple[float, float, float]:
-    """(sir_db, smooth_power, closed_form_db) at the converged plateau.
+    """(sir_db, smooth_power, closed_form_db) in the steady state.
 
-    The power recursion is read after 8, 16, ..., 128 symbols: the first read
-    within 0.01 dB of the one before is the plateau, else the last.  Each
-    report runs only up to the read it checks; a shorter report is a prefix
-    of a longer one, so the values do not depend on where it stops.
+    The limit of :func:`sir_report`'s sequences as the symbol index grows,
+    from one Stein solve (:func:`ncgfdm.spectrum._steady_smooth_power`).
     ``closed_form_db`` is nan unless A is unitary.
     """
-    for prev_n, n in zip(_PLATEAU_READS, _PLATEAU_READS[1:]):
-        rep = sir_report(ops, n)
-        if abs(rep.sir_db[n - 1] - rep.sir_db[prev_n - 1]) < 0.01:
-            break
-    closed = float("nan") if rep.closed_form_db is None else rep.closed_form_db
-    return float(rep.sir_db[n - 1]), float(rep.smooth_power[n - 1]), closed
+    power = _steady_smooth_power(ops)
+    closed = closed_form_sir(ops.params) if ops.is_unitary else float("nan")
+    return float(10.0 * np.log10(ops.params.N / power)), power, closed
 
 
 def run_sir(cfg: ExperimentConfig) -> list:

@@ -9,9 +9,9 @@ so long waveforms never need to be held in memory at once.  Its window also
 recentres the oversampled band on DC.  Power and SIR estimators run entirely
 on the low-rank smoothing factors; no N x N product is formed per symbol.
 Both Monte-Carlo estimators run one loop, :func:`_smooth_energy`: it reduces
-each chunk's data draw to thin products row block by row block, scans them
-by recursive doubling and frees them before the next draw, so memory does
-not grow with N times the number of symbols or streams.
+each chunk's data draw to thin products in blocks of about 8 MiB of drawn
+points, scans them by recursive doubling and frees them before the next
+draw, so memory does not grow with N times the number of symbols or streams.
 """
 
 from __future__ import annotations
@@ -243,32 +243,42 @@ class SirReport:
     closed_form_db: float | None = None
 
 
-def sir_report(ops: NcOperators, n_symbols: int) -> SirReport:
-    """Theoretical power and SIR sequences over symbol indices 0..n-1.
+def _recursion_terms(ops: NcOperators) -> tuple:
+    """(RL, base, RRh, LhL, smooth_fixed, tr_pt): the covariance recursion on
+    the low-rank factors.
 
-    Everything reduces to (V+1) x (V+1) products once the covariance
+    With P_hat = L P_1 and P_tilde = L P_2, L = A^{-1} Q P_f^{-1}, the
     recursion E_i = I - P_tilde - P_tilde^H + P_tilde P_tilde^H
-    + P_hat E_{i-1} P_hat^H is projected onto the low-rank factors
-    P_hat = L P_1 and P_tilde = L P_2 with L = A^{-1} Q P_f^{-1}.
+    + P_hat E_{i-1} P_hat^H reduces to S_{i+1} = base + RL S_i RL^H on
+    (V+1) x (V+1) matrices, from S_1 = RRh = P_1 P_1^H, and the smooth power
+    at index i >= 1 is tr(S_i LhL) + smooth_fixed.  ``tr_pt`` is
+    trace(P_tilde).
     """
-    _check_count("n_symbols", n_symbols, 1)
     L, R, T = ops.gain, ops.P_1, ops.P_2
-    N = ops.params.N
     LhL = L.conj().T @ L
     RL = R @ L
     TL = T @ L
     RRh = R @ R.conj().T
     TRh = T @ R.conj().T
     TTh = T @ T.conj().T
-    base_S = RRh - RL @ TRh - TRh.conj().T @ RL.conj().T + RL @ TTh @ RL.conj().T
-    # trace(P_tilde P_tilde^H): the smooth power's fixed part and a
-    # trace(E_i) piece, with trace(P_tilde)
+    base = RRh - RL @ TRh - TRh.conj().T @ RL.conj().T + RL @ TTh @ RL.conj().T
+    # trace(P_tilde P_tilde^H): the smooth power's fixed part
     smooth_fixed = float(np.real(np.trace(TTh @ LhL)))
-    tr_pt = complex(np.trace(TL))
+    return RL, base, RRh, LhL, smooth_fixed, complex(np.trace(TL))
+
+
+def sir_report(ops: NcOperators, n_symbols: int) -> SirReport:
+    """Theoretical power and SIR sequences over symbol indices 0..n-1.
+
+    Everything reduces to (V+1) x (V+1) products once the covariance
+    recursion is projected onto the low-rank factors (:func:`_recursion_terms`).
+    """
+    _check_count("n_symbols", n_symbols, 1)
+    RL, base_S, S, LhL, smooth_fixed, tr_pt = _recursion_terms(ops)
+    N = ops.params.N
     data_power = np.empty(n_symbols)
     smooth_power = np.zeros(n_symbols)
     data_power[0] = float(N)
-    S = RRh
     for i in range(1, n_symbols):
         tr_hat = float(np.real(np.trace(S @ LhL)))
         smooth_power[i] = tr_hat + smooth_fixed
@@ -285,6 +295,21 @@ def sir_report(ops: NcOperators, n_symbols: int) -> SirReport:
     )
 
 
+def _steady_smooth_power(ops: NcOperators) -> float:
+    """The limit of ``sir_report(ops, n).smooth_power`` as n grows.
+
+    The limit X of S_i solves the Stein equation X = base + RL X RL^H
+    (:func:`_recursion_terms`); in row-major vec form that is
+    (I - RL kron conj(RL)) vec X = vec base, one solve in (V+1)^2 unknowns.
+    It has one solution whenever the recursion is damped: the eigenvalues of
+    RL are those of the scan matrix S, and rho(S) < 1 with a CP.
+    """
+    RL, base, _, LhL, smooth_fixed, _ = _recursion_terms(ops)
+    n = RL.shape[0]
+    X = np.linalg.solve(np.eye(n * n) - np.kron(RL, RL.conj()), base.ravel()).reshape(n, n)
+    return float(np.real(np.trace(X @ LhL))) + smooth_fixed
+
+
 def closed_form_sir(p: WaveformParams) -> float:
     """Steady-state SIR in dB of the unitary configuration: KM/(2V+2).
 
@@ -297,33 +322,48 @@ def closed_form_sir(p: WaveformParams) -> float:
     return 10.0 * np.log10(p.K * p.M / (2.0 * (p.V + 1)))
 
 
-#: label rows drawn per block by :func:`_draw_products`, and symbols per
-#: chunk of :func:`empirical_sir`; they bound the estimators' working memory
-#: to a few (rows, columns) arrays, whatever N and the symbol count
-_DRAW_BLOCK = 64
+#: bytes of drawn points per block of :func:`_draw_products` (see
+#: :func:`_block_rows`), and symbols per chunk of :func:`empirical_sir`; they
+#: bound the estimators' working memory to a few (rows, columns) arrays,
+#: whatever N and the symbol count
+_DRAW_BYTES = 8 * 2**20
 _SIR_CHUNK = 2048
+
+
+def _block_rows(cols: int) -> int:
+    """Label rows per block of :func:`_draw_products` for a draw of ``cols`` columns.
+
+    As many rows of complex points as fit in ``_DRAW_BYTES``, rounded down to
+    a multiple of 32, and never fewer than 64: 256 rows at the 2048 columns
+    of an :func:`empirical_sir` chunk, 64 at 10 000 parallel streams.  A
+    deep block keeps the stacked product near the GEMM's peak.  32 rows of
+    b-bit labels are 4 b cols bytes, a whole number of the generator's
+    32-bit words and of the label groups of
+    :func:`ncgfdm.params._draw_units`, so the blocks concatenate to one draw.
+    """
+    return max(64, _DRAW_BYTES // (16 * cols) // 32 * 32)
 
 
 def _draw_products(
     stacked: np.ndarray, rng: np.random.Generator, pts: np.ndarray, cols: int, energy: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, tuple[float, float] | None]:
     """Thin products stacked @ D of an (N, cols) draw D of constellation points.
 
     ``stacked`` stacks thin operators, such as [P_1; P_2], over N columns.
     ``pts`` holds 2**b points (else ValueError, before any draw), and D, in
     C order, is one draw of :func:`ncgfdm.params._draw_fields` taken
-    ``_DRAW_BLOCK`` rows at a time: a full block is 8 b cols bytes, a whole
-    number of the generator's 32-bit words, so the blocks concatenate to
-    one (N, cols) draw.  Each block adds stacked[:, rows] @ D[rows] in one
-    product.  With ``energy``, also returns the energy of each column of D,
-    summed block by block; else None.
+    :func:`_block_rows` rows at a time, which concatenate to one (N, cols)
+    draw.  Each block adds stacked[:, rows] @ D[rows] in one product.  With
+    ``energy``, also returns the energy of D and that of its first column,
+    each summed as one dot product per block; else None.
     """
     table, bits = _label_table(np.asarray(pts, dtype=np.complex128))
     acc = np.zeros((stacked.shape[0], cols), dtype=np.complex128)
-    sig = np.zeros(2 * cols) if energy else None  # interleaved real and imaginary parts
+    total = head = 0.0
+    step = _block_rows(cols)
     gathered = None  # the first block is the largest; later blocks reuse its memory
-    for start in range(0, stacked.shape[1], _DRAW_BLOCK):
-        stop = min(start + _DRAW_BLOCK, stacked.shape[1])
+    for start in range(0, stacked.shape[1], step):
+        stop = min(start + step, stacked.shape[1])
         n = (stop - start) * cols
         flat = _draw_fields(rng, table, bits, n, gathered)
         if gathered is None:
@@ -331,9 +371,9 @@ def _draw_products(
         block = flat[:n].reshape(stop - start, cols)
         acc += stacked[:, start:stop] @ block
         if energy:
-            parts = block.view(np.float64)
-            sig += np.einsum("ij,ij->j", parts, parts)
-    return acc, None if sig is None else sig[0::2] + sig[1::2]
+            total += np.vdot(block, block).real
+            head += np.vdot(block[:, 0], block[:, 0]).real
+    return acc, (total, head) if energy else None
 
 
 def _smooth_energy(sets, rng, points, counts, streams: int = 1, energy: bool = False):
@@ -344,8 +384,10 @@ def _smooth_energy(sets, rng, points, counts, streams: int = 1, energy: bool = F
     carries across the chunk joins.  Row v of P_1 and P_2 depends on v, the
     transmit matrix and the CP alone, so the sets on one transmit matrix and
     CP read the first V+1 rows of their highest order's products.  Yields
-    the drawn columns' energies (None unless ``energy``) and each set's sum
-    of ||A^{-1} Q b||^2 over the chunk, its products freed before the yield.
+    the draw's energy and its first column's (None unless ``energy``, see
+    :func:`_draw_products`) and each set's sum of ||A^{-1} Q b||^2 over the
+    chunk, one dot product B^H (Q^H A^{-H} A^{-1} Q B), its products freed
+    before the yield.
     """
     keys = [(id(ops.tm), ops.params.n_cp) for ops in sets]  # (transmit matrix, CP)
     tops = dict(sorted(zip(keys, sets), key=lambda kv: kv[1].V))  # each key's highest order
@@ -361,7 +403,7 @@ def _smooth_energy(sets, rng, points, counts, streams: int = 1, energy: bool = F
             PD = acc[rows[key]].reshape(2, -1, count, streams)[:, : ops.V + 1]  # the top's, cut
             B, carries[j] = coefficient_scan(ops, PD, carries[j])
             B = B.reshape(ops.V + 1, -1)
-            intf[j] = np.real(np.einsum("vi,vw,wi->", B.conj(), grams[j], B))
+            intf[j] = np.vdot(B, grams[j] @ B).real
         del acc, PD, B  # a generator's frame would hold them across the next draw
         yield sig, intf
 
@@ -380,9 +422,10 @@ def empirical_sir(
     a unit-energy constellation of 2**b points, as one stream that every set
     reads through :func:`_smooth_energy`, ``_SIR_CHUNK`` symbols at a time,
     so no (N, n_symbols) array is formed; the stream's first symbol, sent
-    unsmoothed, is left out of the signal.  ``sets`` are one or more operator
-    sets of one block length N; an empty list, mixed lengths or bad points
-    raise ValueError before any draw.  A stream with no boundary
+    unsmoothed, is left out of the signal: its energy, the first column's of
+    the first chunk, is taken off that chunk's total.  ``sets`` are one or
+    more operator sets of one block length N; an empty list, mixed lengths
+    or bad points raise ValueError before any draw.  A stream with no boundary
     discontinuity to smooth raises ZeroDivisionError (zero interference).
     """
     if not sets:
@@ -392,8 +435,10 @@ def empirical_sir(
         raise ValueError(f"empirical_sir draws one stream, of one block length; got N = {lengths}")
     counts = [min(_SIR_CHUNK, n_symbols - start) for start in range(0, n_symbols, _SIR_CHUNK)]
     intf, sig = np.zeros(len(sets)), 0.0
-    for k, (energy, chunk) in enumerate(_smooth_energy(sets, rng, points, counts, energy=True)):
-        sig += energy.sum() if k else energy[1:].sum()
+    for k, ((total, head), chunk) in enumerate(
+        _smooth_energy(sets, rng, points, counts, energy=True)
+    ):
+        sig += total if k else total - head
         intf += chunk
     if intf.min() <= 0:
         raise ZeroDivisionError("stream produced no smoothing interference")

@@ -1,9 +1,11 @@
 import functools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.signal
+from scipy.special import erfc
 
 from ncgfdm import smoothing
 from ncgfdm.filterbank import build_transmit_matrix, prototype_filter
@@ -282,3 +284,27 @@ def qam16():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def analytic_16qam_ber(es_n0_linear: float) -> float:
+    """Exact Gray 16QAM bit error rate by 4-PAM threshold enumeration.
+
+    Per axis: levels (+/-1, +/-3)/sqrt(10) with Gray labels, decision
+    thresholds midway between levels, per-axis noise variance N0/2.
+    """
+    a = 1.0 / math.sqrt(10.0)
+    levels = np.array([-3 * a, -a, a, 3 * a])
+    gray = [0, 1, 3, 2]
+    sigma = math.sqrt(1.0 / (2.0 * es_n0_linear))
+    thresholds = np.array([-np.inf, -2 * a, 0.0, 2 * a, np.inf])
+
+    def cdf(x):
+        return 0.5 * erfc(-x / (sigma * math.sqrt(2)))
+
+    bit_errs = 0.0
+    for i, l in enumerate(levels):
+        for j in range(4):
+            pr = cdf(thresholds[j + 1] - l) - cdf(thresholds[j] - l)
+            bit_errs += pr * bin(gray[i] ^ gray[j]).count("1")
+    # 4 equiprobable levels, 2 bits per axis
+    return bit_errs / (4 * 2)

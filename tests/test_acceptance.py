@@ -10,9 +10,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc
 
-from conftest import built_ops
+from conftest import analytic_16qam_ber, built_ops
 from ncgfdm.experiments import (
     ExperimentConfig,
     noise_variance,
@@ -159,30 +158,6 @@ def test_criterion_5_noiseless_recovery():
         "iterative recovery of 6000 noiseless smoothed symbols (V in {0,2,4}, "
         f"beta in {{0.1,0.5}}, 8 iterations): {total_errors} bit errors",
     )
-
-
-def analytic_16qam_ber(es_n0_linear: float) -> float:
-    """Exact Gray 16QAM bit error rate by 4-PAM threshold enumeration.
-
-    Per axis: levels (+/-1, +/-3)/sqrt(10) with Gray labels, decision
-    thresholds midway between levels, per-axis noise variance N0/2.
-    """
-    a = 1.0 / math.sqrt(10.0)
-    levels = np.array([-3 * a, -a, a, 3 * a])
-    gray = [0, 1, 3, 2]
-    sigma = math.sqrt(1.0 / (2.0 * es_n0_linear))
-    thresholds = np.array([-np.inf, -2 * a, 0.0, 2 * a, np.inf])
-
-    def cdf(x):
-        return 0.5 * erfc(-x / (sigma * math.sqrt(2)))
-
-    bit_errs = 0.0
-    for i, l in enumerate(levels):
-        for j in range(4):
-            pr = cdf(thresholds[j + 1] - l) - cdf(thresholds[j] - l)
-            bit_errs += pr * bin(gray[i] ^ gray[j]).count("1")
-    # 4 equiprobable levels, 2 bits per axis
-    return bit_errs / (4 * 2)
 
 
 def test_criterion_6_awgn_ber_calibration():

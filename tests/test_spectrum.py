@@ -408,13 +408,15 @@ def test_empirical_sir_tracks_theory():
 def test_empirical_sir_matches_whole_array_reference(
     monkeypatch, K, M, V, order, n_symbols, chunk
 ):
-    # N = 112 and N = 75 are not multiples of the 64-row draw block, so the
-    # last block is partial, and at N = 75 with an odd symbol count it ends
+    # a draw budget below one row gives blocks of the 64-row floor at every
+    # column count; N = 112 and N = 75 are not multiples of 64, so the last
+    # block is partial, and at N = 75 with an odd symbol count it ends
     # inside a byte; the same seed must give the same labels as one whole
     # draw.  The summation order of the products moves the SIR by at most
     # 7e-15 relative over 30 seeds, at V = 2 and 6.  With a small chunk the
     # stream crosses two chunk joins and ends in a partial chunk; each chunk
     # is one whole draw, and at N = 75 with odd chunks each ends inside a byte
+    monkeypatch.setattr(spectrum, "_DRAW_BYTES", 1)
     if chunk:
         monkeypatch.setattr(spectrum, "_SIR_CHUNK", chunk)
     _, _, _, ops = built_ops(K, M, K, 0.5, V)
@@ -518,21 +520,41 @@ def test_mc_smooth_power_matches_whole_array_draw(n_streams):
     assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("rows", [64, 96])
 @pytest.mark.parametrize("order", [2**b for b in range(1, 13)])
-def test_row_blocked_draw_is_one_whole_draw(order):
-    # N = 75 rows is one full 64-row block and a partial one of 11; with 7
-    # columns the partial block ends inside a byte for every odd label width
-    _, _, _, ops = built_ops(15, 5, 15, 0.5, 2)
+def test_row_blocked_draw_is_one_whole_draw(monkeypatch, order, rows):
+    # a budget of 64 or 96 rows of 7 columns: N = 135 rows are blocks of
+    # 64 + 64 + 7 or of 96 + 39, and with 7 columns the partial last block
+    # ends inside a byte for every odd label width
+    monkeypatch.setattr(spectrum, "_DRAW_BYTES", rows * 7 * 16)
+    assert spectrum._block_rows(7) == rows
+    _, _, _, ops = built_ops(15, 9, 15, 0.5, 2)
     pts = np.exp(2j * np.pi * np.arange(order) / order) * (1 + np.arange(order) / order)
     gen = np.random.default_rng(order)
     stacked = np.vstack([ops.P_1, ops.P_2])
-    products, energy = _draw_products(stacked, gen, pts, 7, energy=True)
+    products, (total, head) = _draw_products(stacked, gen, pts, 7, energy=True)
     after = gen.bytes(16)
     whole = np.random.default_rng(order)
     D = pts[reference_labels(whole, order, (ops.params.N, 7))]
     assert whole.bytes(16) == after  # the blocks consumed exactly one whole draw
     assert np.allclose(products, stacked @ D, rtol=0, atol=1e-13 * np.abs(stacked).sum())
-    assert np.allclose(energy, np.sum(np.abs(D) ** 2, axis=0), rtol=1e-12, atol=0)
+    assert total == pytest.approx(np.sum(np.abs(D) ** 2), rel=1e-12)
+    assert head == pytest.approx(np.sum(np.abs(D[:, 0]) ** 2), rel=1e-12)
+
+
+def test_draw_blocks_are_the_most_32_row_steps_that_fit_the_budget():
+    # whole multiples of 32 rows keep the blocks one draw; at least 64 rows,
+    # and within the budget wherever 64 rows of the columns fit in it
+    budget = spectrum._DRAW_BYTES
+    assert budget == 8 * 2**20
+    for cols in (1, 7, 150, 2047, 2048, 2049, 4000, 8192, 10_000, 2**20):
+        rows = spectrum._block_rows(cols)
+        assert rows % 32 == 0 and rows >= 64, (cols, rows)
+        assert rows * cols * 16 <= budget or rows == 64, (cols, rows)
+        assert (rows + 32) * cols * 16 > budget, (cols, rows)
+    # an empirical_sir chunk, and the streams of ``power --preset paper``
+    assert spectrum._block_rows(spectrum._SIR_CHUNK) == 256
+    assert spectrum._block_rows(10_000) == 64
 
 
 @pytest.mark.parametrize("bits", range(1, 13))
